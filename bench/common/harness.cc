@@ -411,16 +411,7 @@ Status WriteBenchJson(const std::string& path, const std::string& figure,
   json += "\n  ],\n  \"metrics\": ";
   json += MetricsRegistry::Global().Snapshot().ToJson();
   json += "\n}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != json.size() || close_rc != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteStringToFile(path, json);
 }
 
 }  // namespace bench

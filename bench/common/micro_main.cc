@@ -9,25 +9,10 @@
 #include "bench/common/harness.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
+#include "util/string_util.h"
 
 namespace iq {
 namespace bench {
-namespace {
-
-Status WriteFile(const std::string& path, const std::string& data) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != data.size() || close_rc != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 int RunMicroBenchMain(int argc, char** argv) {
   // Split off our own flags before google-benchmark sees (and rejects) them.
@@ -95,7 +80,7 @@ int RunMicroBenchMain(int argc, char** argv) {
                    body.status().ToString().c_str());
       return 1;
     }
-    Status st = WriteFile(scrape_path, *body);
+    Status st = WriteStringToFile(scrape_path, *body);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
@@ -104,7 +89,7 @@ int RunMicroBenchMain(int argc, char** argv) {
                  scrape_path.c_str());
   }
   if (!metrics_json.empty()) {
-    Status st = WriteFile(metrics_json,
+    Status st = WriteStringToFile(metrics_json,
                           MetricsRegistry::Global().Snapshot().ToJson());
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());

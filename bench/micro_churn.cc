@@ -8,10 +8,10 @@
 //   churn        M reader threads solving MinCost on pinned snapshots
 //                while one writer applies strategies as fast as it can
 //                (every apply publishes a new epoch).
-//   reader_only  the same readers with the writer silent. The contention
-//                profiler (obs/profile.h) runs over this window and the
-//                binary *aborts* unless the IqEngine::mu_ site recorded
-//                exactly zero acquisitions — the lock-free-reader claim is
+//   reader_only  the same readers with the writer silent. Mutex capture
+//                (util/prof.h) runs over this window and the binary
+//                *aborts* unless the engine-rank lock recorded exactly
+//                zero acquisitions — the lock-free-reader claim is
 //                enforced, not just reported.
 //
 // The tracked regression keys (tools/bench_regress.sh → BENCH_5.json) are
@@ -45,9 +45,10 @@
 #include "data/synthetic.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "util/check.h"
+#include "util/prof.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace iq {
@@ -86,10 +87,11 @@ uint64_t P50(std::vector<uint64_t>* nanos) {
   return (*nanos)[mid];
 }
 
-LockSite EngineLockSite(const ProfileReport& report) {
+/// Engine-rank totals from the mutex capture of the window just closed.
+LockSite EngineLockSite() {
   LockSite site;
-  for (const MutexSiteReport& m : report.mutexes) {
-    if (m.rank == "kEngine") {
+  for (const prof::MutexSiteStats& m : prof::SnapshotMutexSites()) {
+    if (m.rank == LockRank::kEngine) {
       site.acquisitions += m.acquisitions;
       site.contended += m.contended;
       site.wait_nanos += m.wait_nanos;
@@ -100,7 +102,7 @@ LockSite EngineLockSite(const ProfileReport& report) {
 
 /// One measured window: `cfg.readers` threads each solving `cfg.reads`
 /// MinCosts on their own pinned snapshots, plus (churn window only) a
-/// writer publishing `applies` epochs. The profiler wraps the whole window
+/// writer publishing `applies` epochs. Mutex capture wraps the whole window
 /// so the engine-rank lock stats cover exactly this traffic.
 WindowStats RunWindow(const Config& cfg, IqEngine* engine,
                       const std::string& window, int applies) {
@@ -108,8 +110,9 @@ WindowStats RunWindow(const Config& cfg, IqEngine* engine,
   stats.window = window;
   stats.first_epoch = engine->Snapshot().epoch();
 
-  ProfileSession session;
-  session.Start();
+  prof::SetEnabled(false);
+  prof::Reset();
+  prof::SetEnabled(true);
 
   std::vector<std::vector<uint64_t>> solve_nanos(
       static_cast<size_t>(cfg.readers));
@@ -147,9 +150,8 @@ WindowStats RunWindow(const Config& cfg, IqEngine* engine,
   }
   for (std::thread& t : readers) t.join();
 
-  ProfileReport report = session.Stop("micro_churn/" + window);
-  PublishProfileMetrics(report);
-  stats.engine_lock = EngineLockSite(report);
+  prof::SetEnabled(false);
+  stats.engine_lock = EngineLockSite();
 
   std::vector<uint64_t> all_solves;
   for (std::vector<uint64_t>& v : solve_nanos) {
@@ -212,14 +214,7 @@ Status WriteJson(const std::string& path, const Config& cfg,
   }
   json += "],\"metrics\":" + MetricsRegistry::Global().Snapshot().ToJson() +
           "}";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path);
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "json report written to %s\n", path.c_str());
-  return Status::Ok();
+  return WriteStringToFile(path, json);
 }
 
 int Main(int argc, char** argv) {
@@ -295,6 +290,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
+    std::fprintf(stderr, "json report written to %s\n", json_path.c_str());
   }
   if (!scrape_path.empty()) {
     Result<std::string> body = HttpGetLocal(exporter.port(), "/metrics");
@@ -303,13 +299,11 @@ int Main(int argc, char** argv) {
                    body.status().ToString().c_str());
       return 1;
     }
-    std::FILE* f = std::fopen(scrape_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", scrape_path.c_str());
+    Status s = WriteStringToFile(scrape_path, *body);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    std::fwrite(body->data(), 1, body->size(), f);
-    std::fclose(f);
     std::fprintf(stderr, "scraped /metrics written to %s\n",
                  scrape_path.c_str());
   }

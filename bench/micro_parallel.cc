@@ -31,14 +31,16 @@
 //                          the deterministic static partition) and is
 //                          reported once, labeled static.
 //   --profile=PATH         after the timed reps of each cell, run one extra
-//                          rep under the contention profiler (obs/profile.h)
-//                          and write every window's ProfileReport — labeled
-//                          "<path>/threads=N" — to PATH as a JSON dump that
-//                          tools/iq_prof ingests. Profiling is OFF during
-//                          the timed reps, so this flag does not perturb the
-//                          reported seconds.
+//                          rep inside a profile window (obs/trace.h
+//                          ProfileSession: mutex slots + ParallelFor chunk
+//                          spans) and write every window — labeled
+//                          "<path>/threads=N" — to PATH as a span dump that
+//                          tools/iq_trace renders as the serialization
+//                          report. Profiling is OFF during the timed reps,
+//                          so this flag does not perturb the reported
+//                          seconds.
 //   --slow-trace-nanos=N   enable causal tracing with an N-nanosecond
-//                          tail-capture threshold (DESIGN.md §14) for the
+//                          tail-capture threshold (DESIGN.md §11) for the
 //                          whole run; root solves at or over N are retained
 //                          in the last-K store. Use a low N (e.g. 1000) to
 //                          force retention for the trace-smoke CI lane.
@@ -63,7 +65,6 @@
 #include "bench/common/harness.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -77,11 +78,11 @@ constexpr int kDefaultThreadCounts[] = {0, 1, 2, 4, 8};
 
 /// Shared knobs for one bench run: which thread counts to sweep, which
 /// chunk policies to A/B, and (when --profile= is set) where the per-cell
-/// ProfileReports accumulate.
+/// profile-window records accumulate.
 struct RunConfig {
   std::vector<int> thread_counts;
   std::vector<ChunkPolicy> policies = {ChunkPolicy::kDynamic};
-  std::vector<ProfileReport>* profiles = nullptr;  // null: profiling off
+  std::vector<std::string>* profiles = nullptr;  // null: profiling off
 };
 
 const char* PolicyName(ChunkPolicy policy) {
@@ -113,9 +114,9 @@ double BestOf(int reps, const std::function<void()>& fn) {
 
 /// Times one (path, thread-count) cell: best-of over the timed reps with
 /// profiling off, then — when --profile= asked for it — one *extra* rep
-/// inside a ProfileSession whose report is labeled "<path>/threads=N" and
-/// published to the metrics registry. Keeping the profiled rep out of the
-/// timing keeps the seconds column comparable with and without the flag.
+/// inside a ProfileSession whose window is labeled "<path>/threads=N".
+/// Keeping the profiled rep out of the timing keeps the seconds column
+/// comparable with and without the flag.
 double MeasureCell(const RunConfig& cfg, const std::string& label, int reps,
                    const std::function<void()>& fn) {
   const double best = BestOf(reps, fn);
@@ -123,9 +124,7 @@ double MeasureCell(const RunConfig& cfg, const std::string& label, int reps,
     ProfileSession session;
     session.Start();
     fn();
-    ProfileReport report = session.Stop(label);
-    PublishProfileMetrics(report);
-    cfg.profiles->push_back(std::move(report));
+    cfg.profiles->push_back(session.Stop(label));
   }
   return best;
 }
@@ -275,37 +274,37 @@ Status WriteJson(const std::string& path,
   }
   json += "],\"metrics\":" + MetricsRegistry::Global().Snapshot().ToJson() +
           "}";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path);
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "json report written to %s\n", path.c_str());
-  return Status::Ok();
+  return WriteStringToFile(path, json);
 }
 
-/// The --profile= dump: run metadata plus every cell's ProfileReport, in
-/// the line-oriented JSON that tools/iq_prof re-ingests.
+/// The --profile= dump: run metadata plus every cell's profile-window
+/// records, in the span-dump format tools/iq_trace reads.
 Status WriteProfileDump(const std::string& path,
-                        const std::vector<ProfileReport>& profiles) {
-  std::string json = "{\"bench\":\"micro_parallel\",\"run\":" +
-                     RunMetadataJson(CollectRunMetadata(/*seed=*/42)) +
-                     ",\n\"profiles\": [";
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    json += i == 0 ? "\n" : ",\n";
-    json += profiles[i].ToJson();
+                        const std::vector<std::string>& profiles) {
+  return WriteStringToFile(
+      path, "{\"bench\":\"micro_parallel\",\"run\":" +
+                RunMetadataJson(CollectRunMetadata(/*seed=*/42)) +
+                ",\n\"profiles\": [\n" + StrJoin(profiles, ",\n") +
+                "\n]}\n");
+}
+
+/// GETs `endpoint` from the loopback exporter and writes the body to
+/// `path` — a real round-trip, not a direct render: CI uses these files to
+/// prove the exporter serves what the registry and trace store hold.
+Status ScrapeToFile(int port, const char* endpoint, const std::string& path) {
+  Result<std::string> body = HttpGetLocal(port, endpoint);
+  if (!body.ok()) return body.status();
+  return WriteStringToFile(path, *body);
+}
+
+/// Reports one artifact write; false (after printing why) when it failed.
+bool Wrote(const char* what, const std::string& path, const Status& st) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
+    return false;
   }
-  json += profiles.empty() ? "]}\n" : "\n]}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path);
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::fprintf(stderr, "profile dump (%zu windows) written to %s\n",
-               profiles.size(), path.c_str());
-  return Status::Ok();
+  std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
+  return true;
 }
 
 /// Parses "--threads=0,2,8" into thread counts; rejects empty / negative
@@ -400,7 +399,7 @@ int Main(int argc, char** argv) {
                  chunk_policy.c_str());
     return 1;
   }
-  std::vector<ProfileReport> profiles;
+  std::vector<std::string> profiles;
   if (!profile_path.empty()) cfg.profiles = &profiles;
 
   if (slow_trace_nanos > 0) {
@@ -438,57 +437,20 @@ int Main(int argc, char** argv) {
   paths.push_back(BenchSolveBatch(cfg, n / 4, m / 4, reps));
   PrintTable(paths);
 
-  if (!json_path.empty()) {
-    Status s = WriteJson(json_path, paths);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (!profile_path.empty()) {
-    Status s = WriteProfileDump(profile_path, profiles);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (!scrape_path.empty()) {
-    // A real loopback round-trip, not a direct render: CI uses this file to
-    // prove the exporter serves what the registry holds.
-    Result<std::string> body = HttpGetLocal(exporter.port(), "/metrics");
-    if (!body.ok()) {
-      std::fprintf(stderr, "scrape failed: %s\n",
-                   body.status().ToString().c_str());
-      return 1;
-    }
-    std::FILE* f = std::fopen(scrape_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", scrape_path.c_str());
-      return 1;
-    }
-    std::fwrite(body->data(), 1, body->size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "scraped /metrics written to %s\n",
-                 scrape_path.c_str());
-  }
-  if (!scrape_tracez_path.empty()) {
-    // Same loopback contract as --scrape-metrics=: the file proves the
-    // exporter serves the retained-trace store, not a direct render.
-    Result<std::string> body = HttpGetLocal(exporter.port(), "/tracez");
-    if (!body.ok()) {
-      std::fprintf(stderr, "tracez scrape failed: %s\n",
-                   body.status().ToString().c_str());
-      return 1;
-    }
-    std::FILE* f = std::fopen(scrape_tracez_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", scrape_tracez_path.c_str());
-      return 1;
-    }
-    std::fwrite(body->data(), 1, body->size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "scraped /tracez written to %s\n",
-                 scrape_tracez_path.c_str());
+  // Every artifact goes through the checked writer: a short write or a
+  // failed close fails the run, so CI never consumes a truncated file.
+  if ((!json_path.empty() &&
+       !Wrote("json report", json_path, WriteJson(json_path, paths))) ||
+      (!profile_path.empty() &&
+       !Wrote("profile dump", profile_path,
+              WriteProfileDump(profile_path, profiles))) ||
+      (!scrape_path.empty() &&
+       !Wrote("scraped /metrics", scrape_path,
+              ScrapeToFile(exporter.port(), "/metrics", scrape_path))) ||
+      (!scrape_tracez_path.empty() &&
+       !Wrote("scraped /tracez", scrape_tracez_path,
+              ScrapeToFile(exporter.port(), "/tracez", scrape_tracez_path)))) {
+    return 1;
   }
   return 0;
 }

@@ -118,7 +118,7 @@ void BM_MutexProfileOverheadEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_MutexProfileOverheadEnabled);
 
-// Overhead guards for causal tracing (DESIGN.md §14), same contract as the
+// Overhead guards for causal tracing (DESIGN.md §11), same contract as the
 // mutex-profiler pair above: the *disabled* scope — which sits inside every
 // candidate evaluation once the macros are compiled in — must stay at one
 // relaxed atomic load plus a predictable branch. Tracked by

@@ -212,7 +212,7 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
     IQ_RETURN_IF_ERROR(exporter->Start(options.exporter_port));
   }
   if (options.slow_trace_nanos > 0) {
-    // Tail-based capture (DESIGN.md §14): configure the process-global
+    // Tail-based capture (DESIGN.md §11): configure the process-global
     // collector and switch span recording on. Like the metrics registry,
     // the collector is process-wide — the last engine configured wins,
     // which is the same sharing model /metrics already has.
@@ -329,7 +329,7 @@ Result<int> IqEngine::BestWorkloadRank(int object) const {
 Result<IqResult> IqEngine::MinCost(int target, int tau,
                                    const IqOptions& options,
                                    IqScheme scheme) const {
-  // Root span of the solve (DESIGN.md §14): allocates the trace id every
+  // Root span of the solve (DESIGN.md §11): allocates the trace id every
   // span below — including chunk bodies on pool workers — inherits, and
   // decides keep/discard against the slow-trace threshold at scope exit.
   IQ_TRACE_ROOT_SCOPE(root, "IqEngine::MinCost", target, tau);

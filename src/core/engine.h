@@ -58,7 +58,7 @@ struct EngineOptions {
   /// this path, so the window of events leading up to the failure survives
   /// the process. Empty = no automatic dumps.
   std::string event_dump_path;
-  /// Tail-based slow-solve capture (DESIGN.md §14). 0 (the default) leaves
+  /// Tail-based slow-solve capture (DESIGN.md §11). 0 (the default) leaves
   /// causal tracing off. Any value > 0 enables the trace collector and
   /// retains every root solve (MinCost / MaxHit / ApplyStrategy /
   /// SolveBatch) whose wall clock reaches this many nanoseconds — plus

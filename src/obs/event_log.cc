@@ -12,40 +12,6 @@
 namespace iq {
 namespace {
 
-/// JSON string escaping for the free-form `note` field: quotes, backslashes
-/// and control characters (JSONL must stay one-event-per-line, so newlines
-/// in particular must not survive verbatim).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::atomic<uint64_t> g_dropped{0};
 
 }  // namespace
@@ -195,17 +161,7 @@ std::string EventLog::ToJsonl() const {
 }
 
 Status EventLog::WriteJsonl(const std::string& path) const {
-  std::string jsonl = ToJsonl();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
-  }
-  size_t written = std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != jsonl.size() || close_rc != 0) {
-    return Status::Internal("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteStringToFile(path, ToJsonl());
 }
 
 void EventLog::Clear() {

@@ -73,7 +73,7 @@ struct Event {
   /// solve, the epoch an IndexBuild produced, or the epoch a maintenance
   /// hook was building. 0 = pre-epoch / standalone index.
   uint64_t epoch = 0;             // solve_* / index_build / index_maintenance
-  /// Causal trace id of the solve this event belongs to (DESIGN.md §14), so
+  /// Causal trace id of the solve this event belongs to (DESIGN.md §11), so
   /// a flight-recorder line cross-references its /tracez trace. 0 = tracing
   /// off / event outside any root span; emitted only when nonzero, keeping
   /// dumps from untraced runs byte-stable.

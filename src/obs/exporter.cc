@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "obs/event_log.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -59,37 +58,6 @@ std::string SafeStrError(int err) {
   }
   return std::string(buf);
 #endif
-}
-
-/// Splits a registry name with an embedded label block — the convention
-/// obs/profile.cc registers per-rank / per-site gauges under, e.g.
-/// "iq.lock.wait_nanos{rank=kEngine}" — into the base name and a rendered
-/// Prometheus label block (`{rank="kEngine"}`). Blocks are `{k=v,k2=v2}`
-/// with no quotes, so registry names stay JSON-safe in /statusz. Names
-/// without a block pass through with an empty label string.
-void SplitEmbeddedLabels(const std::string& name, std::string* base,
-                         std::string* labels) {
-  size_t pos = name.find('{');
-  if (pos == std::string::npos || name.back() != '}') {
-    *base = name;
-    labels->clear();
-    return;
-  }
-  *base = name.substr(0, pos);
-  std::string out = "{";
-  bool first = true;
-  for (std::string_view part :
-       StrSplit(name.substr(pos + 1, name.size() - pos - 2), ',')) {
-    size_t eq = part.find('=');
-    if (eq == std::string_view::npos) continue;
-    out += StrFormat(
-        "%s%s=\"%s\"", first ? "" : ",",
-        PrometheusName(std::string(part.substr(0, eq))).c_str(),
-        PrometheusEscape(std::string(part.substr(eq + 1))).c_str());
-    first = false;
-  }
-  out += "}";
-  *labels = out;
 }
 
 /// Writes the whole buffer, retrying on short writes / EINTR.
@@ -148,37 +116,16 @@ std::string PrometheusEscape(const std::string& s) {
 
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
   std::string out;
-  // Same-family labeled samples (snapshot maps are name-sorted, so they are
-  // adjacent) share one HELP/TYPE header — duplicating it per sample would
-  // be invalid exposition format.
-  std::string prev_family;
   for (const auto& [name, value] : snapshot.counters) {
-    std::string base;
-    std::string labels;
-    SplitEmbeddedLabels(name, &base, &labels);
-    std::string pn = PrometheusName(base);
-    if (pn != prev_family) {
-      out += StrFormat("# HELP %s %s\n", pn.c_str(),
-                       PrometheusEscape(base).c_str());
-      out += StrFormat("# TYPE %s counter\n", pn.c_str());
-      prev_family = pn;
-    }
-    out += StrFormat("%s%s %llu\n", pn.c_str(), labels.c_str(),
+    const std::string pn = PrometheusName(name);
+    out += StrFormat("# HELP %s %s\n# TYPE %s counter\n%s %llu\n", pn.c_str(),
+                     PrometheusEscape(name).c_str(), pn.c_str(), pn.c_str(),
                      static_cast<unsigned long long>(value));
   }
-  prev_family.clear();
   for (const auto& [name, value] : snapshot.gauges) {
-    std::string base;
-    std::string labels;
-    SplitEmbeddedLabels(name, &base, &labels);
-    std::string pn = PrometheusName(base);
-    if (pn != prev_family) {
-      out += StrFormat("# HELP %s %s\n", pn.c_str(),
-                       PrometheusEscape(base).c_str());
-      out += StrFormat("# TYPE %s gauge\n", pn.c_str());
-      prev_family = pn;
-    }
-    out += StrFormat("%s%s %lld\n", pn.c_str(), labels.c_str(),
+    const std::string pn = PrometheusName(name);
+    out += StrFormat("# HELP %s %s\n# TYPE %s gauge\n%s %lld\n", pn.c_str(),
+                     PrometheusEscape(name).c_str(), pn.c_str(), pn.c_str(),
                      static_cast<long long>(value));
   }
   for (const HistogramSnapshot& h : snapshot.histograms) {
@@ -230,7 +177,7 @@ std::string ExporterResponseForPath(const std::string& path,
     return HttpResponse("200 OK", "application/json", body);
   }
   if (path == "/profilez") {
-    return HttpResponse("200 OK", "application/json", CurrentProfileJson());
+    return HttpResponse("200 OK", "application/json", ProfilezJson());
   }
   if (path == "/tracez") {
     return HttpResponse("200 OK", "application/json",

@@ -22,9 +22,16 @@ namespace iq {
 ///   /healthz   "ok" — liveness probe.
 ///   /statusz   JSON snapshot: uptime, metrics (MetricsSnapshot::ToJson)
 ///              and event-log counts.
-///   /profilez  live scalability profile (obs/profile.h) as line-oriented
-///              JSON; a `"enabled": false` placeholder when contention
-///              profiling is off.
+///   /profilez  live profile window (obs/trace.h ProfilezJson): mutex
+///              wait/held slots plus the ParallelFor chunk spans since
+///              profiling was enabled, as a line-oriented span dump; an
+///              `"enabled": false` placeholder window when profiling is off.
+///   /tracez    retained slow traces (TraceCollector::TracezJson): tail
+///              config, capture counters, every retained trace's spans.
+///   /tracez?trace=ID
+///              one retained trace as Perfetto/Chrome JSON.
+///
+/// tools/iq_trace reads /profilez and /tracez payloads alike.
 ///
 /// One background thread accepts and serves connections sequentially —
 /// scrapes are rare and responses are small, so there is nothing to win

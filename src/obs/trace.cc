@@ -1,22 +1,65 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/prof.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace iq {
 
-uint64_t TraceNowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+uint64_t TraceNowNanos() { return MonotonicNanos(); }
+
+namespace {
+
+// ParallelFor's call and chunk spans are ordinary child spans.
+OpenSpan OpenPoolSpan() { return OpenTraceSpan(/*new_trace=*/false); }
+
+void ClosePoolSpan(const OpenSpan& span, const char* name, int64_t arg0,
+                   int64_t arg1, int64_t arg2) {
+  CloseTraceSpan(span, name, arg0, arg1, arg2);
+}
+
+[[maybe_unused]] constexpr ThreadPool::SpanRecorder kPoolSpanRecorder{
+    &OpenPoolSpan, &ClosePoolSpan};
+
+}  // namespace
+
+OpenSpan OpenTraceSpan(bool new_trace) {
+  OpenSpan span;
+  span.parent = CurrentTraceContext();
+  const uint64_t id = TraceCollector::Global().NewId();
+  span.self = TraceContext{new_trace ? id : span.parent.trace_id, id};
+  SetTraceContext(span.self);
+  span.start_ns = TraceNowNanos();
+  return span;
+}
+
+uint64_t CloseTraceSpan(OpenSpan span, const char* name, int64_t arg0,
+                        int64_t arg1, int64_t arg2) {
+  TraceEvent e;
+  e.dur_ns = TraceNowNanos() - span.start_ns;
+  SetTraceContext(span.parent);
+  e.name = name;
+  e.trace_id = span.self.trace_id;
+  e.span_id = span.self.span_id;
+  // A fresh trace's root has no parent, whatever flat span was open.
+  e.parent_span_id = span.self.trace_id == span.parent.trace_id
+                         ? span.parent.span_id
+                         : 0;
+  e.start_ns = span.start_ns;
+  e.arg0 = arg0;
+  e.arg1 = arg1;
+  e.arg2 = arg2;
+  TraceCollector::Global().Record(e);
+  return e.dur_ns;
 }
 
 int RetainedTrace::NumThreads() const {
@@ -42,6 +85,13 @@ TraceCollector& TraceCollector::Global() {
   // pointers must never dangle during late static destruction.
   static TraceCollector* collector = new TraceCollector();
   return *collector;
+}
+
+void TraceCollector::SetEnabled(bool on) {
+  enabled_.store(on, std::memory_order_relaxed);
+#if defined(IQ_TRACING_ENABLED)
+  ThreadPool::SetSpanRecorder(on ? &kPoolSpanRecorder : nullptr);
+#endif
 }
 
 TraceCollector::ThreadBuffer* TraceCollector::BufferForThisThread() {
@@ -74,92 +124,109 @@ void TraceCollector::Record(TraceEvent e) {
   ++buf->next;
 }
 
+template <typename Keep>
+std::vector<TraceEvent> TraceCollector::CollectSpans(Keep keep) const {
+  std::vector<TraceEvent> spans;
+  {
+    MutexLock lock(&mu_);
+    for (const auto& buf : buffers_) {
+      MutexLock buf_lock(&buf->mu);
+      for (const TraceEvent& e : buf->ring) {
+        if (keep(e)) spans.push_back(e);
+      }
+    }
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
+                                              : a.span_id < b.span_id;
+            });
+  return spans;
+}
+
 namespace {
+
+/// `, "argN": v` for each set arg of `e`.
+std::string SetArgsJson(const TraceEvent& e) {
+  std::string out;
+  const int64_t args[] = {e.arg0, e.arg1, e.arg2};
+  for (int i = 0; i < 3; ++i) {
+    if (args[i] == TraceEvent::kNoArg) continue;
+    out += StrFormat(", \"arg%d\": %lld", i, static_cast<long long>(args[i]));
+  }
+  return out;
+}
 
 /// The trailing `"args": {...}` clause of one exported span; empty when the
 /// span carries neither causal ids nor an arg payload (flat pre-root spans).
 std::string EventArgsJson(const TraceEvent& e) {
   if (e.trace_id == 0 && e.arg0 == TraceEvent::kNoArg) return "";
-  std::string args = StrFormat(
+  return StrFormat(
       ", \"args\": {\"trace_id\": %llu, \"span_id\": %llu, "
-      "\"parent_span_id\": %llu",
+      "\"parent_span_id\": %llu%s}",
       static_cast<unsigned long long>(e.trace_id),
       static_cast<unsigned long long>(e.span_id),
-      static_cast<unsigned long long>(e.parent_span_id));
-  if (e.arg0 != TraceEvent::kNoArg) {
-    args += StrFormat(", \"arg0\": %lld", static_cast<long long>(e.arg0));
-  }
-  if (e.arg1 != TraceEvent::kNoArg) {
-    args += StrFormat(", \"arg1\": %lld", static_cast<long long>(e.arg1));
-  }
-  args += "}";
-  return args;
+      static_cast<unsigned long long>(e.parent_span_id),
+      SetArgsJson(e).c_str());
 }
 
-/// Chrome-trace thread-name metadata event ("ph": "M") for one collector
-/// tid, so viewers label lanes "iq-thread-N" instead of bare integers.
-std::string ThreadNameMetadataJson(int tid, bool first) {
-  return StrFormat(
-      "%s\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-      "\"tid\": %d, \"args\": {\"name\": \"iq-thread-%d\"}}",
-      first ? "" : ",", tid, tid);
-}
-
-/// One complete-span line in Chrome trace-event JSON (timestamps in µs).
-std::string SpanJson(const TraceEvent& e, bool first) {
-  return StrFormat(
-      "%s\n  {\"name\": \"%s\", \"cat\": \"iq\", \"ph\": \"X\", "
-      "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d%s}",
-      first ? "" : ",", e.name, static_cast<double>(e.start_ns) / 1e3,
-      static_cast<double>(e.dur_ns) / 1e3, e.tid, EventArgsJson(e).c_str());
-}
-
-}  // namespace
-
-std::string TraceCollector::ToJson() const {
-  // Collect events under the per-buffer locks, then render sorted by start
-  // time so the JSON is stable and diff-friendly.
-  std::vector<TraceEvent> events;
-  std::vector<int> tids;
-  {
-    MutexLock lock(&mu_);
-    for (const auto& buf : buffers_) {
-      MutexLock buf_lock(&buf->mu);
-      tids.push_back(buf->tid);
-      for (const TraceEvent& e : buf->ring) events.push_back(e);
-    }
+/// Chrome trace-event JSON (chrome://tracing, Perfetto) for `spans`: a
+/// thread_name metadata event per recording thread so lanes read
+/// "iq-thread-N", one complete ("X") event per span (timestamps in µs), and
+/// for every cross-thread parent -> child edge a flow arrow from the
+/// parent's lane to the child's start — cross-thread parentage is invisible
+/// in a per-lane view, while same-thread children just nest visually.
+std::string ChromeJson(const std::vector<TraceEvent>& spans) {
+  std::map<uint64_t, int> span_tid;
+  std::set<int> tids;
+  for (const TraceEvent& e : spans) {
+    span_tid[e.span_id] = e.tid;
+    tids.insert(e.tid);
   }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.start_ns < b.start_ns;
-            });
-  std::sort(tids.begin(), tids.end());
   std::string out = "{\"traceEvents\": [";
-  bool first = true;
+  const char* sep = "\n  ";
   for (int tid : tids) {
-    out += ThreadNameMetadataJson(tid, first);
-    first = false;
+    out += StrFormat(
+        "%s{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+        "\"tid\": %d, \"args\": {\"name\": \"iq-thread-%d\"}}",
+        sep, tid, tid);
+    sep = ",\n  ";
   }
-  for (const TraceEvent& e : events) {
-    out += SpanJson(e, first);
-    first = false;
+  for (const TraceEvent& e : spans) {
+    const double ts = static_cast<double>(e.start_ns) / 1e3;
+    out += StrFormat(
+        "%s{\"name\": \"%s\", \"cat\": \"iq\", \"ph\": \"X\", "
+        "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d%s}",
+        sep, JsonEscape(e.name).c_str(), ts,
+        static_cast<double>(e.dur_ns) / 1e3, e.tid, EventArgsJson(e).c_str());
+    sep = ",\n  ";
+    auto parent = span_tid.find(e.parent_span_id);
+    if (e.parent_span_id == 0 || parent == span_tid.end() ||
+        parent->second == e.tid) {
+      continue;
+    }
+    out += StrFormat(
+        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"s\", "
+        "\"id\": %llu, \"ts\": %.3f, \"pid\": 1, \"tid\": %d}",
+        static_cast<unsigned long long>(e.span_id), ts, parent->second);
+    out += StrFormat(
+        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"f\", "
+        "\"bp\": \"e\", \"id\": %llu, \"ts\": %.3f, \"pid\": 1, "
+        "\"tid\": %d}",
+        static_cast<unsigned long long>(e.span_id), ts, e.tid);
   }
   out += "\n], \"displayTimeUnit\": \"ns\"}\n";
   return out;
 }
 
+}  // namespace
+
+std::string TraceCollector::ToJson() const {
+  return ChromeJson(CollectSpans([](const TraceEvent&) { return true; }));
+}
+
 Status TraceCollector::WriteJson(const std::string& path) const {
-  std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open trace file " + path);
-  }
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != json.size() || close_rc != 0) {
-    return Status::Internal("short write to trace file " + path);
-  }
-  return Status::Ok();
+  return WriteStringToFile(path, ToJson());
 }
 
 void TraceCollector::Clear() {
@@ -210,23 +277,11 @@ TraceTailConfig TraceCollector::tail_config() const {
   return config;
 }
 
-std::vector<TraceEvent> TraceCollector::CollectSpans(uint64_t trace_id) const {
-  std::vector<TraceEvent> spans;
-  {
-    MutexLock lock(&mu_);
-    for (const auto& buf : buffers_) {
-      MutexLock buf_lock(&buf->mu);
-      for (const TraceEvent& e : buf->ring) {
-        if (e.trace_id == trace_id) spans.push_back(e);
-      }
-    }
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
-                                              : a.span_id < b.span_id;
-            });
-  return spans;
+std::vector<TraceEvent> TraceCollector::SpansInWindow(uint64_t start_ns,
+                                                     uint64_t end_ns) const {
+  return CollectSpans([start_ns, end_ns](const TraceEvent& e) {
+    return e.start_ns >= start_ns && e.start_ns + e.dur_ns <= end_ns;
+  });
 }
 
 void TraceCollector::FinishRoot(const char* op, uint64_t trace_id,
@@ -255,7 +310,8 @@ void TraceCollector::FinishRoot(const char* op, uint64_t trace_id,
   trace.warmup = !erred && !slow;
   // Collect under the registry/buffer locks, insert under the store lock —
   // strictly after releasing the former (kTraceBuffer < kTraceStore).
-  trace.spans = CollectSpans(trace_id);
+  trace.spans = CollectSpans(
+      [trace_id](const TraceEvent& e) { return e.trace_id == trace_id; });
   retained_total_.fetch_add(1, std::memory_order_relaxed);
   slow_retained_counter_->Increment();
   const size_t max_retained = max_retained_.load(std::memory_order_relaxed);
@@ -276,27 +332,20 @@ void TraceCollector::ClearRetained() {
 
 namespace {
 
-/// One /tracez span line. Line-oriented on purpose: tools/iq_trace and
-/// tests/check_metrics.sh re-ingest the payload with a tolerant line scanner
-/// (the obs/profile.h idiom) instead of a JSON parser.
-std::string TracezSpanLine(const TraceEvent& e) {
-  std::string line = StrFormat(
+/// One /tracez or profile-window span line. Line-oriented on purpose:
+/// tools/iq_trace and tools/check_metrics.sh re-ingest the payload with a
+/// tolerant line scanner instead of a JSON parser.
+std::string SpanLine(const TraceEvent& e) {
+  return StrFormat(
       "{\"span\": {\"trace_id\": %llu, \"span_id\": %llu, "
       "\"parent_span_id\": %llu, \"name\": \"%s\", \"tid\": %d, "
-      "\"start_ns\": %llu, \"dur_ns\": %llu",
+      "\"start_ns\": %llu, \"dur_ns\": %llu%s}}",
       static_cast<unsigned long long>(e.trace_id),
       static_cast<unsigned long long>(e.span_id),
-      static_cast<unsigned long long>(e.parent_span_id), e.name, e.tid,
+      static_cast<unsigned long long>(e.parent_span_id),
+      JsonEscape(e.name).c_str(), e.tid,
       static_cast<unsigned long long>(e.start_ns),
-      static_cast<unsigned long long>(e.dur_ns));
-  if (e.arg0 != TraceEvent::kNoArg) {
-    line += StrFormat(", \"arg0\": %lld", static_cast<long long>(e.arg0));
-  }
-  if (e.arg1 != TraceEvent::kNoArg) {
-    line += StrFormat(", \"arg1\": %lld", static_cast<long long>(e.arg1));
-  }
-  line += "}}";
-  return line;
+      static_cast<unsigned long long>(e.dur_ns), SetArgsJson(e).c_str());
 }
 
 std::string TracezSummaryLine(const RetainedTrace& t) {
@@ -305,7 +354,7 @@ std::string TracezSummaryLine(const RetainedTrace& t) {
       "\"start_ns\": %llu, \"dur_ns\": %llu, \"erred\": %s, "
       "\"warmup\": %s, \"num_spans\": %zu, \"num_threads\": %d}}",
       static_cast<unsigned long long>(t.trace_id),
-      t.op != nullptr ? t.op : "?",
+      JsonEscape(t.op != nullptr ? t.op : "?").c_str(),
       static_cast<unsigned long long>(t.start_ns),
       static_cast<unsigned long long>(t.dur_ns), t.erred ? "true" : "false",
       t.warmup ? "true" : "false", t.spans.size(), t.NumThreads());
@@ -334,7 +383,7 @@ std::string TraceCollector::TracezJson() const {
     out += StrFormat("%s\n%s", first ? "" : ",", TracezSummaryLine(t).c_str());
     first = false;
     for (const TraceEvent& e : t.spans) {
-      out += StrFormat(",\n%s", TracezSpanLine(e).c_str());
+      out += StrFormat(",\n%s", SpanLine(e).c_str());
     }
   }
   out += "\n]\n}}\n";
@@ -342,53 +391,74 @@ std::string TraceCollector::TracezJson() const {
 }
 
 std::string TraceCollector::TraceJson(uint64_t trace_id) const {
-  RetainedTrace trace;
-  bool found = false;
-  {
-    MutexLock lock(&store_mu_);
-    for (const RetainedTrace& t : retained_) {
-      if (t.trace_id == trace_id) {
-        trace = t;
-        found = true;
-        break;
-      }
-    }
+  MutexLock lock(&store_mu_);
+  for (const RetainedTrace& t : retained_) {
+    if (t.trace_id == trace_id) return ChromeJson(t.spans);
   }
-  if (!found) return "";
-  // tid per span id, for the cross-thread flow arrows below.
-  std::map<uint64_t, int> span_tid;
-  std::set<int> tids;
-  for (const TraceEvent& e : trace.spans) {
-    span_tid[e.span_id] = e.tid;
-    tids.insert(e.tid);
-  }
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  for (int tid : tids) {
-    out += ThreadNameMetadataJson(tid, first);
-    first = false;
-  }
-  for (const TraceEvent& e : trace.spans) {
-    out += SpanJson(e, first);
-    first = false;
-    // Cross-thread parentage is invisible in a per-lane view; a flow arrow
-    // from the parent's lane to the child's start makes the causal hop
-    // explicit in Perfetto. Same-thread children just nest visually.
-    auto parent = span_tid.find(e.parent_span_id);
-    if (parent == span_tid.end() || parent->second == e.tid) continue;
-    const double ts = static_cast<double>(e.start_ns) / 1e3;
+  return "";
+}
+
+namespace {
+
+/// The records of one profile window (see ProfileSession::Stop); only the
+/// "profile_window" line when `enabled` is false.
+std::string ProfileWindowRecords(const std::string& label, bool enabled,
+                                 uint64_t start_ns, uint64_t end_ns) {
+  const TraceCollector& tc = TraceCollector::Global();
+  std::string out = StrFormat(
+      "{\"profile_window\": {\"label\": \"%s\", \"enabled\": %s, "
+      "\"start_ns\": %llu, \"dur_ns\": %llu, \"dropped_records\": %llu}}",
+      JsonEscape(label).c_str(), enabled ? "true" : "false",
+      static_cast<unsigned long long>(start_ns),
+      static_cast<unsigned long long>(end_ns > start_ns ? end_ns - start_ns
+                                                         : 0),
+      static_cast<unsigned long long>(
+          enabled ? tc.DroppedCount() + prof::DroppedRecords() : 0));
+  if (!enabled) return out;
+  for (const prof::MutexSiteStats& m : prof::SnapshotMutexSites()) {
     out += StrFormat(
-        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"s\", "
-        "\"id\": %llu, \"ts\": %.3f, \"pid\": 1, \"tid\": %d}",
-        static_cast<unsigned long long>(e.span_id), ts, parent->second);
-    out += StrFormat(
-        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"f\", "
-        "\"bp\": \"e\", \"id\": %llu, \"ts\": %.3f, \"pid\": 1, "
-        "\"tid\": %d}",
-        static_cast<unsigned long long>(e.span_id), ts, e.tid);
+        ",\n{\"mutex\": {\"label\": \"%s\", \"rank\": \"%s\", "
+        "\"acquisitions\": %llu, \"contended\": %llu, \"wait_nanos\": %llu, "
+        "\"max_wait_nanos\": %llu, \"held_nanos\": %llu}}",
+        JsonEscape(m.label).c_str(), LockRankName(m.rank),
+        static_cast<unsigned long long>(m.acquisitions),
+        static_cast<unsigned long long>(m.contended),
+        static_cast<unsigned long long>(m.wait_nanos),
+        static_cast<unsigned long long>(m.max_wait_nanos),
+        static_cast<unsigned long long>(m.held_nanos));
   }
-  out += "\n], \"displayTimeUnit\": \"ns\"}\n";
+  for (const TraceEvent& e : tc.SpansInWindow(start_ns, end_ns)) {
+    out += ",\n" + SpanLine(e);
+  }
   return out;
+}
+
+}  // namespace
+
+void ProfileSession::Start() {
+  TraceCollector& tc = TraceCollector::Global();
+  was_tracing_ = tc.enabled();
+  tc.Clear();
+  tc.SetEnabled(true);
+  prof::SetEnabled(false);
+  prof::Reset();
+  prof::SetEnabled(true);
+  start_ns_ = prof::EnabledSinceNanos();
+}
+
+std::string ProfileSession::Stop(const std::string& label) {
+  const uint64_t end_ns = TraceNowNanos();
+  prof::SetEnabled(false);
+  TraceCollector::Global().SetEnabled(was_tracing_);
+  return ProfileWindowRecords(label, /*enabled=*/true, start_ns_, end_ns);
+}
+
+std::string ProfilezJson() {
+  const bool on = prof::Enabled();
+  const uint64_t start_ns = on ? prof::EnabledSinceNanos() : 0;
+  const uint64_t end_ns = on ? TraceNowNanos() : 0;
+  return "{\"profilez\": [\n" +
+         ProfileWindowRecords("live", on, start_ns, end_ns) + "\n]}\n";
 }
 
 }  // namespace iq

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,15 +13,19 @@
 #include "util/status.h"
 #include "util/trace_context.h"
 
-// Causal, request-scoped tracing with tail-based slow-solve capture
-// (DESIGN.md §14). Two layers:
+// Causal, request-scoped tracing with tail-based slow-solve capture, and
+// the one span model the scalability profiler reads (DESIGN.md §11). Three
+// layers:
 //
 //  * Scoped spans (PR 2, upgraded): IQ_TRACE_SCOPE("name") records a
 //    completed scope into the calling thread's ring buffer. Spans now carry
 //    a trace id / span id / parent span id read from the thread's
 //    util/trace_context.h slot, which ThreadPool::ParallelFor propagates
 //    into every chunk body — so the spans of one solve link into a tree
-//    even when they ran on different workers.
+//    even when they ran on different workers. Each ParallelFor call and
+//    each executed chunk is itself a span (ThreadPool::SpanRecorder, which
+//    this module installs while tracing is on), so chunks carry their
+//    item/claim/steal counts in the same rings.
 //
 //  * Root spans + tail retention: IQ_TRACE_ROOT_SCOPE(root, "op") opens a
 //    *root* span at a solve entry point (MinCost / MaxHit / ApplyStrategy /
@@ -33,6 +38,11 @@
 //    capture affordable in production. A TraceRoot constructed while a trace
 //    is already active joins it as a child span instead (per-item roots
 //    inside a SolveBatch root), so one batch is one trace.
+//
+//  * Profile windows: ProfileSession (and /profilez) cuts a time window
+//    out of the rings — the ParallelFor call/chunk spans inside it plus the
+//    util/prof.h mutex wait/held slots — as a span dump that
+//    obs/trace_analysis.h turns into the serialization report.
 //
 // Construction of TraceScope / TraceRoot outside this header is banned by
 // iq_lint (direct-trace-record): instrumented code must use the macros so
@@ -50,9 +60,8 @@ namespace iq {
 
 class Counter;
 
-/// Monotonic clock for trace timestamps. Lives in src/obs/ (with
-/// util/timer.h, the only sanctioned direct steady_clock user — see
-/// tools/lint.sh).
+/// Monotonic clock for trace timestamps (util/timer.h MonotonicNanos, the
+/// clock util/prof.h windows use too).
 uint64_t TraceNowNanos();
 
 /// One completed span. `name` must have static storage duration (the macros
@@ -73,9 +82,11 @@ struct TraceEvent {
   int tid = 0;
   int64_t arg0 = kNoArg;
   int64_t arg1 = kNoArg;
+  /// Set only by ParallelFor chunk spans: (items, claims, steals).
+  int64_t arg2 = kNoArg;
 };
 
-/// Tail-based retention policy (DESIGN.md §14). All three knobs combine
+/// Tail-based retention policy (DESIGN.md §11). All three knobs combine
 /// with OR: a finished root trace is retained if it erred, OR ran at least
 /// `slow_trace_nanos` (when > 0), OR was one of the first `keep_first_n`
 /// roots since configuration (warmup — so a fresh process always has a few
@@ -109,9 +120,9 @@ class TraceCollector {
 
   static TraceCollector& Global();
 
-  void SetEnabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
+  /// Starts/stops collection, and with it the ThreadPool span recorder
+  /// (when tracing is compiled in).
+  void SetEnabled(bool on);
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Allocates a process-unique nonzero span/trace id.
@@ -124,9 +135,9 @@ class TraceCollector {
   /// is full (mirrored to iq.trace.dropped).
   void Record(TraceEvent e);
 
-  /// All buffered events (every thread), in Chrome trace-event JSON with
-  /// per-thread tids and thread-name metadata events (the flat PR 2 export,
-  /// kept for whole-process captures like examples/trace_demo.cpp).
+  /// All buffered events (every thread) as Chrome trace-event JSON — the
+  /// same renderer as TraceJson, over the whole rings (whole-process
+  /// captures like examples/trace_demo.cpp).
   std::string ToJson() const;
   /// ToJson() written to `path`.
   Status WriteJson(const std::string& path) const;
@@ -139,7 +150,12 @@ class TraceCollector {
   size_t EventCount() const;
   uint64_t DroppedCount() const;
 
-  // ---- tail-based capture (root spans; DESIGN.md §14) ----
+  /// Every buffered span that ran inside [start_ns, end_ns], sorted by
+  /// start time — the span half of a profile window.
+  std::vector<TraceEvent> SpansInWindow(uint64_t start_ns,
+                                        uint64_t end_ns) const;
+
+  // ---- tail-based capture (root spans; DESIGN.md §11) ----
 
   /// Installs the retention policy. Takes effect for roots finishing after
   /// the call; resets the keep-first-N warmup counter.
@@ -169,14 +185,14 @@ class TraceCollector {
 
   /// The /tracez payload: retention config, drop/retain counters, and every
   /// retained trace with its spans. Line-oriented JSON (one "trace_summary"
-  /// or "span" object per line) so tools/iq_trace re-ingests it with a
-  /// tolerant line scanner — same idiom as obs/profile.h reports.
+  /// or "span" object per line) so tools/iq_trace re-ingests it with the
+  /// tolerant line scanner in obs/trace_analysis.h.
   std::string TracezJson() const;
 
-  /// Single-trace Perfetto/Chrome JSON for a retained trace: "X" spans with
-  /// real per-thread tids, thread-name metadata events, and flow arrows
-  /// binding cross-thread child spans to their parents. Empty string when
-  /// `trace_id` is not in the store.
+  /// Perfetto/Chrome JSON for one retained trace: "X" spans on per-thread
+  /// lanes with thread-name metadata, and flow arrows binding cross-thread
+  /// child spans to their parents. Empty string when `trace_id` is not in
+  /// the store.
   std::string TraceJson(uint64_t trace_id) const;
 
  private:
@@ -198,9 +214,11 @@ class TraceCollector {
 
   ThreadBuffer* BufferForThisThread();
 
-  /// Copies every buffered span of `trace_id` out of the rings, sorted by
-  /// (start_ns, span_id).
-  std::vector<TraceEvent> CollectSpans(uint64_t trace_id) const;
+  /// Copies every buffered span matching `keep(const TraceEvent&)` out of
+  /// the rings, sorted by (start_ns, span_id). Defined in trace.cc, the
+  /// only place it is instantiated.
+  template <typename Keep>
+  std::vector<TraceEvent> CollectSpans(Keep keep) const;
 
   mutable Mutex mu_{LockRank::kTraceRegistry, "TraceCollector::mu_"};
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_ IQ_GUARDED_BY(mu_);
@@ -230,6 +248,18 @@ class TraceCollector {
   Counter* discarded_counter_ = nullptr;      // iq-lint: allow(unguarded-member)
 };
 
+/// The one span implementation behind IQ_TRACE_SCOPE, IQ_TRACE_ROOT_SCOPE
+/// and ParallelFor's call/chunk spans (not user API — use the macros).
+/// Opens a child of the calling thread's current span or, with
+/// `new_trace`, the root of a fresh trace (its span id doubles as the trace
+/// id), and makes it the thread's current span.
+OpenSpan OpenTraceSpan(bool new_trace);
+
+/// Records `span` under `name` with its args, restores its parent as the
+/// thread's current span, and returns the span's duration.
+uint64_t CloseTraceSpan(OpenSpan span, const char* name, int64_t arg0,
+                        int64_t arg1, int64_t arg2 = TraceEvent::kNoArg);
+
 /// RAII body of IQ_TRACE_SCOPE. The enabled check happens at construction;
 /// a scope that started while tracing was on is recorded even if tracing is
 /// switched off before it closes. While open, the scope is the thread's
@@ -239,45 +269,27 @@ class TraceScope {
   explicit TraceScope(const char* name,
                       int64_t arg0 = TraceEvent::kNoArg,
                       int64_t arg1 = TraceEvent::kNoArg) {
-    TraceCollector& tc = TraceCollector::Global();
-    if (!tc.enabled()) return;
-    name_ = name;
-    arg0_ = arg0;
-    arg1_ = arg1;
-    const TraceContext ctx = CurrentTraceContext();
-    trace_id_ = ctx.trace_id;
-    parent_span_id_ = ctx.span_id;
-    span_id_ = tc.NewId();
-    SetTraceContext(TraceContext{trace_id_, span_id_});
-    start_ns_ = TraceNowNanos();
+    if (!TraceCollector::Global().enabled()) return;
+    open_.emplace(Open{OpenTraceSpan(/*new_trace=*/false), name, arg0, arg1});
   }
   ~TraceScope() {
-    if (name_ == nullptr) return;
-    const uint64_t end_ns = TraceNowNanos();
-    SetTraceContext(TraceContext{trace_id_, parent_span_id_});
-    TraceEvent e;
-    e.name = name_;
-    e.trace_id = trace_id_;
-    e.span_id = span_id_;
-    e.parent_span_id = parent_span_id_;
-    e.start_ns = start_ns_;
-    e.dur_ns = end_ns - start_ns_;
-    e.arg0 = arg0_;
-    e.arg1 = arg1_;
-    TraceCollector::Global().Record(e);
+    if (open_) CloseTraceSpan(open_->span, open_->name, open_->arg0,
+                              open_->arg1);
   }
 
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
  private:
-  const char* name_ = nullptr;
-  uint64_t trace_id_ = 0;
-  uint64_t span_id_ = 0;
-  uint64_t parent_span_id_ = 0;
-  uint64_t start_ns_ = 0;
-  int64_t arg0_ = TraceEvent::kNoArg;
-  int64_t arg1_ = TraceEvent::kNoArg;
+  // Engaged only while tracing: a disabled scope writes one flag, nothing
+  // else.
+  struct Open {
+    OpenSpan span;
+    const char* name;
+    int64_t arg0;
+    int64_t arg1;
+  };
+  std::optional<Open> open_;
 };
 
 /// RAII body of IQ_TRACE_ROOT_SCOPE: the root span of one solve. Allocates
@@ -292,44 +304,19 @@ class TraceRoot {
   explicit TraceRoot(const char* op,
                      int64_t arg0 = TraceEvent::kNoArg,
                      int64_t arg1 = TraceEvent::kNoArg) {
-    TraceCollector& tc = TraceCollector::Global();
-    if (!tc.enabled()) return;
+    if (!TraceCollector::Global().enabled()) return;
     op_ = op;
     arg0_ = arg0;
     arg1_ = arg1;
-    prev_ = CurrentTraceContext();
-    if (prev_.active()) {
-      trace_id_ = prev_.trace_id;
-      parent_span_id_ = prev_.span_id;
-      span_id_ = tc.NewId();
-      owns_trace_ = false;
-    } else {
-      // The root span's id doubles as the trace id.
-      trace_id_ = tc.NewId();
-      span_id_ = trace_id_;
-      parent_span_id_ = 0;
-      owns_trace_ = true;
-    }
-    SetTraceContext(TraceContext{trace_id_, span_id_});
-    start_ns_ = TraceNowNanos();
+    owns_trace_ = !CurrentTraceContext().active();
+    span_ = OpenTraceSpan(/*new_trace=*/owns_trace_);
   }
   ~TraceRoot() {
     if (op_ == nullptr) return;
-    const uint64_t end_ns = TraceNowNanos();
-    SetTraceContext(prev_);
-    TraceEvent e;
-    e.name = op_;
-    e.trace_id = trace_id_;
-    e.span_id = span_id_;
-    e.parent_span_id = parent_span_id_;
-    e.start_ns = start_ns_;
-    e.dur_ns = end_ns - start_ns_;
-    e.arg0 = arg0_;
-    e.arg1 = arg1_;
-    TraceCollector& tc = TraceCollector::Global();
-    tc.Record(e);
+    const uint64_t dur_ns = CloseTraceSpan(span_, op_, arg0_, arg1_);
     if (owns_trace_) {
-      tc.FinishRoot(op_, trace_id_, start_ns_, end_ns - start_ns_, erred_);
+      TraceCollector::Global().FinishRoot(op_, trace_id(), span_.start_ns,
+                                          dur_ns, erred_);
     }
   }
 
@@ -343,7 +330,7 @@ class TraceRoot {
 
   /// The id stamped on this solve's spans and flight-recorder events;
   /// 0 when tracing is disabled.
-  uint64_t trace_id() const { return trace_id_; }
+  uint64_t trace_id() const { return span_.self.trace_id; }
 
   /// False when this root joined an enclosing trace instead of starting
   /// its own.
@@ -351,16 +338,38 @@ class TraceRoot {
 
  private:
   const char* op_ = nullptr;
-  TraceContext prev_;
-  uint64_t trace_id_ = 0;
-  uint64_t span_id_ = 0;
-  uint64_t parent_span_id_ = 0;
-  uint64_t start_ns_ = 0;
+  OpenSpan span_;
   int64_t arg0_ = TraceEvent::kNoArg;
   int64_t arg1_ = TraceEvent::kNoArg;
   bool owns_trace_ = false;
   bool erred_ = false;
 };
+
+/// One profile window (DESIGN.md §11). Start() resets and enables mutex
+/// capture (util/prof.h), clears the span rings — so every ring overwrite
+/// from then on is a lost window span — and turns tracing on, which makes
+/// ParallelFor chunks spans. Stop(label) restores the previous tracing
+/// state and returns the window as span-dump records, one JSON object per
+/// line joined by ",\n" for the caller to wrap in an array: a
+/// "profile_window" line (label, enabled, start_ns, dur_ns,
+/// dropped_records), a "mutex" line per captured mutex site, and a "span"
+/// line per span recorded inside the window. Not thread-safe — one session
+/// at a time, owned by the bench's main thread; a root trace in flight
+/// across Start() loses its earlier spans.
+class ProfileSession {
+ public:
+  void Start();
+  std::string Stop(const std::string& label);
+
+ private:
+  bool was_tracing_ = false;
+  uint64_t start_ns_ = 0;
+};
+
+/// The /profilez payload: the live window [prof::EnabledSinceNanos(), now]
+/// while mutex profiling is on, an `"enabled": false` placeholder window
+/// otherwise. Chunk spans appear only while tracing is on too.
+std::string ProfilezJson();
 
 /// Compiled-out stand-in for TraceRoot: same surface, no code.
 struct NoopTraceRoot {

@@ -2,48 +2,75 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string_view>
 #include <utility>
 
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace iq {
 namespace {
 
-/// Extracts the raw token after `"key":` on `line`; false when absent.
-/// Same tolerant scanner as the iq_prof ingestion path — it must survive
-/// hand-edited or truncated dumps.
-bool FindRawValue(const std::string& line, const char* key,
-                  std::string* out) {
-  std::string needle = StrFormat("\"%s\":", key);
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  size_t v = pos + needle.size();
+/// Extracts the value after `"key":` on `line`; false when absent. Quoted
+/// values are unescaped; bare values are trimmed at , } ] or end-of-line.
+/// Tolerant by construction — dumps may be hand-edited or truncated.
+bool FindRawValue(std::string_view line, const char* key, std::string* out) {
+  const std::string needle = StrFormat("\"%s\":", key);
+  size_t v = line.find(needle);
+  if (v == std::string_view::npos) return false;
+  v += needle.size();
   while (v < line.size() && line[v] == ' ') ++v;
   if (v >= line.size()) return false;
-  if (line[v] == '"') {
-    size_t e = line.find('"', v + 1);
-    if (e == std::string::npos) return false;
-    *out = line.substr(v + 1, e - v - 1);
-    return true;
+  if (line[v] != '"') {
+    size_t e = line.find_first_of(",}]", v);
+    if (e == std::string_view::npos) e = line.size();
+    *out = std::string(StrTrim(line.substr(v, e - v)));
+    return !out->empty();
   }
-  size_t e = line.find_first_of(",}]", v);
-  if (e == std::string::npos) e = line.size();
-  *out = std::string(StrTrim(line.substr(v, e - v)));
-  return !out->empty();
+  out->clear();
+  for (size_t i = v + 1; i < line.size(); ++i) {
+    char c = line[i];
+    if (c == '"') return true;
+    if (c == '\\' && i + 1 < line.size()) {
+      c = line[++i];
+      if (c == 'n') c = '\n';
+      if (c == 't') c = '\t';
+      if (c == 'r') c = '\r';
+    }
+    *out += c;
+  }
+  return false;  // unterminated string
 }
 
-uint64_t FindU64(const std::string& line, const char* key) {
+/// The string value of `key`; empty when absent.
+std::string FindString(std::string_view line, const char* key) {
   std::string raw;
-  if (!FindRawValue(line, key, &raw)) return 0;
-  auto v = ParseInt(raw);
-  return v.ok() && *v >= 0 ? static_cast<uint64_t>(*v) : 0;
+  return FindRawValue(line, key, &raw) ? raw : std::string();
 }
 
-int64_t FindI64(const std::string& line, const char* key, int64_t dflt) {
-  std::string raw;
-  if (!FindRawValue(line, key, &raw)) return dflt;
-  auto v = ParseInt(raw);
+int64_t FindI64(std::string_view line, const char* key, int64_t dflt) {
+  auto v = ParseInt(FindString(line, key));
   return v.ok() ? *v : dflt;
+}
+
+/// Non-negative integer value of `key`; 0 when absent or malformed.
+uint64_t FindU64(std::string_view line, const char* key) {
+  return static_cast<uint64_t>(std::max<int64_t>(0, FindI64(line, key, 0)));
+}
+
+bool FindBool(std::string_view line, const char* key) {
+  return FindString(line, key) == "true";
+}
+
+/// The first key on `line` — the record kind ("span", "trace_summary",
+/// "profile_window", "mutex", "config", ...); empty when there is none.
+std::string_view RecordKind(std::string_view line) {
+  size_t b = line.find_first_not_of(" \t,{[");
+  if (b == std::string_view::npos || line[b] != '"') return {};
+  size_t e = line.find('"', b + 1);
+  if (e == std::string_view::npos || line.substr(e + 1, 1) != ":") return {};
+  return line.substr(b + 1, e - b - 1);
 }
 
 std::string FormatNanos(uint64_t ns) {
@@ -59,51 +86,92 @@ std::string FormatNanos(uint64_t ns) {
   return StrFormat("%llu ns", static_cast<unsigned long long>(ns));
 }
 
+/// Total length of the union of half-open intervals (merge-after-sort).
+uint64_t UnionLength(std::vector<std::pair<uint64_t, uint64_t>> spans) {
+  if (spans.empty()) return 0;
+  std::sort(spans.begin(), spans.end());
+  uint64_t total = 0;
+  uint64_t cur_begin = spans[0].first;
+  uint64_t cur_end = spans[0].second;
+  for (size_t i = 1; i < spans.size(); ++i) {
+    if (spans[i].first > cur_end) {
+      total += cur_end - cur_begin;
+      cur_begin = spans[i].first;
+      cur_end = spans[i].second;
+    } else {
+      cur_end = std::max(cur_end, spans[i].second);
+    }
+  }
+  return total + (cur_end - cur_begin);
+}
+
+ParsedSpan ParseSpanLine(std::string_view line) {
+  ParsedSpan s;
+  s.trace_id = FindU64(line, "trace_id");
+  s.span_id = FindU64(line, "span_id");
+  s.parent_span_id = FindU64(line, "parent_span_id");
+  s.name = FindString(line, "name");
+  s.tid = static_cast<int>(FindU64(line, "tid"));
+  s.start_ns = FindU64(line, "start_ns");
+  s.dur_ns = FindU64(line, "dur_ns");
+  s.arg0 = FindI64(line, "arg0", TraceEvent::kNoArg);
+  s.arg1 = FindI64(line, "arg1", TraceEvent::kNoArg);
+  s.arg2 = FindI64(line, "arg2", TraceEvent::kNoArg);
+  return s;
+}
+
 }  // namespace
 
 TraceDump ParseTracezDump(const std::string& text) {
   TraceDump dump;
-  ParsedTrace* cur = nullptr;
-  std::string raw;
-  for (std::string_view line_view : StrSplit(text, '\n')) {
-    const std::string line(line_view);
-    if (line.find("\"config\":") != std::string::npos) {
+  // Where "span" / "mutex" lines go: the most recently opened trace or
+  // window (null before the first one).
+  std::vector<ParsedSpan>* spans = nullptr;
+  ParsedProfileWindow* window = nullptr;
+  for (std::string_view line : StrSplit(text, '\n')) {
+    const std::string_view kind = RecordKind(line);
+    if (kind == "config") {
+      dump.tracez = true;
       dump.config.slow_trace_nanos = FindI64(line, "slow_trace_nanos", 0);
       dump.config.keep_first_n =
           static_cast<int>(FindI64(line, "keep_first_n", 0));
       dump.config.max_retained = FindU64(line, "max_retained");
-      continue;
-    }
-    if (line.find("\"counters\":") != std::string::npos) {
+    } else if (kind == "counters") {
+      dump.tracez = true;
       dump.dropped = FindU64(line, "dropped");
       dump.slow_retained = FindU64(line, "slow_retained");
       dump.discarded = FindU64(line, "discarded");
-      continue;
-    }
-    if (line.find("\"trace_summary\":") != std::string::npos) {
-      dump.traces.emplace_back();
-      cur = &dump.traces.back();
-      cur->trace_id = FindU64(line, "trace_id");
-      if (FindRawValue(line, "op", &raw)) cur->op = raw;
-      cur->start_ns = FindU64(line, "start_ns");
-      cur->dur_ns = FindU64(line, "dur_ns");
-      if (FindRawValue(line, "erred", &raw)) cur->erred = raw == "true";
-      if (FindRawValue(line, "warmup", &raw)) cur->warmup = raw == "true";
-      cur->num_threads = static_cast<int>(FindU64(line, "num_threads"));
-      continue;
-    }
-    if (cur != nullptr && line.find("\"span\":") != std::string::npos) {
-      ParsedSpan s;
-      s.trace_id = FindU64(line, "trace_id");
-      s.span_id = FindU64(line, "span_id");
-      s.parent_span_id = FindU64(line, "parent_span_id");
-      if (FindRawValue(line, "name", &raw)) s.name = raw;
-      s.tid = static_cast<int>(FindU64(line, "tid"));
-      s.start_ns = FindU64(line, "start_ns");
-      s.dur_ns = FindU64(line, "dur_ns");
-      s.arg0 = FindI64(line, "arg0", TraceEvent::kNoArg);
-      s.arg1 = FindI64(line, "arg1", TraceEvent::kNoArg);
-      cur->spans.push_back(std::move(s));
+    } else if (kind == "trace_summary") {
+      ParsedTrace& t = dump.traces.emplace_back();
+      t.trace_id = FindU64(line, "trace_id");
+      t.op = FindString(line, "op");
+      t.start_ns = FindU64(line, "start_ns");
+      t.dur_ns = FindU64(line, "dur_ns");
+      t.erred = FindBool(line, "erred");
+      t.warmup = FindBool(line, "warmup");
+      t.num_threads = static_cast<int>(FindU64(line, "num_threads"));
+      spans = &t.spans;
+      window = nullptr;
+    } else if (kind == "profile_window") {
+      ParsedProfileWindow& w = dump.windows.emplace_back();
+      w.label = FindString(line, "label");
+      w.enabled = FindBool(line, "enabled");
+      w.start_ns = FindU64(line, "start_ns");
+      w.dur_ns = FindU64(line, "dur_ns");
+      w.dropped_records = FindU64(line, "dropped_records");
+      spans = &w.spans;
+      window = &w;
+    } else if (kind == "span" && spans != nullptr) {
+      spans->push_back(ParseSpanLine(line));
+    } else if (kind == "mutex" && window != nullptr) {
+      MutexSiteReport& m = window->mutexes.emplace_back();
+      m.label = FindString(line, "label");
+      m.rank = FindString(line, "rank");
+      m.acquisitions = FindU64(line, "acquisitions");
+      m.contended = FindU64(line, "contended");
+      m.wait_nanos = FindU64(line, "wait_nanos");
+      m.max_wait_nanos = FindU64(line, "max_wait_nanos");
+      m.held_nanos = FindU64(line, "held_nanos");
     }
   }
   return dump;
@@ -118,11 +186,9 @@ TraceAnalysis AnalyzeTrace(const ParsedTrace& trace) {
   a.num_threads = trace.num_threads;
   a.num_spans = trace.spans.size();
 
-  std::map<uint64_t, const ParsedSpan*> by_id;
   std::map<uint64_t, std::vector<const ParsedSpan*>> children;
   const ParsedSpan* root = nullptr;
   for (const ParsedSpan& s : trace.spans) {
-    by_id[s.span_id] = &s;
     children[s.parent_span_id].push_back(&s);
     if (s.parent_span_id == 0 && root == nullptr) root = &s;
   }
@@ -216,8 +282,146 @@ std::string TraceVerdict(const TraceAnalysis& a) {
       a.num_threads == 1 ? "" : "s", share, hot->name.c_str());
 }
 
-std::string FormatTraceReport(const TraceDump& dump, int top_n) {
-  std::string out = StrFormat(
+double ProfileAnalysis::ProjectedSpeedup(int n) const {
+  if (n <= 0) return 0.0;
+  const double s = std::clamp(serial_fraction, 0.0, 1.0);
+  return 1.0 / (s + (1.0 - s) / static_cast<double>(n));
+}
+
+ProfileAnalysis AnalyzeProfileWindow(const ParsedProfileWindow& window) {
+  ProfileAnalysis r;
+  r.label = window.label;
+  r.enabled = window.enabled;
+  r.window_nanos = window.dur_ns;
+  r.dropped_records = window.dropped_records;
+  r.mutexes = window.mutexes;
+  for (const MutexSiteReport& m : r.mutexes) r.total_wait_nanos += m.wait_nanos;
+  std::sort(r.mutexes.begin(), r.mutexes.end(),
+            [](const MutexSiteReport& a, const MutexSiteReport& b) {
+              return a.wait_nanos != b.wait_nanos ? a.wait_nanos > b.wait_nanos
+                                                  : a.label < b.label;
+            });
+
+  // Chunk spans are the children of ParallelFor call spans; the parent id
+  // tells calls apart. Intervals are clipped to the window.
+  std::set<uint64_t> call_ids;
+  for (const ParsedSpan& s : window.spans) {
+    if (s.name == kParallelForSpanName) call_ids.insert(s.span_id);
+  }
+  struct SiteAccum {
+    std::set<uint64_t> calls;
+    std::vector<uint64_t> durations;
+    std::vector<std::pair<uint64_t, uint64_t>> spans;
+    ParallelSiteReport report;
+  };
+  std::map<std::string, SiteAccum> sites;
+  std::map<int, std::vector<std::pair<uint64_t, uint64_t>>> by_tid;
+  std::vector<std::pair<uint64_t, uint64_t>> all_spans;
+  const uint64_t w0 = window.start_ns;
+  const uint64_t w1 = window.start_ns + window.dur_ns;
+  for (const ParsedSpan& s : window.spans) {
+    if (call_ids.count(s.parent_span_id) == 0) continue;
+    const uint64_t b = std::max(s.start_ns, w0);
+    const uint64_t e = std::min(s.start_ns + s.dur_ns, w1);
+    if (e <= b) continue;
+    SiteAccum& acc = sites[s.name];
+    acc.calls.insert(s.parent_span_id);
+    acc.durations.push_back(e - b);
+    acc.spans.emplace_back(b, e);
+    acc.report.busy_nanos += e - b;
+    acc.report.items += s.arg0 != TraceEvent::kNoArg ? s.arg0 : 0;
+    acc.report.claims +=
+        s.arg1 != TraceEvent::kNoArg ? static_cast<uint64_t>(s.arg1) : 1;
+    acc.report.steals +=
+        s.arg2 != TraceEvent::kNoArg ? static_cast<uint64_t>(s.arg2) : 0;
+    by_tid[s.tid].emplace_back(b, e);
+    all_spans.emplace_back(b, e);
+  }
+  r.coverage_nanos = UnionLength(std::move(all_spans));
+  r.serial_fraction =
+      r.window_nanos > 0
+          ? std::clamp(1.0 - static_cast<double>(r.coverage_nanos) /
+                                 static_cast<double>(r.window_nanos),
+                       0.0, 1.0)
+          : 1.0;
+  for (auto& [site, acc] : sites) {
+    ParallelSiteReport& p = acc.report;
+    p.site = site;
+    p.calls = acc.calls.size();
+    p.chunks = acc.durations.size();
+    p.coverage_nanos = UnionLength(std::move(acc.spans));
+    std::sort(acc.durations.begin(), acc.durations.end());
+    p.median_chunk_nanos = acc.durations[acc.durations.size() / 2];
+    p.max_chunk_nanos = acc.durations.back();
+    p.imbalance = p.median_chunk_nanos > 0
+                      ? static_cast<double>(p.max_chunk_nanos) /
+                            static_cast<double>(p.median_chunk_nanos)
+                      : 1.0;
+    r.parallel_sites.push_back(std::move(p));
+  }
+  std::sort(r.parallel_sites.begin(), r.parallel_sites.end(),
+            [](const ParallelSiteReport& a, const ParallelSiteReport& b) {
+              return a.busy_nanos != b.busy_nanos ? a.busy_nanos > b.busy_nanos
+                                                  : a.site < b.site;
+            });
+  for (auto& [tid, spans] : by_tid) {
+    const uint64_t busy = UnionLength(std::move(spans));
+    r.threads.push_back(
+        {tid, busy, r.window_nanos > busy ? r.window_nanos - busy : 0});
+  }
+  return r;
+}
+
+std::string ProfileVerdict(const ProfileAnalysis& r) {
+  if (!r.enabled || r.window_nanos == 0) {
+    return "no profile data captured (profiling disabled or empty window)";
+  }
+  const double window = static_cast<double>(r.window_nanos);
+  const double wait_share = static_cast<double>(r.total_wait_nanos) / window;
+  if (wait_share >= 0.05 && !r.mutexes.empty()) {
+    const MutexSiteReport& top = r.mutexes.front();
+    return StrFormat(
+        "lock contention dominates: %s (rank %s) waited %s across %llu "
+        "acquisitions — %.1f%% of the window blocked on locks",
+        top.label.c_str(), top.rank.c_str(),
+        FormatNanos(top.wait_nanos).c_str(),
+        static_cast<unsigned long long>(top.acquisitions),
+        100.0 * wait_share);
+  }
+  const ParallelSiteReport* worst = nullptr;
+  for (const ParallelSiteReport& p : r.parallel_sites) {
+    if (p.chunks >= 4 &&
+        static_cast<double>(p.coverage_nanos) / window >= 0.2 &&
+        (worst == nullptr || p.imbalance > worst->imbalance)) {
+      worst = &p;
+    }
+  }
+  if (worst != nullptr && worst->imbalance >= 2.0) {
+    return StrFormat(
+        "chunk imbalance at %s: max/median chunk duration %.2f — one "
+        "straggler chunk serializes the tail of each call",
+        worst->site.c_str(), worst->imbalance);
+  }
+  if (r.serial_fraction >= 0.25) {
+    return StrFormat(
+        "serial fraction %.2f is the ceiling: parallel regions cover only "
+        "%.1f%% of the window (largest: %s), capping speedup at x%.2f on 8 "
+        "threads regardless of contention",
+        r.serial_fraction, 100.0 * (1.0 - r.serial_fraction),
+        r.parallel_sites.empty() ? "(none)"
+                                 : r.parallel_sites.front().site.c_str(),
+        r.ProjectedSpeedup(8));
+  }
+  return StrFormat(
+      "no dominant serialization: parallel coverage %.1f%% of the window, "
+      "lock wait %.2f%%",
+      100.0 * (1.0 - r.serial_fraction), 100.0 * wait_share);
+}
+
+namespace {
+
+void AppendTraceReport(const TraceDump& dump, int top_n, std::string* out) {
+  *out += StrFormat(
       "iq_trace: %zu retained trace(s); slow_trace_nanos=%lld "
       "keep_first_n=%d max_retained=%zu\n"
       "counters: dropped=%llu slow_retained=%llu discarded=%llu\n",
@@ -229,37 +433,129 @@ std::string FormatTraceReport(const TraceDump& dump, int top_n) {
       static_cast<unsigned long long>(dump.discarded));
   for (const ParsedTrace& t : dump.traces) {
     const TraceAnalysis a = AnalyzeTrace(t);
-    out += StrFormat(
+    *out += StrFormat(
         "\ntrace %llu  %s  %s  spans=%zu threads=%d%s%s\n",
         static_cast<unsigned long long>(a.trace_id), a.op.c_str(),
         FormatNanos(a.dur_ns).c_str(), a.num_spans, a.num_threads,
         a.erred ? "  [erred]" : "", t.warmup ? "  [warmup]" : "");
-    out += StrFormat("  critical path (%.1f%% of wall accounted):\n",
-                     100.0 * a.accounted_fraction);
+    *out += StrFormat("  critical path (%.1f%% of wall accounted):\n",
+                      100.0 * a.accounted_fraction);
     for (const CriticalPathStep& s : a.critical_path) {
-      out += StrFormat("    %-40s self %-10s tid %d\n", s.name.c_str(),
-                       FormatNanos(s.self_ns).c_str(), s.tid);
+      *out += StrFormat("    %-40s self %-10s tid %d\n", s.name.c_str(),
+                        FormatNanos(s.self_ns).c_str(), s.tid);
     }
-    out += "  top self-time by span name:\n";
+    *out += "  top self-time by span name:\n";
     int shown = 0;
     for (const SelfTimeRollup& r : a.self_time) {
       if (shown++ >= top_n) break;
-      out += StrFormat("    %-40s %-10s (%llu span%s)\n", r.name.c_str(),
-                       FormatNanos(r.self_ns).c_str(),
-                       static_cast<unsigned long long>(r.spans),
-                       r.spans == 1 ? "" : "s");
+      *out += StrFormat("    %-40s %-10s (%llu span%s)\n", r.name.c_str(),
+                        FormatNanos(r.self_ns).c_str(),
+                        static_cast<unsigned long long>(r.spans),
+                        r.spans == 1 ? "" : "s");
     }
-    out += StrFormat("  verdict: %s\n", TraceVerdict(a).c_str());
+    *out += StrFormat("  verdict: %s\n", TraceVerdict(a).c_str());
   }
   if (dump.traces.empty()) {
-    out +=
+    *out +=
         "\nno retained traces: nothing erred or cleared the slow-trace "
         "threshold (see \"discarded\" above for how many solves ran)\n";
+  }
+}
+
+void AppendSerializationReport(const std::vector<ProfileAnalysis>& profiles,
+                               int top_n, std::string* out) {
+  *out += StrFormat("iq_trace serialization report — %zu profile window%s\n",
+                    profiles.size(), profiles.size() == 1 ? "" : "s");
+  for (const ProfileAnalysis& r : profiles) {
+    *out += StrFormat(
+        "\nprofile %s: window %s, parallel coverage %.1f%% "
+        "(serial fraction %.3f)%s\n",
+        r.label.c_str(), FormatNanos(r.window_nanos).c_str(),
+        100.0 * (1.0 - r.serial_fraction), r.serial_fraction,
+        r.dropped_records > 0
+            ? StrFormat(" [TRUNCATED: %llu records dropped]",
+                        static_cast<unsigned long long>(r.dropped_records))
+                  .c_str()
+            : "");
+    *out += StrFormat(
+        "  projected speedup (Amdahl): x%.2f @2  x%.2f @4  x%.2f @8  "
+        "x%.2f @16\n",
+        r.ProjectedSpeedup(2), r.ProjectedSpeedup(4), r.ProjectedSpeedup(8),
+        r.ProjectedSpeedup(16));
+    if (!r.mutexes.empty()) *out += "  top mutexes by wait:\n";
+    const size_t top = static_cast<size_t>(top_n);
+    for (size_t i = 0; i < r.mutexes.size() && i < top; ++i) {
+      const MutexSiteReport& m = r.mutexes[i];
+      *out += StrFormat(
+          "    %zu. %-28s (%s)  wait %s / %llu acq (%llu contended, "
+          "max %s), held %s\n",
+          i + 1, m.label.c_str(), m.rank.c_str(),
+          FormatNanos(m.wait_nanos).c_str(),
+          static_cast<unsigned long long>(m.acquisitions),
+          static_cast<unsigned long long>(m.contended),
+          FormatNanos(m.max_wait_nanos).c_str(),
+          FormatNanos(m.held_nanos).c_str());
+    }
+    if (!r.parallel_sites.empty()) *out += "  parallel sites:\n";
+    for (size_t i = 0; i < r.parallel_sites.size() && i < top; ++i) {
+      const ParallelSiteReport& p = r.parallel_sites[i];
+      *out += StrFormat(
+          "    %-28s %llu calls / %llu chunks / %lld items, busy %s, "
+          "imbalance %.2f (max %s / med %s)%s\n",
+          p.site.c_str(), static_cast<unsigned long long>(p.calls),
+          static_cast<unsigned long long>(p.chunks),
+          static_cast<long long>(p.items), FormatNanos(p.busy_nanos).c_str(),
+          p.imbalance, FormatNanos(p.max_chunk_nanos).c_str(),
+          FormatNanos(p.median_chunk_nanos).c_str(),
+          p.steals > 0
+              ? StrFormat(", %llu/%llu claims stolen",
+                          static_cast<unsigned long long>(p.steals),
+                          static_cast<unsigned long long>(p.claims))
+                    .c_str()
+              : "");
+    }
+    if (!r.threads.empty()) {
+      uint64_t busy = 0;
+      for (const ThreadBusyReport& t : r.threads) busy += t.busy_nanos;
+      const double tracked =
+          static_cast<double>(r.window_nanos) * r.threads.size();
+      *out += StrFormat(
+          "  threads running chunks: %zu, busy %.1f%% / idle %.1f%% of "
+          "their window time\n",
+          r.threads.size(), tracked > 0 ? 100.0 * busy / tracked : 0.0,
+          tracked > 0 ? 100.0 - 100.0 * busy / tracked : 0.0);
+    }
+  }
+  *out += StrFormat("\nverdict: %s\n", ProfileVerdict(profiles.back()).c_str());
+}
+
+std::vector<ProfileAnalysis> AnalyzeWindows(const TraceDump& dump) {
+  std::vector<ProfileAnalysis> out;
+  for (const ParsedProfileWindow& w : dump.windows) {
+    out.push_back(AnalyzeProfileWindow(w));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string FormatTraceReport(const TraceDump& dump, int top_n) {
+  std::string out;
+  if (dump.tracez || !dump.traces.empty()) {
+    AppendTraceReport(dump, top_n, &out);
+  }
+  if (!dump.windows.empty()) {
+    if (!out.empty()) out += "\n";
+    AppendSerializationReport(AnalyzeWindows(dump), top_n, &out);
+  }
+  if (out.empty()) {
+    out = "iq_trace: no retained traces or profile windows in input\n";
   }
   return out;
 }
 
 std::string TraceReportJson(const TraceDump& dump) {
+  const std::vector<ProfileAnalysis> profiles = AnalyzeWindows(dump);
   std::string out = "{\"iq_trace\": {\n";
   out += StrFormat("\"num_traces\": %zu,\n", dump.traces.size());
   out += StrFormat(
@@ -268,33 +564,38 @@ std::string TraceReportJson(const TraceDump& dump) {
       static_cast<unsigned long long>(dump.dropped),
       static_cast<unsigned long long>(dump.slow_retained),
       static_cast<unsigned long long>(dump.discarded));
-  std::string verdict = dump.traces.empty()
-                            ? "no retained traces"
-                            : TraceVerdict(AnalyzeTrace(dump.traces.back()));
-  // JsonEscape is overkill here: verdicts are built from span names, which
-  // are static identifiers without quotes or backslashes.
-  out += StrFormat("\"verdict\": \"%s\",\n", verdict.c_str());
+  const std::string verdict =
+      dump.traces.empty() ? "no retained traces"
+                          : TraceVerdict(AnalyzeTrace(dump.traces.back()));
+  out += StrFormat("\"verdict\": \"%s\",\n", JsonEscape(verdict).c_str());
+  out += StrFormat("\"num_profiles\": %zu,\n", profiles.size());
+  const std::string profile_verdict =
+      profiles.empty() ? "no profile windows"
+                       : ProfileVerdict(profiles.back());
+  out += StrFormat("\"profile_verdict\": \"%s\",\n",
+                   JsonEscape(profile_verdict).c_str());
   out += "\"traces\": [";
-  bool first_trace = true;
+  const char* sep = "\n";
   for (const ParsedTrace& t : dump.traces) {
     const TraceAnalysis a = AnalyzeTrace(t);
     out += StrFormat(
-        "%s\n{\"trace_analysis\": {\"trace_id\": %llu, \"op\": \"%s\", "
+        "%s{\"trace_analysis\": {\"trace_id\": %llu, \"op\": \"%s\", "
         "\"dur_ns\": %llu, \"erred\": %s, \"num_spans\": %zu, "
         "\"num_threads\": %d, \"accounted_ns\": %llu, "
         "\"accounted_fraction\": %.4f}}",
-        first_trace ? "" : ",", static_cast<unsigned long long>(a.trace_id),
-        a.op.c_str(), static_cast<unsigned long long>(a.dur_ns),
+        sep, static_cast<unsigned long long>(a.trace_id),
+        JsonEscape(a.op).c_str(), static_cast<unsigned long long>(a.dur_ns),
         a.erred ? "true" : "false", a.num_spans, a.num_threads,
         static_cast<unsigned long long>(a.accounted_ns),
         a.accounted_fraction);
-    first_trace = false;
+    sep = ",\n";
     for (const CriticalPathStep& s : a.critical_path) {
       out += StrFormat(
           ",\n{\"path_step\": {\"trace_id\": %llu, \"name\": \"%s\", "
           "\"span_id\": %llu, \"tid\": %d, \"dur_ns\": %llu, "
           "\"self_ns\": %llu}}",
-          static_cast<unsigned long long>(a.trace_id), s.name.c_str(),
+          static_cast<unsigned long long>(a.trace_id),
+          JsonEscape(s.name).c_str(),
           static_cast<unsigned long long>(s.span_id), s.tid,
           static_cast<unsigned long long>(s.dur_ns),
           static_cast<unsigned long long>(s.self_ns));
@@ -303,9 +604,69 @@ std::string TraceReportJson(const TraceDump& dump) {
       out += StrFormat(
           ",\n{\"self_time\": {\"trace_id\": %llu, \"name\": \"%s\", "
           "\"self_ns\": %llu, \"spans\": %llu}}",
-          static_cast<unsigned long long>(a.trace_id), r.name.c_str(),
+          static_cast<unsigned long long>(a.trace_id),
+          JsonEscape(r.name).c_str(),
           static_cast<unsigned long long>(r.self_ns),
           static_cast<unsigned long long>(r.spans));
+    }
+  }
+  out += "\n],\n\"profiles\": [";
+  sep = "\n";
+  for (const ProfileAnalysis& r : profiles) {
+    const std::string label = JsonEscape(r.label);
+    out += StrFormat(
+        "%s{\"profile_analysis\": {\"profile_label\": \"%s\", "
+        "\"enabled\": %s, \"window_nanos\": %llu, \"coverage_nanos\": %llu, "
+        "\"serial_fraction\": %.6f, \"total_wait_nanos\": %llu, "
+        "\"dropped_records\": %llu, \"projected_speedup_2\": %.3f, "
+        "\"projected_speedup_4\": %.3f, \"projected_speedup_8\": %.3f, "
+        "\"projected_speedup_16\": %.3f}}",
+        sep, label.c_str(), r.enabled ? "true" : "false",
+        static_cast<unsigned long long>(r.window_nanos),
+        static_cast<unsigned long long>(r.coverage_nanos), r.serial_fraction,
+        static_cast<unsigned long long>(r.total_wait_nanos),
+        static_cast<unsigned long long>(r.dropped_records),
+        r.ProjectedSpeedup(2), r.ProjectedSpeedup(4), r.ProjectedSpeedup(8),
+        r.ProjectedSpeedup(16));
+    sep = ",\n";
+    for (const ParallelSiteReport& p : r.parallel_sites) {
+      out += StrFormat(
+          ",\n{\"parallel_site\": {\"profile_label\": \"%s\", \"site\": "
+          "\"%s\", \"calls\": %llu, \"chunks\": %llu, \"items\": %lld, "
+          "\"busy_nanos\": %llu, \"site_coverage_nanos\": %llu, "
+          "\"median_chunk_nanos\": %llu, \"max_chunk_nanos\": %llu, "
+          "\"imbalance\": %.3f, \"claims\": %llu, \"steals\": %llu}}",
+          label.c_str(), JsonEscape(p.site).c_str(),
+          static_cast<unsigned long long>(p.calls),
+          static_cast<unsigned long long>(p.chunks),
+          static_cast<long long>(p.items),
+          static_cast<unsigned long long>(p.busy_nanos),
+          static_cast<unsigned long long>(p.coverage_nanos),
+          static_cast<unsigned long long>(p.median_chunk_nanos),
+          static_cast<unsigned long long>(p.max_chunk_nanos), p.imbalance,
+          static_cast<unsigned long long>(p.claims),
+          static_cast<unsigned long long>(p.steals));
+    }
+    for (const MutexSiteReport& m : r.mutexes) {
+      out += StrFormat(
+          ",\n{\"mutex_site\": {\"profile_label\": \"%s\", \"mutex\": \"%s\", "
+          "\"rank\": \"%s\", \"acquisitions\": %llu, \"contended\": %llu, "
+          "\"wait_nanos\": %llu, \"max_wait_nanos\": %llu, "
+          "\"held_nanos\": %llu}}",
+          label.c_str(), JsonEscape(m.label).c_str(),
+          JsonEscape(m.rank).c_str(),
+          static_cast<unsigned long long>(m.acquisitions),
+          static_cast<unsigned long long>(m.contended),
+          static_cast<unsigned long long>(m.wait_nanos),
+          static_cast<unsigned long long>(m.max_wait_nanos),
+          static_cast<unsigned long long>(m.held_nanos));
+    }
+    for (const ThreadBusyReport& t : r.threads) {
+      out += StrFormat(
+          ",\n{\"thread\": {\"profile_label\": \"%s\", \"tid\": %d, "
+          "\"busy_nanos\": %llu, \"idle_nanos\": %llu}}",
+          label.c_str(), t.tid, static_cast<unsigned long long>(t.busy_nanos),
+          static_cast<unsigned long long>(t.idle_nanos));
     }
   }
   out += "\n]\n}}\n";

@@ -7,14 +7,21 @@
 
 #include "obs/trace.h"
 
-// Slow-trace ingestion + analysis (DESIGN.md §14) — the tools/iq_trace core,
-// testable in-process like the obs/profile.h half of iq_prof. Consumes a
-// /tracez payload (scraped live or dumped by micro_parallel
-// --scrape-tracez=) and answers the question tail capture exists to answer:
-// *where did this slow solve spend its wall-clock?* For each retained trace
-// it reconstructs the span tree, walks the critical path (at every span,
-// descend into the child whose interval ends last), attributes self time
-// along it, and rolls up per-name self time across the whole trace.
+// Span-dump ingestion + analysis (DESIGN.md §11) — the tools/iq_trace core,
+// testable in-process. One line scanner reads both dump kinds the obs/trace.h
+// collector writes, and each gets its report:
+//
+//  * retained traces (/tracez, micro_parallel --scrape-tracez=) answer
+//    *where did this slow solve spend its wall-clock?* For each trace it
+//    reconstructs the span tree, walks the critical path (at every span,
+//    descend into the child whose interval ends last), attributes self
+//    time along it, and rolls up per-name self time across the trace;
+//  * profile windows (/profilez, micro_parallel --profile=) answer *where
+//    does the wall-clock go when threads are added?* From the ParallelFor
+//    chunk spans and mutex slots of each window it computes per-site chunk
+//    imbalance (max / median chunk duration), the serial fraction
+//    (1 - union of chunk spans / window) with its Amdahl projections,
+//    per-thread busy/idle, lock wait by site, and a tiered verdict.
 
 namespace iq {
 
@@ -30,6 +37,7 @@ struct ParsedSpan {
   uint64_t dur_ns = 0;
   int64_t arg0 = TraceEvent::kNoArg;
   int64_t arg1 = TraceEvent::kNoArg;
+  int64_t arg2 = TraceEvent::kNoArg;
 };
 
 /// One retained trace parsed back from a /tracez dump.
@@ -44,19 +52,49 @@ struct ParsedTrace {
   std::vector<ParsedSpan> spans;
 };
 
-/// A whole /tracez payload: retention config, loss/retain counters, traces.
+/// One mutex construction site over a profile window (a "mutex" line).
+struct MutexSiteReport {
+  std::string label;  // construction-site label ("IqEngine::mu_")
+  std::string rank;   // LockRankName(rank)
+  uint64_t acquisitions = 0;
+  uint64_t contended = 0;
+  uint64_t wait_nanos = 0;
+  uint64_t max_wait_nanos = 0;
+  uint64_t held_nanos = 0;
+};
+
+/// One profile window parsed back from a dump: its "profile_window" line
+/// plus the "mutex" and "span" lines that follow it.
+struct ParsedProfileWindow {
+  std::string label;  // caller-chosen window name ("solve_batch/threads=4")
+  bool enabled = true;  // false: placeholder from a process not profiling
+  uint64_t start_ns = 0;
+  uint64_t dur_ns = 0;
+  /// Ring overwrites plus mutex-slot overflow: nonzero means the window is
+  /// truncated and its numbers undercount.
+  uint64_t dropped_records = 0;
+  std::vector<MutexSiteReport> mutexes;
+  std::vector<ParsedSpan> spans;  // ParallelFor call + chunk spans
+};
+
+/// A whole dump: a /tracez payload (retention config, loss/retain counters,
+/// traces), profile windows, or both.
 struct TraceDump {
+  bool tracez = false;  // a tracez config/counters block was present
   TraceTailConfig config;
   uint64_t dropped = 0;
   uint64_t slow_retained = 0;
   uint64_t discarded = 0;
   std::vector<ParsedTrace> traces;
+  std::vector<ParsedProfileWindow> windows;
 };
 
-/// Parses a /tracez payload (or anything containing its "trace_summary" /
-/// "span" lines). Tolerant line scanner in the obs/profile.h idiom: unknown
-/// lines are skipped, a "trace_summary" line starts a new trace, "span"
-/// lines attach to the most recent one — no JSON library in the tree.
+/// Parses a /tracez payload, a /profilez payload, a micro_parallel
+/// --profile= dump, or any concatenation of them. Tolerant line scanner: a
+/// line's first key names its record, unknown lines are skipped, a
+/// "trace_summary" or "profile_window" line opens a trace or window, and
+/// "span" / "mutex" lines attach to the most recently opened one — no JSON
+/// library in the tree.
 TraceDump ParseTracezDump(const std::string& text);
 
 /// One hop of a trace's critical path.
@@ -108,14 +146,72 @@ TraceAnalysis AnalyzeTrace(const ParsedTrace& trace);
 /// trace (error, warmup) when timing says nothing interesting.
 std::string TraceVerdict(const TraceAnalysis& analysis);
 
-/// Human-readable report over a whole dump: retention config and loss
-/// counters, then per trace the critical path (top `top_n` steps by self
-/// time kept, in path order), the self-time ranking, and a verdict.
+/// One ParallelFor call site over a profile window, from its chunk spans
+/// (the children of kParallelForSpanName call spans).
+struct ParallelSiteReport {
+  std::string site;    // call-site label ("engine.solve_batch")
+  uint64_t calls = 0;  // distinct ParallelFor invocations
+  uint64_t chunks = 0;  // chunk spans
+  int64_t items = 0;    // total items across chunks
+  uint64_t busy_nanos = 0;      // sum of chunk durations
+  uint64_t coverage_nanos = 0;  // union of this site's chunks (wall clock)
+  uint64_t median_chunk_nanos = 0;
+  uint64_t max_chunk_nanos = 0;
+  /// max / median chunk duration; 1.0 = perfectly even, large = one
+  /// straggler chunk serializes the call's tail.
+  double imbalance = 1.0;
+  /// Work-stealing telemetry: individual claims folded into the chunks and
+  /// how many were beyond the claimant's fair share of the range. Static
+  /// sites report claims == chunks, steals == 0.
+  uint64_t claims = 0;
+  uint64_t steals = 0;
+};
+
+/// One recording thread's split of the window: busy = union of the chunk
+/// spans it ran, idle = the rest.
+struct ThreadBusyReport {
+  int tid = 0;
+  uint64_t busy_nanos = 0;
+  uint64_t idle_nanos = 0;
+};
+
+/// Everything the serialization report says about one profile window.
+struct ProfileAnalysis {
+  std::string label;
+  bool enabled = true;
+  uint64_t window_nanos = 0;
+  uint64_t coverage_nanos = 0;    // union of ALL chunk spans in the window
+  double serial_fraction = 1.0;   // 1 - coverage/window
+  uint64_t total_wait_nanos = 0;  // mutex wait over all sites
+  uint64_t dropped_records = 0;
+  std::vector<MutexSiteReport> mutexes;            // by wait desc
+  std::vector<ParallelSiteReport> parallel_sites;  // by busy desc
+  std::vector<ThreadBusyReport> threads;           // by tid
+
+  /// Amdahl projection from serial_fraction: 1 / (s + (1-s)/n).
+  double ProjectedSpeedup(int n) const;
+};
+
+ProfileAnalysis AnalyzeProfileWindow(const ParsedProfileWindow& window);
+
+/// Names the dominant serialization mechanism in one window, tiered: lock
+/// contention (wait >= 5% of the window) beats chunk imbalance (>= 2.0 at
+/// a site with >= 4 chunks covering >= 20% of the window) beats the serial
+/// fraction ceiling (>= 0.25) beats "no dominant serialization".
+std::string ProfileVerdict(const ProfileAnalysis& analysis);
+
+/// Human-readable report over a whole dump: for retained traces the
+/// retention config, loss counters, and per trace the critical path, the
+/// top `top_n` self-time rows and a verdict; for profile windows the serial
+/// fraction, Amdahl projections, top `top_n` mutexes and parallel sites,
+/// thread busy/idle, and the last window's verdict.
 std::string FormatTraceReport(const TraceDump& dump, int top_n);
 
-/// Machine form of the same: {"iq_trace": {"num_traces": N, ...}} with one
-/// "trace_analysis" / "path_step" / "self_time" object per line — consumed
-/// by tools/check_metrics.sh --trace and the trace-smoke CI lane.
+/// Machine form of the same: {"iq_trace": {"num_traces": N, ...,
+/// "num_profiles": M, ...}} with one "trace_analysis" / "path_step" /
+/// "self_time" / "profile_analysis" / "parallel_site" / "mutex_site" /
+/// "thread" object per line — consumed by tools/check_metrics.sh
+/// --trace/--profile and the trace-smoke CI lane. Every string is escaped.
 std::string TraceReportJson(const TraceDump& dump);
 
 }  // namespace iq

@@ -1,6 +1,5 @@
 #include "util/csv.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/string_util.h"
@@ -42,11 +41,9 @@ Result<CsvTable> ParseCsv(const std::string& text) {
 }
 
 Result<CsvTable> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  Result<std::string> text = ReadFileToString(path);
+  if (!text.ok()) return text.status();
+  return ParseCsv(*text);
 }
 
 std::string WriteCsv(const CsvTable& table) {
@@ -60,10 +57,7 @@ std::string WriteCsv(const CsvTable& table) {
 }
 
 Status WriteCsvFile(const CsvTable& table, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::Internal("cannot write file: " + path);
-  out << WriteCsv(table);
-  return Status::Ok();
+  return WriteStringToFile(path, WriteCsv(table));
 }
 
 }  // namespace iq

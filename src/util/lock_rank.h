@@ -57,7 +57,7 @@ enum class LockRank : int {
   /// TraceScope destructors may take one while holding any lock above.
   kTraceBuffer = 650,
   /// TraceCollector slow-trace store (the bounded last-K retained traces,
-  /// DESIGN.md §14). Taken with no trace lock held: a finishing root span
+  /// DESIGN.md §11). Taken with no trace lock held: a finishing root span
   /// collects its spans under kTraceRegistry/kTraceBuffer, releases them,
   /// then inserts the retained trace under this rank.
   kTraceStore = 660,

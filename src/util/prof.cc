@@ -17,8 +17,6 @@ namespace {
 // blocking or growing.
 constexpr int kMaxThreads = 128;
 constexpr int kMaxSitesPerThread = 64;
-constexpr size_t kMaxChunkSpans = size_t{1} << 15;
-constexpr size_t kMaxWorkerEvents = size_t{1} << 15;
 constexpr int kMaxHeldPerThread = 32;
 
 /// One (rank, label) accumulator. Fields are relaxed atomics: the owning
@@ -99,31 +97,6 @@ thread_local HeldStack t_held;
 std::atomic<uint64_t> g_epoch{0};
 std::atomic<uint64_t> g_enabled_since_ns{0};
 
-// ---- chunk spans ----
-
-struct ChunkSlot {
-  std::atomic<uint32_t> ready{0};
-  ChunkSpan span;
-};
-
-ChunkSlot g_chunks[kMaxChunkSpans];
-std::atomic<size_t> g_chunk_next{0};
-
-// ---- worker timeline ----
-
-struct WorkerEventSlot {
-  std::atomic<uint32_t> ready{0};
-  WorkerEvent event;
-};
-
-WorkerEventSlot g_worker_events[kMaxWorkerEvents];
-std::atomic<size_t> g_worker_event_next{0};
-
-std::atomic<uint32_t> g_next_worker_id{1};
-thread_local uint32_t t_worker_id = 0;
-
-std::atomic<uint64_t> g_parallel_for_call_id{0};
-
 void PopHeld(const void* mu, bool credit) {
   HeldStack& s = t_held;
   const uint64_t epoch = g_epoch.load(std::memory_order_relaxed);
@@ -131,7 +104,7 @@ void PopHeld(const void* mu, bool credit) {
     HeldRecord& rec = s.entries[i];
     if (rec.mu != mu) continue;
     if (credit && rec.epoch == epoch && rec.slot != nullptr) {
-      rec.slot->held_nanos.fetch_add(NowNanos() - rec.since_ns,
+      rec.slot->held_nanos.fetch_add(MonotonicNanos() - rec.since_ns,
                                      std::memory_order_relaxed);
     }
     for (int j = i; j + 1 < s.size; ++j) s.entries[j] = s.entries[j + 1];
@@ -144,17 +117,10 @@ void PopHeld(const void* mu, bool credit) {
 
 std::atomic<bool> g_enabled{false};
 
-uint64_t NowNanos() {
-  // One process-local epoch for every capture record; magic-static init is
-  // thread-safe and the timer itself is stateless afterwards.
-  static const WallTimer epoch;
-  return epoch.ElapsedNanos();
-}
-
 void SetEnabled(bool on) {
   if (on) {
     g_epoch.fetch_add(1, std::memory_order_relaxed);
-    g_enabled_since_ns.store(NowNanos(), std::memory_order_relaxed);
+    g_enabled_since_ns.store(MonotonicNanos(), std::memory_order_relaxed);
   }
   g_enabled.store(on, std::memory_order_relaxed);
 }
@@ -178,18 +144,6 @@ void Reset() {
   };
   for (int i = 0; i < tables; ++i) reset_table(g_tables[i]);
   reset_table(g_overflow_table);
-  const size_t chunks =
-      std::min(g_chunk_next.load(std::memory_order_relaxed), kMaxChunkSpans);
-  for (size_t i = 0; i < chunks; ++i) {
-    g_chunks[i].ready.store(0, std::memory_order_relaxed);
-  }
-  g_chunk_next.store(0, std::memory_order_relaxed);
-  const size_t events = std::min(
-      g_worker_event_next.load(std::memory_order_relaxed), kMaxWorkerEvents);
-  for (size_t i = 0; i < events; ++i) {
-    g_worker_events[i].ready.store(0, std::memory_order_relaxed);
-  }
-  g_worker_event_next.store(0, std::memory_order_relaxed);
   g_dropped.store(0, std::memory_order_relaxed);
   g_epoch.fetch_add(1, std::memory_order_relaxed);
 }
@@ -237,32 +191,6 @@ std::vector<MutexSiteStats> SnapshotMutexSites() {
   return out;
 }
 
-std::vector<ChunkSpan> SnapshotChunkSpans() {
-  std::vector<ChunkSpan> out;
-  const size_t n =
-      std::min(g_chunk_next.load(std::memory_order_acquire), kMaxChunkSpans);
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (g_chunks[i].ready.load(std::memory_order_acquire) == 0) continue;
-    out.push_back(g_chunks[i].span);
-  }
-  return out;
-}
-
-std::vector<WorkerEvent> SnapshotWorkerEvents() {
-  std::vector<WorkerEvent> out;
-  const size_t n = std::min(
-      g_worker_event_next.load(std::memory_order_acquire), kMaxWorkerEvents);
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (g_worker_events[i].ready.load(std::memory_order_acquire) == 0) {
-      continue;
-    }
-    out.push_back(g_worker_events[i].event);
-  }
-  return out;
-}
-
 uint64_t DroppedRecords() {
   return g_dropped.load(std::memory_order_relaxed);
 }
@@ -293,7 +221,7 @@ void OnAcquired(const void* mu, LockRank rank, const char* label,
     return;
   }
   s.entries[s.size++] = HeldRecord{
-      mu, slot, NowNanos(), g_epoch.load(std::memory_order_relaxed)};
+      mu, slot, MonotonicNanos(), g_epoch.load(std::memory_order_relaxed)};
 }
 
 void OnReleased(const void* mu) { PopHeld(mu, /*credit=*/true); }
@@ -312,44 +240,7 @@ void OnCondWaitEnd(const void* mu, LockRank rank, const char* label) {
     return;
   }
   s.entries[s.size++] = HeldRecord{
-      mu, slot, NowNanos(), g_epoch.load(std::memory_order_relaxed)};
-}
-
-void AssignPoolWorkerId() {
-  if (t_worker_id == 0) {
-    t_worker_id = g_next_worker_id.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-uint32_t WorkerId() { return t_worker_id; }
-
-void RecordWorkerState(WorkerState state) {
-  size_t idx = g_worker_event_next.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxWorkerEvents) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  WorkerEventSlot& slot = g_worker_events[idx];
-  slot.event = WorkerEvent{t_worker_id, state, NowNanos()};
-  slot.ready.store(1, std::memory_order_release);
-}
-
-uint64_t NextParallelForCallId() {
-  return g_parallel_for_call_id.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void RecordChunkSpan(const char* site, uint64_t call_id, int64_t items,
-                     uint64_t start_ns, uint64_t end_ns, uint32_t claims,
-                     uint32_t steals) {
-  size_t idx = g_chunk_next.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxChunkSpans) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ChunkSlot& slot = g_chunks[idx];
-  slot.span = ChunkSpan{site != nullptr ? site : "(unlabeled)", call_id,
-                        t_worker_id, items, start_ns, end_ns, claims, steals};
-  slot.ready.store(1, std::memory_order_release);
+      mu, slot, MonotonicNanos(), g_epoch.load(std::memory_order_relaxed)};
 }
 
 }  // namespace internal
@@ -365,9 +256,9 @@ void Mutex::LockProfiled() {
     prof::internal::OnAcquired(this, rank_, label_, /*wait_nanos=*/0);
     return;
   }
-  const uint64_t t0 = prof::NowNanos();
+  const uint64_t t0 = MonotonicNanos();
   mu_.lock();
-  prof::internal::OnAcquired(this, rank_, label_, prof::NowNanos() - t0);
+  prof::internal::OnAcquired(this, rank_, label_, MonotonicNanos() - t0);
 }
 
 void Mutex::UnlockProfiled() {

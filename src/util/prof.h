@@ -7,21 +7,15 @@
 
 #include "util/lock_rank.h"
 
-// Scalability-profiling capture layer (DESIGN.md §11). This is the *raw*
-// side of the contention / critical-path profiler: lock-free per-thread
-// recording of
+// Mutex-contention capture (DESIGN.md §11): lock-free per-thread recording
+// of mutex acquisition outcomes — wait time on contended Lock() calls and
+// held time, keyed by (LockRank, construction-site label). This is the one
+// thing trace spans cannot see; ParallelFor chunks are ordinary trace spans
+// (util/thread_pool.h's span seam), and a profile window (obs/trace.h
+// ProfileSession) joins both.
 //
-//   * mutex acquisition outcomes — wait time on contended Lock() calls and
-//     held time, keyed by (LockRank, construction-site label);
-//   * ThreadPool worker state transitions (running / idle);
-//   * per-ParallelFor chunk spans (start/end ns, item count, worker id,
-//     call id).
-//
-// It lives in util because iq::Mutex and ThreadPool (both util) are the
-// instrumented objects and util may not depend on obs. The aggregation into
-// a ProfileReport — per-rank wait totals, serial-fraction estimates, chunk
-// imbalance — is src/obs/profile.h, which sits above this and reads the
-// snapshots.
+// It lives in util because iq::Mutex (util) is the instrumented object and
+// util may not depend on obs.
 //
 // Cost discipline: everything here is behind one process-global flag.
 // With profiling off (the default) the only residue on the hot path is a
@@ -48,22 +42,17 @@ inline bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 /// window start readable via EnabledSinceNanos().
 void SetEnabled(bool on);
 
-/// Capture-clock timestamp of the most recent SetEnabled(true); 0 when
-/// profiling was never enabled.
+/// MonotonicNanos() of the most recent SetEnabled(true); 0 when profiling
+/// was never enabled.
 uint64_t EnabledSinceNanos();
 
-/// Monotonic nanoseconds on the capture clock (a process-local epoch; all
-/// records in a snapshot share it).
-uint64_t NowNanos();
-
-/// Drops all captured data (mutex slots, chunk spans, worker events).
-/// Callers must ensure no capture is concurrently active (disable first, or
-/// own every recording thread) — the benches and ProfileSession do.
+/// Drops all captured mutex slots. Callers must ensure no capture is
+/// concurrently active (disable first, or own every recording thread) — the
+/// benches and ProfileSession do.
 void Reset();
 
-// ---- snapshots (merged across threads; safe while capture is running) ----
-
-/// Accumulated outcomes for one mutex construction site.
+/// Accumulated outcomes for one mutex construction site, merged across
+/// threads (safe to snapshot while capture is running).
 struct MutexSiteStats {
   LockRank rank = LockRank::kLeaf;
   const char* label = nullptr;  // static string; never null in a snapshot
@@ -75,39 +64,11 @@ struct MutexSiteStats {
 };
 std::vector<MutexSiteStats> SnapshotMutexSites();
 
-/// One executed ParallelFor chunk. Under ChunkPolicy::kStatic a span is one
-/// contiguous chunk (claims == 1, steals == 0). Under kDynamic a span is a
-/// time-aggregated run of individually claimed items executed back-to-back
-/// by one participant; `claims` counts the items and `steals` counts how
-/// many of them were claimed after that participant had already executed
-/// its fair share of the range (work it took off an overloaded peer).
-struct ChunkSpan {
-  const char* site = nullptr;  // ParallelFor call-site label
-  uint64_t call_id = 0;        // distinct per ParallelFor invocation
-  uint32_t worker = 0;         // pool worker id; 0 = the calling thread
-  int64_t items = 0;           // total items covered by the span
-  uint64_t start_ns = 0;
-  uint64_t end_ns = 0;
-  uint32_t claims = 1;         // individual claim operations folded in
-  uint32_t steals = 0;         // of which beyond the claimant's fair share
-};
-std::vector<ChunkSpan> SnapshotChunkSpans();
-
-enum class WorkerState : uint8_t { kIdle = 0, kRunning = 1 };
-
-/// One worker state transition (the busy/idle timeline).
-struct WorkerEvent {
-  uint32_t worker = 0;
-  WorkerState state = WorkerState::kIdle;
-  uint64_t t_ns = 0;
-};
-std::vector<WorkerEvent> SnapshotWorkerEvents();
-
-/// Spans/events that did not fit the fixed capture buffers since the last
-/// Reset (reported so a truncated profile cannot read as a complete one).
+/// Acquisitions that did not fit the fixed slot tables since the last Reset
+/// (reported so a truncated profile cannot read as a complete one).
 uint64_t DroppedRecords();
 
-// ---- capture hooks (called by iq::Mutex / ThreadPool; not user API) ----
+// ---- capture hooks (called by iq::Mutex / CondVar; not user API) ----
 
 namespace internal {
 
@@ -124,25 +85,6 @@ void OnReleased(const void* mu);
 /// so held-time accounting pauses at Begin and resumes at End.
 void OnCondWaitBegin(const void* mu);
 void OnCondWaitEnd(const void* mu, LockRank rank, const char* label);
-
-/// Assigns the calling thread a stable nonzero worker id (ThreadPool calls
-/// this from each worker's entry). Idempotent.
-void AssignPoolWorkerId();
-
-/// The calling thread's worker id; 0 for non-pool threads.
-uint32_t WorkerId();
-
-/// Appends a state transition for the calling worker to the timeline.
-void RecordWorkerState(WorkerState state);
-
-/// Claims a call id for one ParallelFor invocation.
-uint64_t NextParallelForCallId();
-
-/// Appends one executed chunk span. The defaults describe a static chunk;
-/// dynamic claiming passes its per-span claim/steal tallies.
-void RecordChunkSpan(const char* site, uint64_t call_id, int64_t items,
-                     uint64_t start_ns, uint64_t end_ns, uint32_t claims = 1,
-                     uint32_t steals = 0);
 
 }  // namespace internal
 }  // namespace prof

@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace iq {
 
@@ -90,6 +92,58 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args);
   return out;
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+Result<std::string> ReadFileToString(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open file: " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+Status WriteStringToFile(const std::string& path, std::string_view data) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::Internal("cannot open " + path + " for writing");
+  }
+  const size_t written = std::fwrite(data.data(), 1, data.size(), f);
+  const int close_rc = std::fclose(f);
+  if (written != data.size() || close_rc != 0) {
+    return Status::Internal("short write to " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace iq

@@ -30,6 +30,19 @@ bool StrEndsWith(std::string_view s, std::string_view suffix);
 Result<double> ParseDouble(std::string_view s);
 Result<int64_t> ParseInt(std::string_view s);
 
+/// Escapes `s` for a JSON string literal: quotes, backslashes and control
+/// characters (newlines included, so line-oriented dumps keep one record
+/// per line).
+std::string JsonEscape(std::string_view s);
+
+/// The whole contents of `path`; NotFound when it cannot be opened.
+Result<std::string> ReadFileToString(const std::string& path);
+
+/// Writes `data` to `path` (truncating), checking for a short write and a
+/// failed close, so a truncated artifact is an error rather than a silent
+/// success.
+Status WriteStringToFile(const std::string& path, std::string_view data);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -2,26 +2,89 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <utility>
 
 #include "util/check.h"
-#include "util/prof.h"
 #include "util/timer.h"
 #include "util/trace_context.h"
 
 namespace iq {
 namespace {
 
+using Body = std::function<void(int64_t, int64_t)>;
+
 /// Marks threads that belong to some pool, so nested ParallelFor calls run
 /// inline instead of deadlocking on their own queue.
 thread_local bool t_in_pool_worker = false;
 
 std::atomic<ThreadPool::TaskObserver> g_task_observer{nullptr};
+std::atomic<const ThreadPool::SpanRecorder*> g_span_recorder{nullptr};
+
+/// The installed span recorder, loaded once per ParallelFor call so every
+/// chunk of the call records (or not) through the same one. Relaxed is
+/// enough: recorders are constant-initialized statics, so nothing is
+/// published through the pointer.
+const ThreadPool::SpanRecorder* LoadSpanRecorder() {
+  return g_span_recorder.load(std::memory_order_relaxed);
+}
+
+/// "Unset" marker for span args (the obs layer's TraceEvent::kNoArg).
+constexpr int64_t kNoSpanArg = INT64_MIN;
+
+/// One span through `rec`, opened at construction and closed (recorded,
+/// parent context restored) at scope exit — exceptions included. A no-op
+/// when `rec` is null.
+class RecordedSpan {
+ public:
+  RecordedSpan(const ThreadPool::SpanRecorder* rec, const char* name,
+               int64_t arg0, int64_t arg1, int64_t arg2)
+      : rec_(rec), name_(name), args_{arg0, arg1, arg2} {
+    if (rec_ != nullptr) span_ = rec_->open();
+  }
+  ~RecordedSpan() {
+    if (rec_ == nullptr) return;
+    rec_->close(span_, name_, args_[0], args_[1], args_[2]);
+  }
+  RecordedSpan(const RecordedSpan&) = delete;
+  RecordedSpan& operator=(const RecordedSpan&) = delete;
+
+ private:
+  const ThreadPool::SpanRecorder* rec_;
+  const char* name_;
+  int64_t args_[3];
+  OpenSpan span_;
+};
+
+/// One static chunk (or covering run): a chunk span with one claim and no
+/// steals around `body(begin, end)`.
+inline void RunChunk(const ThreadPool::SpanRecorder* rec, const Body& body,
+                     int64_t begin, int64_t end, const char* site) {
+  RecordedSpan span(rec, site, end - begin, /*claims=*/1, /*steals=*/0);
+  body(begin, end);
+}
+
+/// Runs all of [0, n) on the calling thread (serial fallback, nested or
+/// trivial calls): one call span with one covering chunk span, so these
+/// regions stay visible in a profile.
+void RunCovering(const Body& body, int64_t n, const char* site) {
+  const ThreadPool::SpanRecorder* rec = LoadSpanRecorder();
+  RecordedSpan call(rec, kParallelForSpanName, n, kNoSpanArg, kNoSpanArg);
+  RunChunk(rec, body, 0, n, site);
+}
+
+const char* SpanName(const char* site) {
+  return site != nullptr ? site : "(unlabeled)";
+}
 
 }  // namespace
 
 void ThreadPool::SetTaskObserver(TaskObserver observer) {
   g_task_observer.store(observer, std::memory_order_release);
+}
+
+void ThreadPool::SetSpanRecorder(const SpanRecorder* recorder) {
+  g_span_recorder.store(recorder, std::memory_order_relaxed);
 }
 
 bool ThreadPool::InWorker() { return t_in_pool_worker; }
@@ -45,45 +108,20 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
-  prof::internal::AssignPoolWorkerId();
   for (;;) {
     std::function<void()> task;
     {
       MutexLock lock(&mu_);
-      if (!stopping_ && queue_.empty()) {
-        if (prof::Enabled()) {
-          prof::internal::RecordWorkerState(prof::WorkerState::kIdle);
-        }
-        while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
-      }
+      while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-    }
-    if (prof::Enabled()) {
-      prof::internal::RecordWorkerState(prof::WorkerState::kRunning);
     }
     task();
   }
 }
 
 namespace {
-
-/// Runs one chunk, recording a span when profiling is on. Factored out so
-/// the pool dispatch path and the serial fallback attribute work to `site`
-/// identically.
-inline void RunChunkMaybeProfiled(
-    const std::function<void(int64_t, int64_t)>& body, int64_t begin,
-    int64_t end, const char* site, uint64_t call_id) {
-  if (!prof::Enabled()) {
-    body(begin, end);
-    return;
-  }
-  const uint64_t t0 = prof::NowNanos();
-  body(begin, end);
-  prof::internal::RecordChunkSpan(site, call_id, end - begin, t0,
-                                  prof::NowNanos());
-}
 
 /// Shared per-call coordination state for ParallelFor (both policies).
 struct CallState {
@@ -116,43 +154,25 @@ constexpr uint64_t kDynamicSpanTargetNanos = 200 * 1000;  // 200 µs
 /// has executed its fair share of the range, ceil(n / participants),
 /// further claims are counted as steals — items a statically partitioned
 /// run would have left to a (still busy) peer.
-void RunDynamicClaims(CallState* state,
-                      const std::function<void(int64_t, int64_t)>& body,
-                      int64_t n, int64_t fair_share, const char* site,
-                      uint64_t call_id) {
-  const bool profiled = prof::Enabled();
+void RunDynamicClaims(CallState* state, const Body& body, int64_t n,
+                      int64_t fair_share, const char* site,
+                      const ThreadPool::SpanRecorder* rec) {
   int64_t executed = 0;
-  // Current aggregation span (profiled mode only).
-  uint64_t span_start = 0;
-  uint64_t span_end = 0;
-  int64_t span_items = 0;
-  uint32_t span_claims = 0;
-  uint32_t span_steals = 0;
-  auto flush_span = [&] {
-    if (span_items == 0) return;
-    prof::internal::RecordChunkSpan(site, call_id, span_items, span_start,
-                                    span_end, span_claims, span_steals);
-    span_items = 0;
-    span_claims = 0;
-    span_steals = 0;
+  // The current aggregated run (recorded only when `rec` is set): items
+  // this participant claimed back-to-back since `run` opened.
+  OpenSpan run;
+  int64_t run_items = 0;
+  int64_t run_steals = 0;
+  auto close_run = [&] {
+    rec->close(run, site, run_items, /*claims=*/run_items, run_steals);
+    run_items = 0;
+    run_steals = 0;
   };
   for (;;) {
     const int64_t i = state->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     if (state->failed.load(std::memory_order_acquire)) break;
-    const bool stolen = executed >= fair_share;
-    if (!profiled) {
-      try {
-        body(i, i + 1);
-      } catch (...) {
-        CaptureError(state);
-        break;
-      }
-      ++executed;
-      continue;
-    }
-    const uint64_t t0 = prof::NowNanos();
-    if (span_items == 0) span_start = t0;
+    if (rec != nullptr && run_items == 0) run = rec->open();
     bool ok = true;
     try {
       body(i, i + 1);
@@ -160,15 +180,15 @@ void RunDynamicClaims(CallState* state,
       CaptureError(state);
       ok = false;
     }
-    span_end = prof::NowNanos();
-    ++executed;
-    ++span_claims;
-    ++span_items;
-    if (stolen) ++span_steals;
+    ++run_items;
+    if (executed++ >= fair_share) ++run_steals;
+    if (rec != nullptr &&
+        (!ok || MonotonicNanos() - run.start_ns >= kDynamicSpanTargetNanos)) {
+      close_run();
+    }
     if (!ok) break;
-    if (span_end - span_start >= kDynamicSpanTargetNanos) flush_span();
   }
-  if (profiled) flush_span();
+  if (rec != nullptr && run_items > 0) close_run();
 }
 
 }  // namespace
@@ -177,13 +197,11 @@ void ThreadPool::ParallelFor(
     int64_t n, const std::function<void(int64_t, int64_t)>& body,
     const char* site, ChunkPolicy policy) {
   if (n <= 0) return;
+  site = SpanName(site);
   if (t_in_pool_worker || n == 1) {
-    // Nested or trivial: run inline on the current thread. Still one span —
-    // nested parallel regions must stay visible in the profile.
-    RunChunkMaybeProfiled(body, 0, n, site,
-                          prof::Enabled()
-                              ? prof::internal::NextParallelForCallId()
-                              : 0);
+    // Nested or trivial: run inline on the current thread, still as one
+    // chunk span — nested parallel regions must stay visible.
+    RunCovering(body, n, site);
     return;
   }
   const int64_t workers = static_cast<int64_t>(workers_.size());
@@ -198,21 +216,22 @@ void ThreadPool::ParallelFor(
 
   CallState state;
 
-  const uint64_t call_id =
-      prof::Enabled() ? prof::internal::NextParallelForCallId() : 0;
-  // Causal-trace propagation (DESIGN.md §14): the helper tasks below run on
+  const SpanRecorder* rec = LoadSpanRecorder();
+  RecordedSpan call(rec, kParallelForSpanName, n, kNoSpanArg, kNoSpanArg);
+  // Causal-trace propagation (DESIGN.md §11): the helper tasks below run on
   // workers whose thread-local TraceContext is whatever the previous task
   // left behind (zeroed by the save/restore here). Capture the dispatcher's
   // context now and install it around the chunk bodies, so every span a
   // chunk opens carries the dispatching solve's trace id and parents under
-  // the span that issued this ParallelFor. The caller's own participation,
-  // the serial fallback and the nested-inline path all run on a thread that
-  // already holds the context, so only the enqueued tasks need the handoff.
+  // this call's span (a child of the span that issued the ParallelFor). The
+  // caller's own participation, the serial fallback and the nested-inline
+  // path all run on a thread that already holds the context, so only the
+  // enqueued tasks need the handoff.
   const TraceContext dispatch_ctx = CurrentTraceContext();
-  auto run_chunks = [&state, &body, n, chunk, fair_share, site, call_id,
+  auto run_chunks = [&state, &body, n, chunk, fair_share, site, rec,
                      policy] {
     if (policy == ChunkPolicy::kDynamic) {
-      RunDynamicClaims(&state, body, n, fair_share, site, call_id);
+      RunDynamicClaims(&state, body, n, fair_share, site, rec);
       return;
     }
     for (;;) {
@@ -221,7 +240,7 @@ void ThreadPool::ParallelFor(
       if (state.failed.load(std::memory_order_acquire)) return;
       int64_t end = std::min<int64_t>(n, begin + chunk);
       try {
-        RunChunkMaybeProfiled(body, begin, end, site, call_id);
+        RunChunk(rec, body, begin, end, site);
       } catch (...) {
         CaptureError(&state);
       }
@@ -279,10 +298,7 @@ void ParallelForOrSerial(ThreadPool* pool, int64_t n,
   if (pool == nullptr) {
     // Serial fallback records one covering span so a serial run's profile
     // still shows the parallelizable-region coverage (the Amdahl ceiling).
-    RunChunkMaybeProfiled(body, 0, n, site,
-                          prof::Enabled()
-                              ? prof::internal::NextParallelForCallId()
-                              : 0);
+    RunCovering(body, n, SpanName(site));
     return;
   }
   pool->ParallelFor(n, body, site, policy);

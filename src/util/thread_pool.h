@@ -9,8 +9,12 @@
 #include <vector>
 
 #include "util/annotations.h"
+#include "util/trace_context.h"
 
 namespace iq {
+
+/// Name of the per-call span that parents a ParallelFor's chunk spans.
+inline constexpr char kParallelForSpanName[] = "ParallelFor";
 
 /// How ParallelFor partitions [0, n) across participants (DESIGN.md §13).
 ///
@@ -48,7 +52,7 @@ enum class ChunkPolicy { kStatic, kDynamic };
 /// parallel paths (e.g. IqEngine::SolveBatch items that themselves evaluate
 /// candidates) can never deadlock waiting on their own pool.
 ///
-/// Trace-context propagation (DESIGN.md §14): ParallelFor captures the
+/// Trace-context propagation (DESIGN.md §11): ParallelFor captures the
 /// dispatching thread's util/trace_context.h slot and installs it around
 /// every chunk body it hands to a worker (save/restore per helper task), so
 /// spans opened inside chunks — static, dynamic work-stealing, the serial
@@ -72,7 +76,7 @@ class ThreadPool {
   /// chunk completed. The first exception thrown by any chunk is captured
   /// and rethrown on the caller (remaining chunks are drained, not run).
   /// Called from a pool worker, runs body(0, n) inline (see class comment).
-  /// `site` names the call site in profile reports (util/prof.h) — a static
+  /// `site` names the chunk spans (see SpanRecorder) — a static
   /// string like "greedy.candidate_solve"; pass nullptr for unattributed
   /// call sites (tests). `policy` selects static chunking or per-item
   /// work-stealing claims (see ChunkPolicy); results are bit-identical
@@ -94,6 +98,25 @@ class ThreadPool {
   using TaskObserver = void (*)(uint64_t queue_wait_nanos);
   static void SetTaskObserver(TaskObserver observer);
 
+  /// Span seam (DESIGN.md §11), the same layering pattern as the task
+  /// observer: while tracing is on, src/obs/trace.cc installs a recorder
+  /// and every ParallelFor call becomes a kParallelForSpanName span whose
+  /// children are the executed chunks — a static chunk, a dynamic run
+  /// aggregated to ~200 µs, or the serial/inline covering run — each named
+  /// by `site` with args (items, claims, steals). With no recorder
+  /// installed a call costs one relaxed load.
+  struct SpanRecorder {
+    /// Opens a child of the calling thread's current span and makes it the
+    /// thread's current span.
+    OpenSpan (*open)();
+    /// Records `span` as `name` with three integer args and restores its
+    /// parent as the thread's current span.
+    void (*close)(const OpenSpan& span, const char* name, int64_t arg0,
+                  int64_t arg1, int64_t arg2);
+  };
+  /// Installs `recorder` (static storage; nullptr detaches).
+  static void SetSpanRecorder(const SpanRecorder* recorder);
+
  private:
   void WorkerLoop();
 
@@ -112,9 +135,9 @@ class ThreadPool {
 /// Serial-fallback dispatch: runs `body` over [0, n) on the pool when one is
 /// provided, inline on the caller otherwise. This is the single entry point
 /// the engine's hot paths use, so `EngineOptions::num_threads == 0` (no
-/// pool) preserves the exact pre-parallel code path. With profiling on, the
+/// pool) preserves the exact pre-parallel code path. With tracing on, the
 /// serial path records a single chunk span for `site` too, so a serial run's
-/// report still shows which wall-clock fraction the parallelizable regions
+/// profile still shows which wall-clock fraction the parallelizable regions
 /// cover (the Amdahl ceiling, measurable even on one core).
 void ParallelForOrSerial(ThreadPool* pool, int64_t n,
                          const std::function<void(int64_t, int64_t)>& body,

@@ -6,6 +6,16 @@
 
 namespace iq {
 
+/// Nanoseconds on the process-wide monotonic clock. The one timestamp base
+/// that trace spans (obs/trace.h) and mutex-profile windows (util/prof.h)
+/// share, so a profile window can be clipped against span timestamps.
+inline uint64_t MonotonicNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 /// Monotonic wall-clock stopwatch used by the benchmark harness and the
 /// observability layer. This header (plus src/obs/) is the only sanctioned
 /// direct user of std::chrono::steady_clock — tools/lint.sh enforces it.

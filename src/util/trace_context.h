@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-// Request-scoped trace context (DESIGN.md §14). A solve entering the engine
+// Request-scoped trace context (DESIGN.md §11). A solve entering the engine
 // opens a *root span* (obs/trace.h), which installs a TraceContext — the
 // 64-bit trace id of the request plus the id of the innermost open span —
 // in a thread-local slot. Every span opened afterwards on that thread reads
@@ -31,6 +31,15 @@ struct TraceContext {
   uint64_t span_id = 0;
 
   bool active() const { return trace_id != 0; }
+};
+
+/// A span opened on the calling thread and not yet recorded: the context it
+/// restores when it closes, its own context, and its start time
+/// (MonotonicNanos). obs/trace.h opens and closes these for every span kind.
+struct OpenSpan {
+  TraceContext parent;
+  TraceContext self;
+  uint64_t start_ns = 0;
 };
 
 /// The calling thread's current context ({0, 0} when none is installed).

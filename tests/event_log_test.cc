@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +16,7 @@
 #include "data/queries.h"
 #include "data/synthetic.h"
 #include "obs/event_log.h"
+#include "util/string_util.h"
 
 namespace iq {
 namespace {
@@ -218,11 +218,9 @@ TEST(EventLogTest, EngineDumpsJsonlOnError) {
   auto r = engine->MinCost(-1, 3, {});
   ASSERT_FALSE(r.ok());
 
-  std::ifstream in(dump_path);
-  ASSERT_TRUE(in.good()) << "expected dump at " << dump_path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string dump = buf.str();
+  Result<std::string> read = ReadFileToString(dump_path);
+  ASSERT_TRUE(read.ok()) << "expected dump at " << dump_path;
+  const std::string& dump = *read;
   EXPECT_NE(dump.find("\"type\":\"error\""), std::string::npos);
   EXPECT_NE(dump.find("\"op\":\"IqEngine\""), std::string::npos);
   std::remove(dump_path.c_str());

@@ -4,24 +4,21 @@
 // tools/lint.sh historically enforced.
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "tools/iq_lint/lint.h"
+#include "util/string_util.h"
 
 namespace iq {
 namespace lint {
 namespace {
 
 std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  Result<std::string> text = ReadFileToString(path);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  return text.ok() ? *text : std::string();
 }
 
 std::string FixturePath(const std::string& rel) {

@@ -16,6 +16,7 @@
 #include "data/synthetic.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tests/json_check.h"
 #include "tests/test_world.h"
 #include "util/stats.h"
 
@@ -231,14 +232,7 @@ TEST(TraceTest, JsonIsWellFormedChromeTrace) {
   EXPECT_NE(json.find("\"cat\": \"iq\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": "), std::string::npos);
   EXPECT_NE(json.find("\"dur\": "), std::string::npos);
-  // Balanced braces/brackets (cheap well-formedness check, no parser dep).
-  int braces = 0, brackets = 0;
-  for (char ch : json) {
-    braces += ch == '{' ? 1 : ch == '}' ? -1 : 0;
-    brackets += ch == '[' ? 1 : ch == ']' ? -1 : 0;
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  EXPECT_TRUE(IsStructurallyValidJson(json));
   tc.Clear();
 }
 
@@ -290,13 +284,7 @@ TEST(TraceTest, FlatExportCarriesThreadMetadataAndCausalArgs) {
     ++meta;
   }
   EXPECT_GE(meta, 2u);
-  int braces = 0, brackets = 0;
-  for (char ch : json) {
-    braces += ch == '{' ? 1 : ch == '}' ? -1 : 0;
-    brackets += ch == '[' ? 1 : ch == ']' ? -1 : 0;
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  EXPECT_TRUE(IsStructurallyValidJson(json));
   tc.Clear();
   tc.ClearRetained();  // the root above may have been retained
 }

@@ -598,7 +598,7 @@ TEST(ParallelDiffTest, SolveBatchOnPinnedEpochIdenticalUnderChurn) {
 }
 
 TEST(ParallelDiffTest, SolveBatchIdenticalWithTracingOnAndOff) {
-  // Causal tracing (DESIGN.md §14) is observation-only: a forced-retention
+  // Causal tracing (DESIGN.md §11) is observation-only: a forced-retention
   // run (1 ns slow-trace threshold traces every root solve) must reproduce
   // the untraced results byte for byte, at every thread count.
   constexpr int kN = 40, kM = 24;

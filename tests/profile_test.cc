@@ -1,11 +1,14 @@
-// Tests for the contention / critical-path profiler: the lock-free capture
-// layer (util/prof.h), wait-time attribution by mutex rank under injected
-// contention, chunk-span capture through ThreadPool::ParallelFor and the
-// serial fallback, the ProfileReport JSON round-trip that tools/iq_prof
-// depends on, the /profilez endpoint shape, and the flight recorder's
-// dropped-event counter mirroring. This suite also runs under the TSan CI
-// lane ("Prof" is in the lane's test regex) — the capture layer's whole
-// point is recording from many threads without locks.
+// Tests for the contention / critical-path profiler over the one span
+// model: mutex wait attribution by rank under injected contention
+// (util/prof.h), ParallelFor chunks captured as trace spans through the pool
+// and the serial fallback, the profile-window dump round-trip through the
+// tools/iq_trace scanner, the /profilez endpoint shape, escaping of every
+// string in the iq_trace JSON report, and the flight recorder's
+// dropped-event counter mirroring. Chunk spans exist only when tracing is
+// compiled in, so their assertions are guarded; mutex attribution is not.
+// This suite also runs under the TSan CI lane ("Prof" is in the lane's test
+// regex) — the capture layer's whole point is recording from many threads
+// without locks.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +20,12 @@
 #include "obs/event_log.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
+#include "obs/trace.h"
+#include "obs/trace_analysis.h"
+#include "tests/json_check.h"
 #include "util/annotations.h"
 #include "util/prof.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -34,20 +40,35 @@ void SpinFor(uint64_t nanos) {
   }
 }
 
-/// RAII guard: every test that enables profiling must leave it off and the
-/// buffers empty, whatever its assertions do.
+/// RAII guard: every test that profiles must leave mutex capture and
+/// tracing off and the buffers empty, whatever its assertions do.
 struct ProfilingScope {
-  ProfilingScope() {
+  ProfilingScope() { Off(); }
+  ~ProfilingScope() { Off(); }
+  static void Off() {
     prof::SetEnabled(false);
     prof::Reset();
-  }
-  ~ProfilingScope() {
-    prof::SetEnabled(false);
-    prof::Reset();
+    TraceCollector::Global().SetEnabled(false);
+    TraceCollector::Global().Clear();
   }
 };
 
-const MutexSiteReport* FindMutex(const ProfileReport& r,
+/// Parses a one-window dump and analyzes the window.
+ProfileAnalysis AnalyzeOnlyWindow(const std::string& records) {
+  const TraceDump dump = ParseTracezDump(records);
+  EXPECT_EQ(dump.windows.size(), 1u);
+  return dump.windows.empty() ? ProfileAnalysis{}
+                              : AnalyzeProfileWindow(dump.windows[0]);
+}
+
+/// The body of an exporter response.
+std::string Body(const std::string& response) {
+  const size_t at = response.find("\r\n\r\n");
+  EXPECT_NE(at, std::string::npos);
+  return at == std::string::npos ? "" : response.substr(at + 4);
+}
+
+const MutexSiteReport* FindMutex(const ProfileAnalysis& r,
                                  const std::string& label) {
   for (const MutexSiteReport& m : r.mutexes) {
     if (m.label == label) return &m;
@@ -55,7 +76,7 @@ const MutexSiteReport* FindMutex(const ProfileReport& r,
   return nullptr;
 }
 
-const ParallelSiteReport* FindSite(const ProfileReport& r,
+const ParallelSiteReport* FindSite(const ProfileAnalysis& r,
                                    const std::string& site) {
   for (const ParallelSiteReport& p : r.parallel_sites) {
     if (p.site == site) return &p;
@@ -67,18 +88,27 @@ TEST(ProfileTest, ContentionAttributionByRank) {
   ProfilingScope scope;
   Mutex hot(LockRank::kEngine, "ProfileTest::hot");
   Mutex cold(LockRank::kLeaf, "ProfileTest::cold");
-  prof::SetEnabled(true);
-  const uint64_t start_ns = prof::EnabledSinceNanos();
+  ProfileSession session;
+  session.Start();
 
   // Two threads fight over `hot`, each holding it for a spin long enough
   // that the other almost always blocks; `cold` is locked 500 times from
   // this thread only and can never contend.
+  // Whoever locks first holds its first acquisition until the other
+  // thread is running (bounded) and a millisecond more, so the loops overlap
+  // even when a busy scheduler would otherwise run them back to back.
   constexpr int kIters = 150;
   constexpr uint64_t kHoldNanos = 30'000;
-  auto hammer = [&hot] {
+  std::atomic<int> started{0};
+  auto hammer = [&hot, &started] {
+    started.fetch_add(1);
     for (int i = 0; i < kIters; ++i) {
       MutexLock lock(&hot);
-      SpinFor(kHoldNanos);
+      for (WallTimer wait; i == 0 && started.load() < 2 &&
+                           wait.ElapsedNanos() < 500'000'000;) {
+        std::this_thread::yield();
+      }
+      SpinFor(i == 0 ? 1'000'000 : kHoldNanos);
     }
   };
   std::thread a(hammer);
@@ -88,10 +118,8 @@ TEST(ProfileTest, ContentionAttributionByRank) {
   }
   a.join();
   b.join();
-  const uint64_t end_ns = prof::NowNanos();
-  prof::SetEnabled(false);
 
-  ProfileReport report = BuildProfileReport("contention", start_ns, end_ns);
+  const ProfileAnalysis report = AnalyzeOnlyWindow(session.Stop("contention"));
   const MutexSiteReport* hot_site = FindMutex(report, "ProfileTest::hot");
   const MutexSiteReport* cold_site = FindMutex(report, "ProfileTest::cold");
   ASSERT_NE(hot_site, nullptr);
@@ -121,11 +149,13 @@ TEST(ProfileTest, ContentionAttributionByRank) {
             0.9 * static_cast<double>(report.total_wait_nanos));
 }
 
+#if defined(IQ_TRACING_ENABLED)
+
 TEST(ProfileTest, ChunkSpansThroughPoolAndSerialFallback) {
   ProfilingScope scope;
   ThreadPool pool(2);
-  prof::SetEnabled(true);
-  const uint64_t start_ns = prof::EnabledSinceNanos();
+  ProfileSession session;
+  session.Start();
 
   constexpr int64_t kItems = 512;
   std::atomic<int64_t> touched{0};
@@ -142,11 +172,9 @@ TEST(ProfileTest, ChunkSpansThroughPoolAndSerialFallback) {
       nullptr, 64,
       [](int64_t, int64_t) { SpinFor(50'000); }, "profile_test.serial");
 
-  const uint64_t end_ns = prof::NowNanos();
-  prof::SetEnabled(false);
+  const ProfileAnalysis report = AnalyzeOnlyWindow(session.Stop("spans"));
   EXPECT_EQ(touched.load(), kItems);
 
-  ProfileReport report = BuildProfileReport("spans", start_ns, end_ns);
   const ParallelSiteReport* pooled = FindSite(report, "profile_test.pooled");
   ASSERT_NE(pooled, nullptr);
   EXPECT_EQ(pooled->calls, 1u);
@@ -174,9 +202,9 @@ TEST(ProfileTest, ChunkSpansThroughPoolAndSerialFallback) {
 }
 
 TEST(ProfileTest, ChunkImbalanceCollapsesUnderDynamicPolicy) {
-  // Contention-injection differential for the work-stealing tentpole: the
-  // same heavy-tailed workload (16 items spinning ~20ms, 176 items ~2us —
-  // the shape PR 7 measured on greedy.candidate_eval at ~140x) is profiled
+  // Contention-injection differential for work stealing: the same
+  // heavy-tailed workload (16 items spinning ~20ms, 176 items ~2us — the
+  // shape once measured on greedy.candidate_eval at ~140x) is profiled
   // under both chunk policies. Static chunking must report a pathological
   // max/median chunk ratio (the whole heavy head lands in the first fixed
   // chunk) while dynamic claiming collapses it: heavy items become
@@ -195,16 +223,15 @@ TEST(ProfileTest, ChunkImbalanceCollapsesUnderDynamicPolicy) {
     }
   };
 
-  prof::SetEnabled(true);
-  const uint64_t start_ns = prof::EnabledSinceNanos();
+  ProfileSession session;
+  session.Start();
   pool.ParallelFor(kItems, heavy_tailed, "profile_test.static_tail",
                    ChunkPolicy::kStatic);
   pool.ParallelFor(kItems, heavy_tailed, "profile_test.dynamic_tail",
                    ChunkPolicy::kDynamic);
-  const uint64_t end_ns = prof::NowNanos();
-  prof::SetEnabled(false);
-
-  ProfileReport report = BuildProfileReport("chunk-policy", start_ns, end_ns);
+  const TraceDump dump = ParseTracezDump(session.Stop("chunk-policy"));
+  ASSERT_EQ(dump.windows.size(), 1u);
+  const ProfileAnalysis report = AnalyzeProfileWindow(dump.windows[0]);
   const ParallelSiteReport* stat =
       FindSite(report, "profile_test.static_tail");
   const ParallelSiteReport* dyn =
@@ -232,25 +259,21 @@ TEST(ProfileTest, ChunkImbalanceCollapsesUnderDynamicPolicy) {
       << "dynamic max " << dyn->max_chunk_nanos << " median "
       << dyn->median_chunk_nanos;
 
-  // The counters survive the iq_prof --json= round-trip...
-  std::vector<ProfileReport> parsed = ParseProfileReports(report.ToJson());
-  ASSERT_EQ(parsed.size(), 1u);
-  const ParallelSiteReport* dyn_rt =
-      FindSite(parsed[0], "profile_test.dynamic_tail");
-  ASSERT_NE(dyn_rt, nullptr);
-  EXPECT_EQ(dyn_rt->claims, dyn->claims);
-  EXPECT_EQ(dyn_rt->steals, dyn->steals);
-  EXPECT_EQ(FindSite(parsed[0], "profile_test.static_tail")->steals, 0u);
-
-  // ...and surface in the human-readable serialization report.
-  const std::string text = FormatSerializationReport(parsed, 4);
-  EXPECT_NE(text.find("claims stolen"), std::string::npos);
+  // The counters reach iq_trace's machine report and its text report.
+  EXPECT_NE(TraceReportJson(dump).find(StrFormat(
+                "\"claims\": %llu, \"steals\": %llu",
+                static_cast<unsigned long long>(dyn->claims),
+                static_cast<unsigned long long>(dyn->steals))),
+            std::string::npos);
+  EXPECT_NE(FormatTraceReport(dump, 4).find("claims stolen"),
+            std::string::npos);
 }
 
 TEST(ProfileTest, StealCountersRoundTripThroughProfilezEndpoint) {
   ProfilingScope scope;
   ThreadPool pool(2);
   prof::SetEnabled(true);
+  TraceCollector::Global().SetEnabled(true);
   pool.ParallelFor(
       64,
       [](int64_t begin, int64_t end) {
@@ -259,176 +282,182 @@ TEST(ProfileTest, StealCountersRoundTripThroughProfilezEndpoint) {
         }
       },
       "profile_test.profilez_steals", ChunkPolicy::kDynamic);
-  const std::string response = ExporterResponseForPath("/profilez", 0);
-  prof::SetEnabled(false);
+  const std::string body = Body(ExporterResponseForPath("/profilez", 0));
 
-  const size_t body_at = response.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
-  std::vector<ProfileReport> parsed =
-      ParseProfileReports(response.substr(body_at + 4));
-  ASSERT_EQ(parsed.size(), 1u);
+  const ProfileAnalysis report = AnalyzeOnlyWindow(body);
   const ParallelSiteReport* site =
-      FindSite(parsed[0], "profile_test.profilez_steals");
+      FindSite(report, "profile_test.profilez_steals");
   ASSERT_NE(site, nullptr);
-  // One claim per item under dynamic claiming; the exported JSON carries
-  // the claim/steal keys (steals may be zero on a one-core box, so assert
-  // presence and consistency rather than a positive count here).
+  // One claim per item under dynamic claiming; the dump carries the
+  // claim/steal args (steals may be zero on a one-core box, so assert
+  // consistency rather than a positive count here).
+  EXPECT_EQ(site->calls, 1u);
+  EXPECT_EQ(site->items, 64);
   EXPECT_EQ(site->claims, 64u);
   EXPECT_LE(site->steals, site->claims);
-  EXPECT_NE(response.find("\"claims\":"), std::string::npos);
-  EXPECT_NE(response.find("\"steals\":"), std::string::npos);
+  EXPECT_NE(body.find("\"arg2\":"), std::string::npos);
 }
 
 TEST(ProfileTest, WorkerTimelineRecordsPoolActivity) {
+  // Per-thread busy/idle is derived from the union of each thread's chunk
+  // spans: every thread that ran chunks is busy for part of the window,
+  // and busy + idle is exactly the window.
   ProfilingScope scope;
   ThreadPool pool(2);
-  prof::SetEnabled(true);
-  const uint64_t start_ns = prof::EnabledSinceNanos();
+  ProfileSession session;
+  session.Start();
   for (int round = 0; round < 4; ++round) {
     pool.ParallelFor(
         128, [](int64_t, int64_t) { SpinFor(5'000); },
         "profile_test.timeline");
   }
-  const uint64_t end_ns = prof::NowNanos();
-  prof::SetEnabled(false);
-
-  ProfileReport report = BuildProfileReport("timeline", start_ns, end_ns);
-  // Helper tasks are mandatory for ParallelFor completion (the caller
-  // blocks on their drain), so at least one worker must have logged a
-  // transition; worker ids are nonzero (0 is the calling thread).
-  ASSERT_FALSE(report.workers.empty());
-  for (const WorkerReport& w : report.workers) {
-    EXPECT_GT(w.worker, 0u);
-    EXPECT_GT(w.running_nanos + w.idle_nanos, 0u);
+  const ProfileAnalysis report = AnalyzeOnlyWindow(session.Stop("timeline"));
+  ASSERT_FALSE(report.threads.empty());
+  for (const ThreadBusyReport& t : report.threads) {
+    EXPECT_GT(t.tid, 0);
+    EXPECT_GT(t.busy_nanos, 0u);
+    EXPECT_EQ(t.busy_nanos + t.idle_nanos, report.window_nanos);
   }
 }
 
+#endif  // IQ_TRACING_ENABLED
+
 TEST(ProfileTest, ReportJsonRoundTrip) {
-  ProfileReport r;
-  r.label = "threads=4";
-  r.enabled = true;
-  r.window_nanos = 1000000;
-  r.coverage_nanos = 600000;
-  r.serial_fraction = 0.4;
-  r.total_wait_nanos = 12345;
-  r.dropped_records = 7;
-  r.mutexes.push_back({"IqEngine::mu_", "kEngine", 42, 5, 12000, 900, 88000});
-  r.mutexes.push_back({"ThreadPool::mu_", "kPoolQueue", 10, 1, 345, 345, 50});
-  r.parallel_sites.push_back({"engine.solve_batch", 3, 24, 640, 555000,
-                              540000, 20000, 46000, 2.3, 640, 41});
-  r.workers.push_back({1, 400000, 100000});
-  r.workers.push_back({2, 350000, 150000});
+  // A hand-written window: two ParallelFor calls at one site (chunks of
+  // 100/100/400 us), one mutex line, and a stray span that is not a chunk.
+  const std::string window = R"(
+{"profile_window": {"label": "threads=4", "enabled": true, "start_ns": 1000, "dur_ns": 1000000, "dropped_records": 7}},
+{"mutex": {"label": "IqEngine::mu_", "rank": "kEngine", "acquisitions": 42, "contended": 5, "wait_nanos": 12000, "max_wait_nanos": 900, "held_nanos": 88000}},
+{"span": {"trace_id": 0, "span_id": 1, "parent_span_id": 0, "name": "ParallelFor", "tid": 1, "start_ns": 1000, "dur_ns": 300000, "arg0": 40}},
+{"span": {"trace_id": 0, "span_id": 2, "parent_span_id": 1, "name": "engine.solve_batch", "tid": 1, "start_ns": 1000, "dur_ns": 100000, "arg0": 20, "arg1": 20, "arg2": 0}},
+{"span": {"trace_id": 0, "span_id": 3, "parent_span_id": 1, "name": "engine.solve_batch", "tid": 2, "start_ns": 1000, "dur_ns": 100000, "arg0": 20, "arg1": 20, "arg2": 3}},
+{"span": {"trace_id": 0, "span_id": 4, "parent_span_id": 0, "name": "ParallelFor", "tid": 1, "start_ns": 501000, "dur_ns": 400000, "arg0": 1}},
+{"span": {"trace_id": 0, "span_id": 5, "parent_span_id": 4, "name": "engine.solve_batch", "tid": 1, "start_ns": 501000, "dur_ns": 400000, "arg0": 1, "arg1": 1, "arg2": 0}},
+{"span": {"trace_id": 0, "span_id": 6, "parent_span_id": 5, "name": "MinCostIq", "tid": 1, "start_ns": 502000, "dur_ns": 1000}})";
+  const TraceDump dump = ParseTracezDump(window);
+  ASSERT_EQ(dump.windows.size(), 1u);
+  EXPECT_FALSE(dump.tracez);
+  const ParsedProfileWindow& w = dump.windows[0];
+  EXPECT_EQ(w.label, "threads=4");
+  EXPECT_TRUE(w.enabled);
+  EXPECT_EQ(w.start_ns, 1000u);
+  EXPECT_EQ(w.dur_ns, 1000000u);
+  EXPECT_EQ(w.dropped_records, 7u);
+  ASSERT_EQ(w.mutexes.size(), 1u);
+  EXPECT_EQ(w.mutexes[0].label, "IqEngine::mu_");
+  EXPECT_EQ(w.mutexes[0].rank, "kEngine");
+  EXPECT_EQ(w.mutexes[0].acquisitions, 42u);
+  EXPECT_EQ(w.mutexes[0].contended, 5u);
+  EXPECT_EQ(w.mutexes[0].wait_nanos, 12000u);
+  EXPECT_EQ(w.mutexes[0].max_wait_nanos, 900u);
+  EXPECT_EQ(w.mutexes[0].held_nanos, 88000u);
+  ASSERT_EQ(w.spans.size(), 6u);
+  EXPECT_EQ(w.spans[2].arg2, 3);
 
-  const std::string json = r.ToJson();
-  std::vector<ProfileReport> parsed = ParseProfileReports(json);
-  ASSERT_EQ(parsed.size(), 1u);
-  const ProfileReport& p = parsed[0];
-  EXPECT_EQ(p.label, "threads=4");
-  EXPECT_TRUE(p.enabled);
-  EXPECT_EQ(p.window_nanos, 1000000u);
-  EXPECT_EQ(p.coverage_nanos, 600000u);
-  EXPECT_NEAR(p.serial_fraction, 0.4, 1e-6);
-  EXPECT_EQ(p.total_wait_nanos, 12345u);
-  EXPECT_EQ(p.dropped_records, 7u);
-  ASSERT_EQ(p.mutexes.size(), 2u);
-  EXPECT_EQ(p.mutexes[0].label, "IqEngine::mu_");
-  EXPECT_EQ(p.mutexes[0].rank, "kEngine");
-  EXPECT_EQ(p.mutexes[0].acquisitions, 42u);
-  EXPECT_EQ(p.mutexes[0].contended, 5u);
-  EXPECT_EQ(p.mutexes[0].wait_nanos, 12000u);
-  EXPECT_EQ(p.mutexes[0].max_wait_nanos, 900u);
-  EXPECT_EQ(p.mutexes[0].held_nanos, 88000u);
-  ASSERT_EQ(p.parallel_sites.size(), 1u);
-  EXPECT_EQ(p.parallel_sites[0].site, "engine.solve_batch");
-  EXPECT_EQ(p.parallel_sites[0].calls, 3u);
-  EXPECT_EQ(p.parallel_sites[0].chunks, 24u);
-  EXPECT_EQ(p.parallel_sites[0].items, 640);
-  EXPECT_EQ(p.parallel_sites[0].busy_nanos, 555000u);
-  EXPECT_EQ(p.parallel_sites[0].coverage_nanos, 540000u);
-  EXPECT_EQ(p.parallel_sites[0].median_chunk_nanos, 20000u);
-  EXPECT_EQ(p.parallel_sites[0].max_chunk_nanos, 46000u);
-  EXPECT_NEAR(p.parallel_sites[0].imbalance, 2.3, 1e-6);
-  EXPECT_EQ(p.parallel_sites[0].claims, 640u);
-  EXPECT_EQ(p.parallel_sites[0].steals, 41u);
-  ASSERT_EQ(p.workers.size(), 2u);
-  EXPECT_EQ(p.workers[1].worker, 2u);
-  EXPECT_EQ(p.workers[1].running_nanos, 350000u);
-  EXPECT_EQ(p.workers[1].idle_nanos, 150000u);
+  const ProfileAnalysis a = AnalyzeProfileWindow(w);
+  EXPECT_EQ(a.total_wait_nanos, 12000u);
+  ASSERT_EQ(a.parallel_sites.size(), 1u);
+  const ParallelSiteReport& p = a.parallel_sites[0];
+  EXPECT_EQ(p.site, "engine.solve_batch");
+  EXPECT_EQ(p.calls, 2u);
+  EXPECT_EQ(p.chunks, 3u);
+  EXPECT_EQ(p.items, 41);
+  EXPECT_EQ(p.busy_nanos, 600000u);
+  EXPECT_EQ(p.coverage_nanos, 500000u);
+  EXPECT_EQ(p.median_chunk_nanos, 100000u);
+  EXPECT_EQ(p.max_chunk_nanos, 400000u);
+  EXPECT_NEAR(p.imbalance, 4.0, 1e-9);
+  EXPECT_EQ(p.claims, 41u);
+  EXPECT_EQ(p.steals, 3u);
+  EXPECT_EQ(a.coverage_nanos, 500000u);
+  EXPECT_NEAR(a.serial_fraction, 0.5, 1e-9);
+  EXPECT_NEAR(a.ProjectedSpeedup(2), 1.0 / 0.75, 1e-9);
+  ASSERT_EQ(a.threads.size(), 2u);
+  EXPECT_EQ(a.threads[0].tid, 1);
+  EXPECT_EQ(a.threads[0].busy_nanos, 500000u);
+  EXPECT_EQ(a.threads[1].busy_nanos, 100000u);
+  EXPECT_EQ(a.threads[1].idle_nanos, 900000u);
 
-  // A multi-report dump (the micro_parallel --profile= framing) parses
-  // into one report per profile_label, ignoring the run-metadata lines.
-  const std::string dump =
+  // A multi-window dump (the micro_parallel --profile= framing) parses
+  // into one window per profile_window line, ignoring run metadata.
+  const std::string dump_text =
       "{\"bench\":\"micro_parallel\",\"run\":{\"git_sha\": \"abc\", "
-      "\"num_threads\": 1},\n\"profiles\": [\n" +
-      json + ",\n" + json + "\n]}\n";
-  EXPECT_EQ(ParseProfileReports(dump).size(), 2u);
+      "\"num_threads\": 1},\n\"profiles\": [" +
+      window + "," + window + "\n]}\n";
+  EXPECT_EQ(ParseTracezDump(dump_text).windows.size(), 2u);
 }
 
 TEST(ProfileTest, ProfilezEndpointShape) {
   ProfilingScope scope;
-  // Disabled: a placeholder report, still labeled and valid.
+  // Disabled: a placeholder window, still labeled and valid.
   std::string response = ExporterResponseForPath("/profilez", 0);
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("application/json"), std::string::npos);
-  EXPECT_NE(response.find("\"profile_label\": \"live\""), std::string::npos);
-  EXPECT_NE(response.find("\"enabled\": false"), std::string::npos);
+  EXPECT_TRUE(IsStructurallyValidJson(Body(response)));
+  TraceDump dump = ParseTracezDump(Body(response));
+  ASSERT_EQ(dump.windows.size(), 1u);
+  EXPECT_EQ(dump.windows[0].label, "live");
+  EXPECT_FALSE(dump.windows[0].enabled);
+  EXPECT_NE(ProfileVerdict(AnalyzeProfileWindow(dump.windows[0]))
+                .find("no profile data"),
+            std::string::npos);
 
-  // Enabled with captured work: the live report carries the site.
+  // Enabled: the live window carries the mutex capture and — with tracing
+  // on — the serial fallback's chunk span.
   prof::SetEnabled(true);
+  TraceCollector::Global().SetEnabled(true);
+  Mutex mu(LockRank::kLeaf, "ProfileTest::profilez");
+  { MutexLock lock(&mu); }
   ParallelForOrSerial(
       nullptr, 8, [](int64_t, int64_t) { SpinFor(10'000); },
       "profile_test.profilez");
   response = ExporterResponseForPath("/profilez", 0);
-  prof::SetEnabled(false);
-  EXPECT_NE(response.find("\"enabled\": true"), std::string::npos);
-  EXPECT_NE(response.find("\"serial_fraction\":"), std::string::npos);
-  EXPECT_NE(response.find("\"projected_speedup_8\":"), std::string::npos);
-  EXPECT_NE(response.find("profile_test.profilez"), std::string::npos);
-
-  // The parsed form round-trips through the same scanner iq_prof uses.
-  size_t body_at = response.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
-  std::vector<ProfileReport> parsed =
-      ParseProfileReports(response.substr(body_at + 4));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].label, "live");
-  EXPECT_NE(FindSite(parsed[0], "profile_test.profilez"), nullptr);
+  EXPECT_TRUE(IsStructurallyValidJson(Body(response)));
+  dump = ParseTracezDump(Body(response));
+  ASSERT_EQ(dump.windows.size(), 1u);
+  EXPECT_TRUE(dump.windows[0].enabled);
+  const ProfileAnalysis a = AnalyzeProfileWindow(dump.windows[0]);
+  EXPECT_NE(FindMutex(a, "ProfileTest::profilez"), nullptr);
+#if defined(IQ_TRACING_ENABLED)
+  EXPECT_NE(FindSite(a, "profile_test.profilez"), nullptr);
+  EXPECT_LT(a.serial_fraction, 1.0);
+#endif
 }
 
 TEST(ProfileTest, SerializationReportShape) {
-  ProfileReport r;
-  r.label = "threads=8";
-  r.window_nanos = 1000000;
-  r.coverage_nanos = 300000;
-  r.serial_fraction = 0.7;
-  r.mutexes.push_back({"IqEngine::mu_", "kEngine", 10, 2, 1000, 600, 5000});
-  r.parallel_sites.push_back(
-      {"engine.solve_batch", 1, 8, 64, 290000, 280000, 30000, 40000, 1.3});
-  std::vector<ProfileReport> reports{r};
+  // One window: a single 300us chunk in a 1ms window (serial fraction 0.7)
+  // and negligible lock wait -> the serial-fraction ceiling verdict.
+  const TraceDump dump = ParseTracezDump(R"(
+{"profile_window": {"label": "threads=8", "enabled": true, "start_ns": 0, "dur_ns": 1000000, "dropped_records": 0}},
+{"mutex": {"label": "IqEngine::mu_", "rank": "kEngine", "acquisitions": 10, "contended": 2, "wait_nanos": 1000, "max_wait_nanos": 600, "held_nanos": 5000}},
+{"span": {"trace_id": 0, "span_id": 1, "parent_span_id": 0, "name": "ParallelFor", "tid": 1, "start_ns": 0, "dur_ns": 300000, "arg0": 64}},
+{"span": {"trace_id": 0, "span_id": 2, "parent_span_id": 1, "name": "engine.solve_batch", "tid": 1, "start_ns": 0, "dur_ns": 300000, "arg0": 64, "arg1": 1, "arg2": 0}})");
 
-  const std::string text = FormatSerializationReport(reports, 5);
+  const std::string text = FormatTraceReport(dump, 5);
   EXPECT_NE(text.find("profile threads=8"), std::string::npos);
   EXPECT_NE(text.find("projected speedup"), std::string::npos);
   EXPECT_NE(text.find("IqEngine::mu_"), std::string::npos);
   EXPECT_NE(text.find("engine.solve_batch"), std::string::npos);
   EXPECT_NE(text.find("verdict:"), std::string::npos);
-  // serial fraction 0.7 with negligible lock wait -> the ceiling verdict.
   EXPECT_NE(text.find("serial fraction 0.70 is the ceiling"),
             std::string::npos);
+  // A profile-only dump renders no trace section.
+  EXPECT_EQ(text.find("retained trace"), std::string::npos);
 
-  const std::string json = SerializationReportJson(reports);
-  EXPECT_NE(json.find("\"iq_prof\""), std::string::npos);
+  const std::string json = TraceReportJson(dump);
+  EXPECT_TRUE(IsStructurallyValidJson(json));
+  EXPECT_NE(json.find("\"iq_trace\""), std::string::npos);
   EXPECT_NE(json.find("\"num_profiles\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"verdict\": \""), std::string::npos);
-  // The machine report embeds the same per-profile JSON the parser reads.
-  EXPECT_EQ(ParseProfileReports(json).size(), 1u);
+  EXPECT_NE(json.find("\"profile_verdict\": \"serial fraction 0.70"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"profile_analysis\""), std::string::npos);
 
-  EXPECT_NE(FormatSerializationReport({}, 5).find("no profiles"),
+  EXPECT_NE(FormatTraceReport({}, 5).find("no retained traces or profile"),
             std::string::npos);
 }
 
 TEST(ProfileTest, VerdictPicksContentionWhenWaitDominates) {
-  ProfileReport r;
+  ProfileAnalysis r;
   r.label = "threads=4";
   r.window_nanos = 1000000;
   r.coverage_nanos = 900000;
@@ -442,6 +471,32 @@ TEST(ProfileTest, VerdictPicksContentionWhenWaitDominates) {
   EXPECT_NE(verdict.find("lock contention"), std::string::npos);
   EXPECT_NE(verdict.find("IqEngine::mu_"), std::string::npos);
   EXPECT_NE(verdict.find("kEngine"), std::string::npos);
+}
+
+TEST(ProfileTest, ReportJsonEscapesHostileStrings) {
+  // A hand-edited dump whose op and span name carry a backslash and a
+  // quote (JSON-escaped in the dump), plus a second trace whose op ends in
+  // a lone backslash that escapes its closing quote. Every string iq_trace
+  // writes back must be escaped, so the machine report stays valid JSON.
+  const std::string dump_text = R"({"tracez": {
+"config": {"slow_trace_nanos": 1, "keep_first_n": 0, "max_retained": 8},
+"counters": {"dropped": 0, "slow_retained": 2, "discarded": 0},
+"traces": [
+{"trace_summary": {"trace_id": 7, "op": "evil\\op\"x\\", "start_ns": 0, "dur_ns": 100, "erred": false, "warmup": false, "num_spans": 1, "num_threads": 1}},
+{"span": {"trace_id": 7, "span_id": 7, "parent_span_id": 0, "name": "evil\\op\"x\\", "tid": 1, "start_ns": 0, "dur_ns": 100}},
+{"trace_summary": {"trace_id": 8, "op": "trailing\", "start_ns": 0, "dur_ns": 100, "erred": false, "warmup": false, "num_spans": 0, "num_threads": 0}}
+]
+}})";
+  const TraceDump dump = ParseTracezDump(dump_text);
+  ASSERT_EQ(dump.traces.size(), 2u);
+  EXPECT_EQ(dump.traces[0].op, "evil\\op\"x\\");
+  ASSERT_EQ(dump.traces[0].spans.size(), 1u);
+  EXPECT_EQ(dump.traces[0].spans[0].name, "evil\\op\"x\\");
+
+  const std::string json = TraceReportJson(dump);
+  EXPECT_TRUE(IsStructurallyValidJson(json)) << json;
+  EXPECT_NE(json.find(R"("op": "evil\\op\"x\\")"), std::string::npos);
+  EXPECT_NE(json.find(R"("name": "evil\\op\"x\\")"), std::string::npos);
 }
 
 TEST(ProfileTest, EventLogDropsMirroredToMetricsCounter) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "topk/rta.h"
 #include "topk/threshold_algorithm.h"
@@ -69,23 +70,28 @@ TEST(HitRuleTest, StrictInequality) {
   EXPECT_TRUE(HitByThreshold(0.7, std::numeric_limits<double>::infinity()));
 }
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are uninitialized and would make the
+// test names change from build to build.
 struct RtaCase {
   int n;
   int m;
-  int dim;
+  int64_t dim;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<RtaCase>);
 
 class RtaSweep : public testing::TestWithParam<RtaCase> {};
 
 TEST_P(RtaSweep, CountHitsMatchesBruteForce) {
   const auto& param = GetParam();
-  auto rows = RandomRows(param.n, param.dim, param.seed);
+  const int dim = static_cast<int>(param.dim);
+  auto rows = RandomRows(param.n, dim, param.seed);
   Rng rng(param.seed + 100);
   std::vector<Vec> ws;
   std::vector<int> ks;
   for (int q = 0; q < param.m; ++q) {
-    ws.push_back(rng.UniformVector(param.dim, 0.0, 1.0));
+    ws.push_back(rng.UniformVector(dim, 0.0, 1.0));
     ks.push_back(1 + static_cast<int>(rng.UniformInt(0, 9)));
   }
   const int target = 0;

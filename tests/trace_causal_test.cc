@@ -1,4 +1,4 @@
-// Cross-thread causal tracing (DESIGN.md §14): the spans of one solve must
+// Cross-thread causal tracing (DESIGN.md §11): the spans of one solve must
 // form one tree under one trace id no matter how many workers executed its
 // chunks. The tests force retention with a 1 ns slow-trace threshold, run
 // SolveBatch across num_threads in {0, 1, 2, 8} (serial fallback, caller
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -25,7 +26,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
+#include "tests/json_check.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 #include "util/trace_context.h"
 
 #if defined(IQ_TRACING_ENABLED)
@@ -110,6 +113,21 @@ int CountSpansNamed(const RetainedTrace& rt, const std::string& name) {
   return static_cast<int>(std::count_if(
       rt.spans.begin(), rt.spans.end(),
       [&](const TraceEvent& s) { return name == s.name; }));
+}
+
+/// The chunk spans ParallelFor recorded for `site`: children of a
+/// kParallelForSpanName call span, named by the site.
+std::vector<TraceEvent> ChunkSpans(const RetainedTrace& rt,
+                                   const std::string& site) {
+  std::set<uint64_t> calls;
+  for (const TraceEvent& s : rt.spans) {
+    if (std::string(s.name) == kParallelForSpanName) calls.insert(s.span_id);
+  }
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& s : rt.spans) {
+    if (site == s.name && calls.count(s.parent_span_id) > 0) out.push_back(s);
+  }
+  return out;
 }
 
 Result<IqEngine> MakeTracedEngine(int n, int m, int dim, uint64_t seed,
@@ -207,11 +225,20 @@ TEST(TraceCausalTest, ParallelForChunksJoinTheDispatchersTrace) {
     SCOPED_TRACE(policy == ChunkPolicy::kStatic ? "static" : "dynamic");
     TraceCollector::Global().ClearRetained();
     TraceCollector::Global().Clear();
+    // Every chunk waits (bounded) until a helper has joined the fan-out, so
+    // a busy scheduler cannot let the caller drain the range alone.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> helper_joined{false};
     {
       IQ_TRACE_ROOT_SCOPE(root, "test.fanout");
       pool.ParallelFor(
           kN,
           [&](int64_t begin, int64_t end) {
+            if (std::this_thread::get_id() != caller) helper_joined = true;
+            for (WallTimer wait;
+                 !helper_joined && wait.ElapsedNanos() < 500'000'000;) {
+              std::this_thread::yield();
+            }
             for (int64_t i = begin; i < end; ++i) {
               IQ_TRACE_SCOPE_ARG("test.chunk_item", i);
               // Enough work per item that several workers claim chunks.
@@ -221,15 +248,23 @@ TEST(TraceCausalTest, ParallelForChunksJoinTheDispatchersTrace) {
               }
             }
           },
-          "test.fanout", policy);
+          "test.fanout_chunk", policy);
     }
     std::vector<RetainedTrace> retained =
         TraceCollector::Global().RetainedTraces();
     ASSERT_EQ(retained.size(), 1u);
     const RetainedTrace& rt = retained[0];
-    ASSERT_EQ(rt.spans.size(), static_cast<size_t>(kN) + 1);
+    // Root + one span per item + the ParallelFor call span + its chunks.
+    const std::vector<TraceEvent> chunks =
+        ChunkSpans(rt, "test.fanout_chunk");
+    ASSERT_FALSE(chunks.empty());
+    ASSERT_EQ(rt.spans.size(), static_cast<size_t>(kN) + 2 + chunks.size());
     ExpectWellFormedTree(rt);
     EXPECT_EQ(CountSpansNamed(rt, "test.chunk_item"), kN);
+    EXPECT_EQ(CountSpansNamed(rt, kParallelForSpanName), 1);
+    int64_t items = 0;
+    for (const TraceEvent& c : chunks) items += c.arg0;
+    EXPECT_EQ(items, kN);
     EXPECT_GE(rt.NumThreads(), 2) << "fan-out never left the caller thread";
   }
 
@@ -262,26 +297,31 @@ TEST(TraceCausalTest, SolveBatchRetainsOneCrossThreadTrace) {
     auto engine = MakeTracedEngine(kN, kM, 3, 2026, num_threads);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     TraceCollector& tc = TraceCollector::Global();
-    tc.ClearRetained();
-    tc.Clear();
 
-    auto batch = engine->SolveBatch(items);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    // Whether helpers claim items before the caller drains a small batch
+    // is up to the scheduler, so a pooled batch gets a few attempts — each
+    // one a fully checked trace — to show its fan-out.
+    int threads_seen = 0;
+    for (int attempt = 0; attempt < 20 && threads_seen < 2; ++attempt) {
+      tc.ClearRetained();
+      tc.Clear();
+      auto batch = engine->SolveBatch(items);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
-    // Exactly one retained trace: the per-item roots joined the batch root
-    // instead of finishing traces of their own.
-    std::vector<RetainedTrace> retained = tc.RetainedTraces();
-    ASSERT_EQ(retained.size(), 1u);
-    const RetainedTrace& rt = retained[0];
-    EXPECT_STREQ(rt.op, "IqEngine::SolveBatch");
-    EXPECT_FALSE(rt.erred);
-    ExpectWellFormedTree(rt);
-    EXPECT_EQ(CountSpansNamed(rt, "SolveBatch.item"),
-              static_cast<int>(items.size()));
-    if (num_threads >= 2) {
-      EXPECT_GE(rt.NumThreads(), 2)
-          << "a " << num_threads << "-thread batch never left one thread";
+      // Exactly one retained trace: the per-item roots joined the batch
+      // root instead of finishing traces of their own.
+      std::vector<RetainedTrace> retained = tc.RetainedTraces();
+      ASSERT_EQ(retained.size(), 1u);
+      const RetainedTrace& rt = retained[0];
+      EXPECT_STREQ(rt.op, "IqEngine::SolveBatch");
+      EXPECT_FALSE(rt.erred);
+      ExpectWellFormedTree(rt);
+      EXPECT_EQ(CountSpansNamed(rt, "SolveBatch.item"),
+                static_cast<int>(items.size()));
+      threads_seen = num_threads >= 2 ? rt.NumThreads() : 2;
     }
+    EXPECT_GE(threads_seen, 2)
+        << "a " << num_threads << "-thread batch never left one thread";
     tc.SetEnabled(false);
     tc.Clear();
     tc.ClearRetained();
@@ -371,6 +411,46 @@ TEST(TraceCausalTest, MetricsMirrorRetentionCounters) {
             before.CounterValue("iq.trace.discarded") + 1);
 }
 
+TEST(TraceCausalTest, SolveBatchChunkSpansCarryClaimsAndSteals) {
+  // A forced-slow batch at 2 threads: the engine.solve_batch chunks are
+  // spans of the retained trace, carrying (items, claims, steals) args,
+  // and the tree stays well formed with them in it.
+  constexpr int kN = 32, kM = 16;
+  const std::vector<BatchItem> items = MakeBatch(kN, kM);
+  auto engine = MakeTracedEngine(kN, kM, 3, 77, 2);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  TraceCollector& tc = TraceCollector::Global();
+  tc.ClearRetained();
+  tc.Clear();
+  ASSERT_TRUE(engine->SolveBatch(items).ok());
+
+  std::vector<RetainedTrace> retained = tc.RetainedTraces();
+  ASSERT_EQ(retained.size(), 1u);
+  const RetainedTrace& rt = retained[0];
+  ExpectWellFormedTree(rt);
+  const std::vector<TraceEvent> chunks = ChunkSpans(rt, "engine.solve_batch");
+  ASSERT_FALSE(chunks.empty());
+  int64_t chunk_items = 0;
+  int64_t claims = 0;
+  for (const TraceEvent& c : chunks) {
+    ASSERT_NE(c.arg0, TraceEvent::kNoArg);
+    ASSERT_NE(c.arg1, TraceEvent::kNoArg);
+    ASSERT_NE(c.arg2, TraceEvent::kNoArg);
+    EXPECT_GE(c.arg1, 1);
+    EXPECT_GE(c.arg2, 0);
+    EXPECT_LE(c.arg2, c.arg1);
+    chunk_items += c.arg0;
+    claims += c.arg1;
+  }
+  EXPECT_EQ(chunk_items, static_cast<int64_t>(items.size()));
+  // The engine's default policy claims items one at a time.
+  EXPECT_EQ(claims, static_cast<int64_t>(items.size()));
+
+  tc.SetEnabled(false);
+  tc.Clear();
+  tc.ClearRetained();
+}
+
 // ---------------------------------------------------------------------------
 // /tracez payload + iq_trace analysis over a real batch trace
 // ---------------------------------------------------------------------------
@@ -440,13 +520,7 @@ TEST(TraceCausalTest, PerfettoExportCarriesTidsAndFlows) {
     EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
   }
-  int braces = 0, brackets = 0;
-  for (char ch : json) {
-    braces += ch == '{' ? 1 : ch == '}' ? -1 : 0;
-    brackets += ch == '[' ? 1 : ch == ']' ? -1 : 0;
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  EXPECT_TRUE(IsStructurallyValidJson(json));
 
   // Unknown ids export nothing.
   EXPECT_TRUE(tc.TraceJson(0xdeadbeef).empty());

@@ -17,9 +17,10 @@
 # their Prometheus names, every sample line must be preceded by # HELP and
 # # TYPE lines, and histograms must expose _bucket/_sum/_count series.
 #
-# --profile validates an iq_prof --json= machine report (DESIGN.md §11):
-# at least one profile with a label and a window, every serial_fraction in
-# [0, 1], and a non-empty verdict sentence.
+# --profile validates an iq_trace --json= machine report over profile
+# windows (DESIGN.md §11): at least one analyzed window, every
+# serial_fraction in [0, 1], no dropped records (a truncated profile must
+# not pass), and a non-empty profile_verdict sentence.
 #
 # --epoch validates the epoch-snapshot gauges/counters (DESIGN.md §12) on a
 # scraped /metrics payload from a run that published at least one update
@@ -28,7 +29,7 @@
 # have cloned cells (iq_index_cow_cells_cloned > 0), and the number of live
 # epochs must be a small positive count, not a leak.
 #
-# --trace validates a scraped /tracez payload (DESIGN.md §14) from a run
+# --trace validates a scraped /tracez payload (DESIGN.md §11) from a run
 # with a forced-low slow-trace threshold: the tail-capture config and
 # counter block must be present, at least one trace must have been
 # retained, every retained trace must carry spans, and the per-summary
@@ -148,7 +149,7 @@ if [ "$check_trace" -eq 1 ]; then
 fi
 
 if [ "$check_profile" -eq 1 ]; then
-  # iq_prof machine report, not a metrics snapshot.
+  # iq_trace machine report over profile windows, not a metrics snapshot.
   num_profiles="$(grep -oE '"num_profiles": [0-9]+' "$json" \
                   | grep -oE '[0-9]+$' || true)"
   if [ -z "$num_profiles" ] || [ "$num_profiles" -eq 0 ]; then
@@ -157,9 +158,9 @@ if [ "$check_profile" -eq 1 ]; then
   else
     echo "check_metrics: $num_profiles profile(s)"
   fi
-  labels="$(grep -c '"profile_label":' "$json" || true)"
-  if [ -z "$num_profiles" ] || [ "$labels" -ne "$num_profiles" ]; then
-    echo "check_metrics: profile_label count ($labels) !=" \
+  analyses="$(grep -c '"profile_analysis":' "$json" || true)"
+  if [ -z "$num_profiles" ] || [ "$analyses" -ne "$num_profiles" ]; then
+    echo "check_metrics: profile_analysis count ($analyses) !=" \
          "num_profiles ($num_profiles)" >&2
     failures=$((failures + 1))
   fi
@@ -179,9 +180,18 @@ if [ "$check_profile" -eq 1 ]; then
     fi
   done
   failures=$((failures + bad_fraction))
-  verdict="$(grep -oE '"verdict": "[^"]+"' "$json" || true)"
+  # A truncated window (ring overwrites, mutex-slot overflow) undercounts:
+  # it must not pass as a complete profile.
+  dropped="$(grep -oE '"dropped_records": [0-9]+' "$json" \
+             | grep -oE '[0-9]+$' | awk '{s += $1} END {print s + 0}')"
+  if [ "$dropped" -gt 0 ]; then
+    echo "check_metrics: $dropped records dropped — the profile is" \
+         "truncated" >&2
+    failures=$((failures + 1))
+  fi
+  verdict="$(grep -oE '"profile_verdict": "[^"]+"' "$json" || true)"
   if [ -z "$verdict" ]; then
-    echo "check_metrics: verdict missing — iq_prof must name the" \
+    echo "check_metrics: profile_verdict missing — iq_trace must name the" \
          "serialization point" >&2
     failures=$((failures + 1))
   else

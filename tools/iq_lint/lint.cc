@@ -4,11 +4,11 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <regex>
-#include <sstream>
 #include <tuple>
 #include <utility>
+
+#include "util/string_util.h"
 
 namespace iq {
 namespace lint {
@@ -194,9 +194,10 @@ const BanRule kBanRules[] = {
      [](const std::string& path) { return StartsWith(path, "src/util/"); }},
     {"direct-trace",
      R"(\bTraceScope\b|\bTraceRoot\b|TraceCollector::Record\b|)"
-     R"(TraceCollector::Global\(\)\s*\.\s*Record\b)",
-     "direct TraceScope/TraceRoot construction or TraceCollector::Record "
-     "call outside src/obs/trace.* (use IQ_TRACE_SCOPE / "
+     R"(TraceCollector::Global\(\)\s*\.\s*Record\b|)"
+     R"(\b(Open|Close)TraceSpan\b)",
+     "direct TraceScope/TraceRoot construction or TraceCollector::Record / "
+     "Open/CloseTraceSpan call outside src/obs/trace.* (use IQ_TRACE_SCOPE / "
      "IQ_TRACE_ROOT_SCOPE so spans compile out when IQ_ENABLE_TRACING is "
      "off and trace-context save/restore stays correct)",
      [](const std::string& path) {
@@ -634,11 +635,9 @@ Result<std::vector<Finding>> LintTree(const std::string& repo_root) {
       // CheckFile; the tree pass must not flag them.
       if (StartsWith(rel, "tests/lint/")) continue;
       if (!IsHeaderPath(rel) && !IsSourcePath(rel)) continue;
-      std::ifstream in(p, std::ios::binary);
-      if (!in) return Status::Internal("cannot read " + rel);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      std::vector<Finding> file_findings = CheckFile(rel, buf.str());
+      Result<std::string> text = ReadFileToString(p.string());
+      if (!text.ok()) return Status::Internal("cannot read " + rel);
+      std::vector<Finding> file_findings = CheckFile(rel, *text);
       findings.insert(findings.end(), file_findings.begin(),
                       file_findings.end());
     }

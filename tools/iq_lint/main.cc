@@ -8,12 +8,11 @@
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "tools/iq_lint/lint.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -63,18 +62,16 @@ int main(int argc, char** argv) {
     findings = std::move(result).value();
   } else {
     for (const std::string& file : files) {
-      std::ifstream in(file, std::ios::binary);
-      if (!in) {
+      iq::Result<std::string> text = iq::ReadFileToString(file);
+      if (!text.ok()) {
         std::fprintf(stderr, "iq_lint: cannot read %s\n", file.c_str());
         return 2;
       }
-      std::ostringstream buf;
-      buf << in.rdbuf();
       // Strip a leading "./" so path-scoped rules (src/util/...) apply the
       // same way they do in tree mode.
       std::string rel =
           file.rfind("./", 0) == 0 ? file.substr(2) : file;
-      for (iq::lint::Finding& f : iq::lint::CheckFile(rel, buf.str())) {
+      for (iq::lint::Finding& f : iq::lint::CheckFile(rel, *text)) {
         findings.push_back(std::move(f));
       }
     }
@@ -95,12 +92,11 @@ int main(int argc, char** argv) {
     if (json_path == "-") {
       std::fputs(json.c_str(), stdout);
     } else {
-      std::ofstream out(json_path, std::ios::binary);
-      if (!out) {
-        std::fprintf(stderr, "iq_lint: cannot write %s\n", json_path.c_str());
+      iq::Status st = iq::WriteStringToFile(json_path, json);
+      if (!st.ok()) {
+        std::fprintf(stderr, "iq_lint: %s\n", st.ToString().c_str());
         return 2;
       }
-      out << json;
     }
   }
 

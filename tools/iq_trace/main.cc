@@ -1,23 +1,24 @@
-// iq_trace — per-trace critical-path summary over /tracez dumps
-// (DESIGN.md §14). Ingests the tail-capture payload produced by
-// obs/trace.h — a saved /tracez scrape, a `bench/micro_parallel
-// --scrape-tracez=` dump, or a live scrape via --scrape= — and prints,
-// per retained trace, the critical path through the span tree, where the
-// wall clock went (self time by span name), and a one-line verdict.
+// iq_trace — the span-dump analyzer (DESIGN.md §11). Ingests what
+// obs/trace.h writes — a saved /tracez or /profilez scrape, a
+// `bench/micro_parallel --scrape-tracez=` or `--profile=` dump, or a live
+// scrape of both endpoints via --scrape= — and reports on what the input
+// holds: per retained trace, the critical path through the span tree,
+// where the wall clock went (self time by span name) and a verdict; per
+// profile window, the serialization report (serial fraction, Amdahl
+// projections, lock wait, ParallelFor chunk imbalance) and a verdict.
 //
 // Usage:
-//   iq_trace <dump.json>           read retained traces from a file
-//   iq_trace --scrape=PORT         scrape 127.0.0.1:PORT/tracez
+//   iq_trace <dump.json>           read traces / profile windows from a file
+//   iq_trace --scrape=PORT         scrape 127.0.0.1:PORT/tracez + /profilez
 //   iq_trace --json=OUT <input>    also write the machine report to OUT
-//   iq_trace --top=N               self-time rows per trace (default 5)
+//   iq_trace --top=N               rows per ranking (default 5)
 //
 // All the analysis logic lives in obs/trace_analysis.{h,cc} (testable
 // in-process); this binary is argument parsing and I/O.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/exporter.h"
@@ -68,33 +69,35 @@ int main(int argc, char** argv) {
 
   std::string text;
   if (scrape_port > 0) {
-    auto body = iq::HttpGetLocal(scrape_port, "/tracez");
-    if (!body.ok()) {
-      std::fprintf(stderr, "iq_trace: scrape failed: %s\n",
-                   body.status().message().c_str());
-      return 1;
+    for (const char* path : {"/tracez", "/profilez"}) {
+      auto body = iq::HttpGetLocal(scrape_port, path);
+      if (!body.ok()) {
+        std::fprintf(stderr, "iq_trace: scrape of %s failed: %s\n", path,
+                     body.status().message().c_str());
+        return 1;
+      }
+      text += *body;
     }
-    text = *body;
   } else {
-    std::ifstream in(input_path);
-    if (!in) {
-      std::fprintf(stderr, "iq_trace: cannot open %s\n", input_path.c_str());
+    iq::Result<std::string> file = iq::ReadFileToString(input_path);
+    if (!file.ok()) {
+      std::fprintf(stderr, "iq_trace: %s\n", file.status().ToString().c_str());
       return 1;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
+    text = *file;
   }
 
   const iq::TraceDump dump = iq::ParseTracezDump(text);
   std::fputs(iq::FormatTraceReport(dump, top_n).c_str(), stdout);
   if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "iq_trace: cannot write %s\n", json_out.c_str());
+    iq::Status st = iq::WriteStringToFile(json_out, iq::TraceReportJson(dump));
+    if (!st.ok()) {
+      std::fprintf(stderr, "iq_trace: %s\n", st.ToString().c_str());
       return 1;
     }
-    out << iq::TraceReportJson(dump);
   }
-  return dump.traces.empty() ? 1 : 0;
+  const bool profiled =
+      std::any_of(dump.windows.begin(), dump.windows.end(),
+                  [](const iq::ParsedProfileWindow& w) { return w.enabled; });
+  return dump.traces.empty() && !profiled ? 1 : 0;
 }
