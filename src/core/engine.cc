@@ -5,10 +5,10 @@
 #include <utility>
 
 #include "core/self_check.h"
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/timer.h"
+#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace iq {
 namespace {
@@ -87,37 +87,75 @@ Result<IqResult> SolveOne(const SubdomainIndex* index,
   return Status::InvalidArgument("unknown scheme");
 }
 
-/// Flight-recorder tail of every solve path: one solve_end event carrying
-/// the per-call EvalBreakdown (success) or the failure status (error), plus
-/// the epoch the solve was pinned to.
-void RecordSolveEnd(const char* op, IqScheme scheme, int target,
-                    const Result<IqResult>& r, double seconds, uint64_t epoch,
-                    uint64_t trace_id) {
-  Event e;
-  if (r.ok()) {
-    const EvalBreakdown& b = r->breakdown;
-    e = EventLog::SolveEnd(op, IqSchemeName(scheme), target, /*ok=*/true,
-                           r->cost, r->hits_before, r->hits_after,
-                           b.iterations, b.candidates_generated,
-                           b.candidates_evaluated, b.queries_rescored,
-                           b.queries_reused, seconds, epoch);
-  } else {
-    e = EventLog::SolveEnd(op, IqSchemeName(scheme), target, /*ok=*/false,
-                           0.0, 0, 0, 0, 0, 0, 0, 0, seconds, epoch);
-    e.note = r.status().ToString();
+/// SolveBatchOn's body: solves `items` against the pinned epoch `snap`,
+/// fanned out over `pool` (serial when null).
+Result<std::vector<IqResult>> SolveItems(const EpochHandle& snap,
+                                         const std::vector<BatchItem>& items,
+                                         IqScheme scheme, ThreadPool* pool,
+                                         ChunkPolicy chunk_policy) {
+  ScopedTimer latency(EngineMetrics::Get().solve_batch_nanos);
+  if (!snap.valid()) {
+    return Status::InvalidArgument("SolveBatchOn requires a pinned epoch");
   }
-  e.trace_id = trace_id;
-  EventLog::Global().Record(std::move(e));
+  // Raw read-only pointers into the pinned epoch for the workers. The pin
+  // (held by the caller for SolveBatchOn, by our Snapshot() temporary for
+  // SolveBatch) keeps the epoch immutable and alive for the whole parallel
+  // region; concurrent mutators publish *newer* epochs and never touch this
+  // one, so the workers' lock-free reads cannot race a write.
+  const SubdomainIndex* index = snap.index_ptr();
+  const FunctionView* view = snap.view_ptr();
+  const QuerySet* queries = snap.queries_ptr();
+  std::vector<std::optional<Result<IqResult>>> slots(items.size());
+  ParallelForOrSerial(
+      pool, static_cast<int64_t>(items.size()),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          BatchItem item = items[static_cast<size_t>(i)];
+          // Items are the parallel unit; their inner candidate loops run
+          // serially (a nested ParallelFor would run inline anyway, this
+          // just makes the contract explicit and thread-count-independent).
+          item.options.pool = nullptr;
+          // Per-item root span, opened on whichever worker claimed the
+          // item. The batch root's context arrived with the chunk, so this
+          // joins the batch's trace as a child span rather than starting a
+          // new one — standalone semantics (own trace) apply only when the
+          // item solve is the outermost traced operation.
+          IQ_TRACE_ROOT_SCOPE(item_root, "SolveBatch.item", item.target, i);
+          slots[static_cast<size_t>(i)] =
+              SolveOne(index, view, queries, item, scheme);
+        }
+      },
+      "engine.solve_batch", chunk_policy);
+  EngineMetrics::Get().batch_items->Increment(
+      static_cast<uint64_t>(items.size()));
+  // Deterministic error policy: the lowest-index failure wins.
+  std::vector<IqResult> out;
+  out.reserve(items.size());
+  for (auto& slot : slots) {
+    if (!slot->ok()) return slot->status();
+    out.push_back(*std::move(*slot));
+  }
+  return out;
 }
 
-/// SolveStart stamped with the solve's causal trace id, so a slow-trace id
-/// from /tracez greps straight into the flight-recorder JSONL.
-void RecordSolveStart(const char* op, IqScheme scheme, int target, int tau,
-                      double beta, uint64_t epoch, uint64_t trace_id) {
-  Event e =
-      EventLog::SolveStart(op, IqSchemeName(scheme), target, tau, beta, epoch);
-  e.trace_id = trace_id;
-  EventLog::Global().Record(std::move(e));
+constexpr int64_t kNoArg = TraceEvent::kNoArg;
+
+const Status& StatusOf(const Status& st) { return st; }
+template <typename T>
+const Status& StatusOf(const Result<T>& r) {
+  return r.status();
+}
+
+/// Runs one engine call under its root span `op` (DESIGN.md §11) and marks
+/// the trace erred with the call's status when it fails. The root closes
+/// before this returns, so an erred trace is in the retained store by then.
+template <typename Body>
+auto UnderRootSpan(const char* op, [[maybe_unused]] int64_t arg0,
+                   [[maybe_unused]] int64_t arg1, Body& body) {
+  IQ_TRACE_ROOT_SCOPE(root, op, arg0, arg1);
+  auto r = body();
+  if (!r.ok()) root.NoteError(StatusOf(r));
+  return r;
 }
 
 /// The object's rank under query q, computed against one pinned epoch (the
@@ -198,6 +236,21 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
   if (options.num_threads > 0) {
     pool = std::make_unique<ThreadPool>(options.num_threads);
   }
+  if (options.slow_trace_nanos > 0 || !options.event_dump_path.empty()) {
+    // Span capture (DESIGN.md §11), on before the index build so its spans
+    // open a dump-on-error's run-up: tail retention of slow calls and/or
+    // dump-on-error (with slow_trace_nanos 0 only erred traces are kept).
+    // Like the metrics registry, the collector is process-wide — the last
+    // engine configured wins, which is the same sharing model /metrics
+    // already has.
+    TraceTailConfig tail;
+    tail.slow_trace_nanos = options.slow_trace_nanos;
+    tail.keep_first_n = options.slow_trace_keep_first;
+    tail.max_retained =
+        static_cast<size_t>(std::max(1, options.slow_trace_max_retained));
+    TraceCollector::Global().ConfigureTailCapture(tail);
+    TraceCollector::Global().SetEnabled(true);
+  }
   options.index.pool = pool.get();
   // Engine epochs start at 1 (0 is reserved for standalone indexes), so a
   // scraped iq.index.epoch gauge is nonzero from the first build on.
@@ -210,19 +263,6 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
   if (options.exporter_port >= 0) {
     exporter = std::make_unique<MetricsExporter>();
     IQ_RETURN_IF_ERROR(exporter->Start(options.exporter_port));
-  }
-  if (options.slow_trace_nanos > 0) {
-    // Tail-based capture (DESIGN.md §11): configure the process-global
-    // collector and switch span recording on. Like the metrics registry,
-    // the collector is process-wide — the last engine configured wins,
-    // which is the same sharing model /metrics already has.
-    TraceTailConfig tail;
-    tail.slow_trace_nanos = options.slow_trace_nanos;
-    tail.keep_first_n = options.slow_trace_keep_first;
-    tail.max_retained =
-        static_cast<size_t>(std::max(1, options.slow_trace_max_retained));
-    TraceCollector::Global().ConfigureTailCapture(tail);
-    TraceCollector::Global().SetEnabled(true);
   }
   auto snapshot = std::make_shared<const EpochSnapshot>(
       /*epoch_arg=*/1, dataset_ptr, queries_ptr, view_ptr,
@@ -326,57 +366,52 @@ Result<int> IqEngine::BestWorkloadRank(int object) const {
   return best[0].second;
 }
 
+template <typename Body>
+auto IqEngine::RootCall(const char* op, int64_t arg0, int64_t arg1,
+                        Body&& body) const {
+  auto r = UnderRootSpan(op, arg0, arg1, body);
+  NoteOutcome(StatusOf(r));
+  return r;
+}
+
 Result<IqResult> IqEngine::MinCost(int target, int tau,
                                    const IqOptions& options,
                                    IqScheme scheme) const {
-  // Root span of the solve (DESIGN.md §11): allocates the trace id every
-  // span below — including chunk bodies on pool workers — inherits, and
-  // decides keep/discard against the slow-trace threshold at scope exit.
-  IQ_TRACE_ROOT_SCOPE(root, "IqEngine::MinCost", target, tau);
-  ScopedTimer latency(EngineMetrics::Get().min_cost_nanos);
-  EpochHandle snap = Snapshot();
-  BatchItem item;
-  item.kind = BatchItem::Kind::kMinCost;
-  item.target = target;
-  item.tau = tau;
-  item.options = options;
-  // Single-target calls parallelize *inside* the search (candidate
-  // generation + ESE evaluation); see SolveBatch for across-target fan-out.
-  item.options.pool = pool_.get();
-  RecordSolveStart("MinCost", scheme, target, tau, 0.0, snap.epoch(),
-                   root.trace_id());
-  Result<IqResult> r = SolveOne(snap.index_ptr(), snap.view_ptr(),
-                                snap.queries_ptr(), item, scheme);
-  RecordSolveEnd("MinCost", scheme, target, r,
-                 static_cast<double>(latency.ElapsedNanos()) / 1e9,
-                 snap.epoch(), root.trace_id());
-  if (!r.ok()) root.NoteError();
-  NoteOutcome(r.ok() ? Status::Ok() : r.status(), root.trace_id());
-  return r;
+  // The root span allocates the trace id every span below — including
+  // chunk bodies on pool workers — inherits, and decides keep/discard
+  // against the slow-trace threshold at scope exit.
+  return RootCall("IqEngine::MinCost", target, tau, [&] {
+    ScopedTimer latency(EngineMetrics::Get().min_cost_nanos);
+    EpochHandle snap = Snapshot();
+    BatchItem item;
+    item.kind = BatchItem::Kind::kMinCost;
+    item.target = target;
+    item.tau = tau;
+    item.options = options;
+    // Single-target calls parallelize *inside* the search (candidate
+    // generation + ESE evaluation); see SolveBatch for across-target
+    // fan-out.
+    item.options.pool = pool_.get();
+    return SolveOne(snap.index_ptr(), snap.view_ptr(), snap.queries_ptr(),
+                    item, scheme);
+  });
 }
 
 Result<IqResult> IqEngine::MaxHit(int target, double beta,
                                   const IqOptions& options,
                                   IqScheme scheme) const {
-  IQ_TRACE_ROOT_SCOPE(root, "IqEngine::MaxHit", target);
-  ScopedTimer latency(EngineMetrics::Get().max_hit_nanos);
-  EpochHandle snap = Snapshot();
-  BatchItem item;
-  item.kind = BatchItem::Kind::kMaxHit;
-  item.target = target;
-  item.beta = beta;
-  item.options = options;
-  item.options.pool = pool_.get();
-  RecordSolveStart("MaxHit", scheme, target, 0, beta, snap.epoch(),
-                   root.trace_id());
-  Result<IqResult> r = SolveOne(snap.index_ptr(), snap.view_ptr(),
-                                snap.queries_ptr(), item, scheme);
-  RecordSolveEnd("MaxHit", scheme, target, r,
-                 static_cast<double>(latency.ElapsedNanos()) / 1e9,
-                 snap.epoch(), root.trace_id());
-  if (!r.ok()) root.NoteError();
-  NoteOutcome(r.ok() ? Status::Ok() : r.status(), root.trace_id());
-  return r;
+  return RootCall("IqEngine::MaxHit", target, kNoArg, [&] {
+    ScopedTimer latency(EngineMetrics::Get().max_hit_nanos);
+    EpochHandle snap = Snapshot();
+    BatchItem item;
+    item.kind = BatchItem::Kind::kMaxHit;
+    item.target = target;
+    item.beta = beta;
+    item.options = options;
+    item.options.pool = pool_.get();
+    return SolveOne(snap.index_ptr(), snap.view_ptr(), snap.queries_ptr(),
+                    item, scheme);
+  });
 }
 
 Result<std::vector<IqResult>> IqEngine::SolveBatch(
@@ -388,96 +423,37 @@ Result<std::vector<IqResult>> IqEngine::SolveBatchOn(
     const EpochHandle& snap, const std::vector<BatchItem>& items,
     IqScheme scheme) const {
   // Batch-level root: one trace for the whole batch. The per-item roots in
-  // the worker lambda below run with this trace active (ParallelFor
-  // propagates the context into the chunk bodies), so they join it as child
-  // spans instead of opening traces of their own — a slow batch shows up at
-  // /tracez as a single trace whose spans carry the worker tids.
-  IQ_TRACE_ROOT_SCOPE(batch_root, "IqEngine::SolveBatch",
-                      static_cast<int64_t>(items.size()));
-  ScopedTimer latency(EngineMetrics::Get().solve_batch_nanos);
-  if (!snap.valid()) {
-    batch_root.NoteError();
-    return NoteOutcome(
-        Status::InvalidArgument("SolveBatchOn requires a pinned epoch"),
-        batch_root.trace_id());
-  }
-  // Raw read-only pointers into the pinned epoch for the workers. The pin
-  // (held by the caller for SolveBatchOn, by our Snapshot() temporary for
-  // SolveBatch) keeps the epoch immutable and alive for the whole parallel
-  // region; concurrent mutators publish *newer* epochs and never touch this
-  // one, so the workers' lock-free reads cannot race a write.
-  const SubdomainIndex* index = snap.index_ptr();
-  const FunctionView* view = snap.view_ptr();
-  const QuerySet* queries = snap.queries_ptr();
-  const uint64_t epoch = snap.epoch();
-  // Flight-recorder saturation signal: far more items than workers means
-  // the batch will queue behind itself for most of the call.
-  if (pool_ != nullptr &&
-      static_cast<int64_t>(items.size()) > 16 * pool_->num_threads()) {
-    EventLog::Global().Record(EventLog::PoolSaturation(
-        "SolveBatch", static_cast<int64_t>(items.size()),
-        pool_->num_threads()));
-  }
-  std::vector<std::optional<Result<IqResult>>> slots(items.size());
-  ParallelForOrSerial(
-      pool_.get(), static_cast<int64_t>(items.size()),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          BatchItem item = items[static_cast<size_t>(i)];
-          // Items are the parallel unit; their inner candidate loops run
-          // serially (a nested ParallelFor would run inline anyway, this
-          // just makes the contract explicit and thread-count-independent).
-          item.options.pool = nullptr;
-          const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
-          // Per-item root span, opened on whichever worker claimed the
-          // item. The batch root's context arrived with the chunk, so this
-          // joins the batch's trace as a child span rather than starting a
-          // new one — standalone semantics (own trace) apply only when the
-          // item solve is the outermost traced operation.
-          IQ_TRACE_ROOT_SCOPE(item_root, "SolveBatch.item", item.target, i);
-          // Per-item flight-recorder events, recorded from the worker
-          // thread that solved the item (the lock striping keeps the
-          // concurrent appends cheap — see tests/event_log_test.cc).
-          RecordSolveStart("SolveBatch", scheme, item.target,
-                           min_cost ? item.tau : 0,
-                           min_cost ? 0.0 : item.beta, epoch,
-                           item_root.trace_id());
-          WallTimer item_timer;
-          Result<IqResult> r = SolveOne(index, view, queries, item, scheme);
-          RecordSolveEnd("SolveBatch", scheme, item.target, r,
-                         item_timer.ElapsedSeconds(), epoch,
-                         item_root.trace_id());
-          slots[static_cast<size_t>(i)] = std::move(r);
-        }
-      },
-      "engine.solve_batch", chunk_policy_);
-  EngineMetrics::Get().batch_items->Increment(
-      static_cast<uint64_t>(items.size()));
-  // Deterministic error policy: the lowest-index failure wins.
-  std::vector<IqResult> out;
-  out.reserve(items.size());
-  for (auto& slot : slots) {
-    if (!slot->ok()) {
-      batch_root.NoteError();
-      return NoteOutcome(slot->status(), batch_root.trace_id());
-    }
-    out.push_back(*std::move(*slot));
-  }
-  return out;
+  // SolveItems run with this trace active (ParallelFor propagates the
+  // context into the chunk bodies), so they join it as child spans instead
+  // of opening traces of their own — a slow batch shows up at /tracez as a
+  // single trace whose spans carry the worker tids.
+  return RootCall("IqEngine::SolveBatch", static_cast<int64_t>(items.size()),
+                  kNoArg, [&] {
+                    return SolveItems(snap, items, scheme, pool_.get(),
+                                      chunk_policy_);
+                  });
 }
 
 Result<MultiIqResult> IqEngine::MultiMinCost(
     const std::vector<int>& targets, int tau,
     const std::vector<IqOptions>& options) const {
-  EpochHandle snap = Snapshot();
-  return CombinatorialMinCostIq(snap.index(), targets, tau, options);
+  return RootCall("IqEngine::MultiMinCost",
+                  static_cast<int64_t>(targets.size()), tau, [&] {
+                    EpochHandle snap = Snapshot();
+                    return CombinatorialMinCostIq(snap.index(), targets, tau,
+                                                  options);
+                  });
 }
 
 Result<MultiIqResult> IqEngine::MultiMaxHit(
     const std::vector<int>& targets, double beta,
     const std::vector<IqOptions>& options) const {
-  EpochHandle snap = Snapshot();
-  return CombinatorialMaxHitIq(snap.index(), targets, beta, options);
+  return RootCall("IqEngine::MultiMaxHit",
+                  static_cast<int64_t>(targets.size()), kNoArg, [&] {
+                    EpochHandle snap = Snapshot();
+                    return CombinatorialMaxHitIq(snap.index(), targets, beta,
+                                                 options);
+                  });
 }
 
 IqEngine::Delta IqEngine::BeginDelta(DeltaKind kind) {
@@ -504,7 +480,7 @@ IqEngine::Delta IqEngine::BeginDelta(DeltaKind kind) {
   // The index clone shares every subdomain cell and the R-tree with the
   // current epoch; the maintenance hooks below copy-on-write only the cells
   // the §4.3 affected-subspace computation touches. The new epoch id is set
-  // before the hooks run so their flight-recorder events carry it.
+  // before the hooks run so their trace scopes carry it.
   delta.index = std::make_shared<SubdomainIndex>(
       cur->index->CloneCow(delta.view.get(), delta.queries.get(),
                            delta.epoch));
@@ -527,76 +503,71 @@ void IqEngine::PublishLocked(Delta delta) {
 }
 
 Result<int> IqEngine::AddQuery(TopKQuery q) {
-  MutexLock lock(&mu_);
-  Delta delta = BeginDelta(DeltaKind::kQueries);
-  IQ_ASSIGN_OR_RETURN(int id, delta.mutable_queries->Add(std::move(q)));
-  // An error discards the whole delta: the published epoch never saw any of
-  // this mutation (atomicity the old in-place update could not offer).
-  IQ_RETURN_IF_ERROR(delta.index->OnQueryAdded(id));
-  PublishLocked(std::move(delta));
-  return id;
+  return RootCall("IqEngine::AddQuery", kNoArg, kNoArg, [&]() -> Result<int> {
+    MutexLock lock(&mu_);
+    Delta delta = BeginDelta(DeltaKind::kQueries);
+    IQ_ASSIGN_OR_RETURN(int id, delta.mutable_queries->Add(std::move(q)));
+    // An error discards the whole delta: the published epoch never saw any
+    // of this mutation (atomicity the old in-place update could not offer).
+    IQ_RETURN_IF_ERROR(delta.index->OnQueryAdded(id));
+    PublishLocked(std::move(delta));
+    return id;
+  });
 }
 
 Status IqEngine::RemoveQuery(int q) {
-  MutexLock lock(&mu_);
-  Delta delta = BeginDelta(DeltaKind::kQueries);
-  IQ_RETURN_IF_ERROR(delta.mutable_queries->Remove(q));
-  IQ_RETURN_IF_ERROR(delta.index->OnQueryRemoved(q));
-  PublishLocked(std::move(delta));
-  return Status::Ok();
+  return RootCall("IqEngine::RemoveQuery", q, kNoArg, [&] {
+    MutexLock lock(&mu_);
+    Delta delta = BeginDelta(DeltaKind::kQueries);
+    IQ_RETURN_IF_ERROR(delta.mutable_queries->Remove(q));
+    IQ_RETURN_IF_ERROR(delta.index->OnQueryRemoved(q));
+    PublishLocked(std::move(delta));
+    return Status::Ok();
+  });
 }
 
 Result<int> IqEngine::AddObject(Vec attrs) {
-  MutexLock lock(&mu_);
-  if (static_cast<int>(attrs.size()) != CurrentEpoch()->dataset->dim()) {
-    return Status::InvalidArgument("attribute dimension mismatch");
-  }
-  Delta delta = BeginDelta(DeltaKind::kObjects);
-  int id = delta.mutable_dataset->Add(std::move(attrs));
-  delta.mutable_view->AppendRow(id);
-  IQ_RETURN_IF_ERROR(delta.index->OnObjectAdded(id));
-  PublishLocked(std::move(delta));
-  return id;
+  return RootCall("IqEngine::AddObject", kNoArg, kNoArg, [&]() -> Result<int> {
+    MutexLock lock(&mu_);
+    if (static_cast<int>(attrs.size()) != CurrentEpoch()->dataset->dim()) {
+      return Status::InvalidArgument("attribute dimension mismatch");
+    }
+    Delta delta = BeginDelta(DeltaKind::kObjects);
+    int id = delta.mutable_dataset->Add(std::move(attrs));
+    delta.mutable_view->AppendRow(id);
+    IQ_RETURN_IF_ERROR(delta.index->OnObjectAdded(id));
+    PublishLocked(std::move(delta));
+    return id;
+  });
 }
 
 Status IqEngine::RemoveObject(int id) {
-  MutexLock lock(&mu_);
-  Delta delta = BeginDelta(DeltaKind::kObjects);
-  IQ_RETURN_IF_ERROR(delta.mutable_dataset->Remove(id));
-  IQ_RETURN_IF_ERROR(delta.index->OnObjectRemoved(id));
-  PublishLocked(std::move(delta));
-  return Status::Ok();
+  return RootCall("IqEngine::RemoveObject", id, kNoArg, [&] {
+    MutexLock lock(&mu_);
+    Delta delta = BeginDelta(DeltaKind::kObjects);
+    IQ_RETURN_IF_ERROR(delta.mutable_dataset->Remove(id));
+    IQ_RETURN_IF_ERROR(delta.index->OnObjectRemoved(id));
+    PublishLocked(std::move(delta));
+    return Status::Ok();
+  });
 }
 
 Status IqEngine::ApplyStrategy(int target, const Vec& strategy) {
-  IQ_TRACE_ROOT_SCOPE(root, "IqEngine::ApplyStrategy", target);
-  ScopedTimer latency(EngineMetrics::Get().apply_strategy_nanos);
-  MutexLock lock(&mu_);
-  Delta delta = BeginDelta(DeltaKind::kObjects);
-  uint64_t reranked = 0, reused = 0, affected = 0;
-  Status st = ApplyStrategyOnDelta(delta, target, strategy, &reranked,
-                                   &reused, &affected);
-  Event apply_event = EventLog::ApplyStrategy(
-      target, st.ok(), reranked, reused, static_cast<int64_t>(affected),
-      static_cast<double>(latency.ElapsedNanos()) / 1e9, delta.epoch);
-  apply_event.trace_id = root.trace_id();
-  EventLog::Global().Record(std::move(apply_event));
-  if (st.ok()) {
-    PublishLocked(std::move(delta));
-  } else {
-    root.NoteError();
-  }
-  // On failure the delta is simply dropped here: the engine stays exactly
-  // at the previous epoch (the old in-place path could leave the target
-  // removed when a late step failed).
-  return NoteOutcome(std::move(st), root.trace_id());
+  return RootCall("IqEngine::ApplyStrategy", target, kNoArg, [&] {
+    ScopedTimer latency(EngineMetrics::Get().apply_strategy_nanos);
+    MutexLock lock(&mu_);
+    Delta delta = BeginDelta(DeltaKind::kObjects);
+    Status st = ApplyStrategyOnDelta(delta, target, strategy);
+    // On failure the delta is simply dropped here: the engine stays exactly
+    // at the previous epoch (the old in-place path could leave the target
+    // removed when a late step failed).
+    if (st.ok()) PublishLocked(std::move(delta));
+    return st;
+  });
 }
 
 Status IqEngine::ApplyStrategyOnDelta(Delta& delta, int target,
-                                      const Vec& strategy,
-                                      uint64_t* reranked_out,
-                                      uint64_t* reused_out,
-                                      uint64_t* affected_out) {
+                                      const Vec& strategy) {
   Dataset& dataset = *delta.mutable_dataset;
   SubdomainIndex& index = *delta.index;
   if (target < 0 || target >= dataset.size() || !dataset.is_active(target)) {
@@ -625,14 +596,10 @@ Status IqEngine::ApplyStrategyOnDelta(Delta& delta, int target,
   uint64_t reranked = static_cast<uint64_t>(
       index.maintenance_rerank_events() - reranks_before);
   if (reranked > m_active) reranked = m_active;
-  const uint64_t affected = static_cast<uint64_t>(
-      index.maintenance_affected_subdomains() - affected_before);
   EngineMetrics::Get().queries_reranked->Increment(reranked);
   EngineMetrics::Get().queries_reused->Increment(m_active - reranked);
-  EngineMetrics::Get().affected_subspaces->Increment(affected);
-  *reranked_out = reranked;
-  *reused_out = m_active - reranked;
-  *affected_out = affected;
+  EngineMetrics::Get().affected_subspaces->Increment(
+      index.maintenance_affected_subdomains() - affected_before);
   // Debug-mode ESE cross-check, run on the not-yet-published clone: a stale
   // cached ranking must abort here rather than silently publish an epoch
   // with wrong H(p+s) counts.
@@ -642,16 +609,15 @@ Status IqEngine::ApplyStrategyOnDelta(Delta& delta, int target,
   return Status::Ok();
 }
 
-Status IqEngine::NoteOutcome(Status st, uint64_t trace_id) const {
-  if (st.ok()) return st;
-  Event e = EventLog::Error("IqEngine", st.ToString());
-  e.trace_id = trace_id;
-  EventLog::Global().Record(std::move(e));
-  if (!event_dump_path_.empty()) {
-    // Best effort: an unwritable dump path must not mask the real error.
-    (void)EventLog::Global().WriteJsonl(event_dump_path_);
+void IqEngine::NoteOutcome(const Status& st) const {
+  if (st.ok() || event_dump_path_.empty()) return;
+  Status written = WriteStringToFile(event_dump_path_, ErrorDumpJson());
+  if (!written.ok()) {
+    // The caller gets its own error back; a dump that cannot be written is
+    // only worth a warning.
+    IQ_LOG(Warning) << "dump-on-error to " << event_dump_path_
+                    << " failed: " << written.ToString();
   }
-  return st;
 }
 
 MetricsSnapshot IqEngine::GetStatsSnapshot() const {

@@ -53,16 +53,19 @@ struct EngineOptions {
   /// port (read it back via exporter()->port()); any other value binds
   /// 127.0.0.1:<port>. The exporter is engine-owned and stops with it.
   int exporter_port = -1;
-  /// Flight-recorder post-mortem (DESIGN.md §9). When non-empty, any engine
-  /// call that returns a non-OK status also dumps the event log as JSONL to
-  /// this path, so the window of events leading up to the failure survives
-  /// the process. Empty = no automatic dumps.
+  /// Dump-on-error post-mortem (DESIGN.md §11). When non-empty, span
+  /// capture is on (only erred traces are retained unless slow_trace_nanos
+  /// is set too), and every solve and every write that fails writes a span
+  /// dump here once its root span has closed: the /tracez payload with the
+  /// erred trace and its status text, then one window of every span still
+  /// in the rings. `iq_trace <path>` reads it. An unwritable path is logged
+  /// as a warning; the call still returns its own status. Empty = no dumps.
   std::string event_dump_path;
-  /// Tail-based slow-solve capture (DESIGN.md §11). 0 (the default) leaves
-  /// causal tracing off. Any value > 0 enables the trace collector and
-  /// retains every root solve (MinCost / MaxHit / ApplyStrategy /
-  /// SolveBatch) whose wall clock reaches this many nanoseconds — plus
-  /// every erred solve — in the bounded store served at /tracez. Tracing is
+  /// Tail-based slow-call capture (DESIGN.md §11). 0 (the default) leaves
+  /// causal tracing off unless event_dump_path is set. Any value > 0
+  /// enables the trace collector and retains every root call (every solve
+  /// and every write) whose wall clock reaches this many nanoseconds — plus
+  /// every erred call — in the bounded store served at /tracez. Tracing is
   /// observation-only: results stay byte-identical with it on or off
   /// (tests/parallel_diff_test.cc).
   int64_t slow_trace_nanos = 0;
@@ -282,26 +285,31 @@ class IqEngine {
   /// last pin drops. Also advances the iq.index.epoch gauge.
   void PublishLocked(Delta delta) IQ_REQUIRES(mu_);
 
-  /// Flight-recorder post-mortem hook: on a non-OK status, records an error
-  /// event (stamped with the failing solve's causal trace id when tracing
-  /// is on) and (when EngineOptions::event_dump_path is set) dumps the
-  /// event ring as JSONL there. Always returns `st` so call sites can
-  /// tail-call.
-  Status NoteOutcome(Status st, uint64_t trace_id = 0) const;
+  /// The outcome path of every solve and every write: runs `body` under the
+  /// call's root span `op` (args `arg0`/`arg1`, TraceEvent::kNoArg when
+  /// unset), marks the trace erred when the returned status is not OK, and
+  /// hands that status to NoteOutcome once the root has closed. Defined in
+  /// engine.cc, its only user.
+  template <typename Body>
+  auto RootCall(const char* op, int64_t arg0, int64_t arg1,
+                Body&& body) const;
 
-  /// ApplyStrategy body, operating on the writer's delta; reports the §4.3
-  /// reuse accounting of this call (queries re-ranked / kept, subdomains
-  /// touched) for the event log.
-  Status ApplyStrategyOnDelta(Delta& delta, int target, const Vec& strategy,
-                              uint64_t* reranked_out, uint64_t* reused_out,
-                              uint64_t* affected_out) IQ_REQUIRES(mu_);
+  /// Dump-on-error (EngineOptions::event_dump_path): on a non-OK status,
+  /// writes obs/trace.h ErrorDumpJson() to the dump path, and logs a
+  /// warning naming the path when that write fails. Called after the
+  /// failing call's root span has closed, so the dump holds its erred trace.
+  void NoteOutcome(const Status& st) const;
+
+  /// ApplyStrategy body, operating on the writer's delta.
+  Status ApplyStrategyOnDelta(Delta& delta, int target, const Vec& strategy)
+      IQ_REQUIRES(mu_);
 
   /// Serializes writers (§4.3 maintenance + ApplyStrategy): held while a
   /// delta is built against the current epoch and swapped in as the next
   /// one. Readers never take it — they pin epochs via Snapshot() — so the
   /// outermost rank in the lock tree (LockRank::kEngine, util/lock_rank.h)
-  /// now covers only the writer side; the pool, event-log and metrics locks
-  /// still nest inside it.
+  /// now covers only the writer side; the pool, metrics and trace locks
+  /// still nest inside it. Dumps are written after it is released.
   mutable Mutex mu_{LockRank::kEngine, "IqEngine::mu_"};
   /// The published epoch (DESIGN.md §12). Readers load-acquire and pin;
   /// the writer (under mu_) store-releases the next snapshot. Internally

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "topk/topk.h"
@@ -248,12 +247,6 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
   std::vector<Candidate> slots(pending.size());
   if (options.pool != nullptr && pending.size() > 1) {
     SearchMetrics::Get().parallel_solve_batches->Increment();
-    if (static_cast<int64_t>(pending.size()) >
-        16 * static_cast<int64_t>(options.pool->num_threads())) {
-      EventLog::Global().Record(EventLog::PoolSaturation(
-          "candidate_solve", static_cast<int64_t>(pending.size()),
-          options.pool->num_threads()));
-    }
   }
   ParallelForOrSerial(
       options.pool, static_cast<int64_t>(pending.size()),
@@ -308,12 +301,6 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
         evaluator->SupportsConcurrentEval() ? options.pool : nullptr;
     if (eval_pool != nullptr && out.size() > 1) {
       SearchMetrics::Get().parallel_eval_batches->Increment();
-      if (static_cast<int64_t>(out.size()) >
-          16 * static_cast<int64_t>(eval_pool->num_threads())) {
-        EventLog::Global().Record(EventLog::PoolSaturation(
-            "candidate_eval", static_cast<int64_t>(out.size()),
-            eval_pool->num_threads()));
-      }
     }
     ParallelForOrSerial(eval_pool, static_cast<int64_t>(out.size()),
                         [&](int64_t begin, int64_t end) {

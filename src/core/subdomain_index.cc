@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "topk/topk.h"
@@ -157,9 +156,6 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   index.build_seconds_ = timer.ElapsedSeconds();
   IndexMetrics::Get().build_nanos->Record(timer.ElapsedNanos());
   IndexMetrics::Get().num_subdomains->Set(index.num_occupied_);
-  EventLog::Global().Record(EventLog::IndexBuild(
-      static_cast<int>(active.size()), index.num_occupied_,
-      index.build_seconds_, index.epoch_));
   return index;
 }
 
@@ -381,6 +377,7 @@ std::vector<int> SubdomainIndex::HitSet(int target) const {
 }
 
 Status SubdomainIndex::OnQueryAdded(int q) {
+  IQ_TRACE_SCOPE_ARG2("SubdomainIndex::OnQueryAdded", q, epoch_);
   if (q < 0 || q >= queries_->size() || !queries_->is_active(q)) {
     return Status::InvalidArgument("query id is not an active query");
   }
@@ -417,12 +414,11 @@ Status SubdomainIndex::OnQueryAdded(int q) {
   }
   AttachQueryToSubdomain(q, sd);
   MutableRTree().Insert(w, q);
-  EventLog::Global().Record(
-      EventLog::IndexMaintenance("OnQueryAdded", q, /*ok=*/true, epoch_));
   return Status::Ok();
 }
 
 Status SubdomainIndex::OnQueryRemoved(int q) {
+  IQ_TRACE_SCOPE_ARG2("SubdomainIndex::OnQueryRemoved", q, epoch_);
   if (q < 0 || q >= static_cast<int>(sd_of_.size()) ||
       sd_of_[static_cast<size_t>(q)] < 0) {
     return Status::NotFound("query is not indexed");
@@ -431,8 +427,6 @@ Status SubdomainIndex::OnQueryRemoved(int q) {
   query_kernel_.reset();
   MutableRTree().Remove(aug_w_[static_cast<size_t>(q)], q);
   DetachQueryFromSubdomain(q);
-  EventLog::Global().Record(
-      EventLog::IndexMaintenance("OnQueryRemoved", q, /*ok=*/true, epoch_));
   return Status::Ok();
 }
 
@@ -489,8 +483,6 @@ Status SubdomainIndex::OnObjectAdded(int id) {
   }
   maintenance_affected_subdomains_ += touched_sds.size();
   IndexMetrics::Get().num_subdomains->Set(num_occupied_);
-  EventLog::Global().Record(
-      EventLog::IndexMaintenance("OnObjectAdded", id, /*ok=*/true, epoch_));
   return Status::Ok();
 }
 
@@ -548,8 +540,6 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   maintenance_rerank_events_ += affected.size();
   maintenance_affected_subdomains_ += affected_cells;
   IndexMetrics::Get().num_subdomains->Set(num_occupied_);
-  EventLog::Global().Record(
-      EventLog::IndexMaintenance("OnObjectRemoved", id, /*ok=*/true, epoch_));
   return Status::Ok();
 }
 

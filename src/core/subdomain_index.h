@@ -33,8 +33,9 @@ struct SubdomainIndexOptions {
   /// query-id order, so cell ids and contents match the serial build
   /// exactly. The pool must outlive the index. nullptr = serial.
   ThreadPool* pool = nullptr;
-  /// Epoch id stamped onto the built index and its flight-recorder events
-  /// (DESIGN.md §12). IqEngine starts at 1; standalone indexes keep 0.
+  /// Epoch id stamped onto the built index and its maintenance-hook trace
+  /// scopes (DESIGN.md §12). IqEngine starts at 1; standalone indexes keep
+  /// 0.
   uint64_t epoch = 0;
 };
 
@@ -236,7 +237,7 @@ class SubdomainIndex {
   /// Non-owning; see SubdomainIndexOptions::pool. Survives engine moves
   /// because the pool object itself never relocates.
   ThreadPool* pool_ = nullptr;
-  /// Epoch id (DESIGN.md §12); tags flight-recorder events.
+  /// Epoch id (DESIGN.md §12); the maintenance-hook scopes' second arg.
   uint64_t epoch_ = 0;
 
   // Subdomain structure: written by Build and the On*() maintenance hooks,

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "obs/event_log.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -164,14 +163,9 @@ std::string ExporterResponseForPath(const std::string& path,
     return HttpResponse("200 OK", "text/plain; charset=utf-8", "ok\n");
   }
   if (path == "/statusz") {
-    const EventLog& log = EventLog::Global();
-    std::string body = StrFormat(
-        "{\n  \"uptime_ns\": %llu,\n  \"events\": {\"recorded\": %llu, "
-        "\"retained\": %zu, \"dropped\": %llu},\n  \"metrics\": ",
-        static_cast<unsigned long long>(uptime_ns),
-        static_cast<unsigned long long>(log.recorded_count()),
-        log.Snapshot().size(),
-        static_cast<unsigned long long>(log.dropped_count()));
+    std::string body =
+        StrFormat("{\n  \"uptime_ns\": %llu,\n  \"metrics\": ",
+                  static_cast<unsigned long long>(uptime_ns));
     body += MetricsRegistry::Global().Snapshot().ToJson();
     body += "}\n";
     return HttpResponse("200 OK", "application/json", body);

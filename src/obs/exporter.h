@@ -14,14 +14,14 @@ namespace iq {
 
 /// Live observability endpoint (DESIGN.md §9): a dependency-free,
 /// single-threaded HTTP/1.0 server exposing the process-global metrics
-/// registry and flight recorder while an engine or bench is running.
+/// registry and trace collector while an engine or bench is running.
 ///
 ///   /metrics   Prometheus text exposition format (version 0.0.4):
 ///              counters and gauges one sample each, the base-2 histograms
 ///              as cumulative `_bucket{le=...}` series plus `_sum`/`_count`.
 ///   /healthz   "ok" — liveness probe.
-///   /statusz   JSON snapshot: uptime, metrics (MetricsSnapshot::ToJson)
-///              and event-log counts.
+///   /statusz   JSON snapshot: uptime and metrics (MetricsSnapshot::ToJson,
+///              which carries the iq.trace.* capture counters).
 ///   /profilez  live profile window (obs/trace.h ProfilezJson): mutex
 ///              wait/held slots plus the ParallelFor chunk spans since
 ///              profiling was enabled, as a line-oriented span dump; an

@@ -117,8 +117,7 @@ void TraceCollector::Record(TraceEvent e) {
   } else {
     buf->ring[buf->next % kRingCapacity] = e;
     // Ring overwrite: the span falls out of tail capture. Mirrored to the
-    // registry so /metrics shows trace loss the same way it shows
-    // iq.eventlog.dropped.
+    // registry so /metrics shows trace loss.
     dropped_counter_->Increment();
   }
   ++buf->next;
@@ -286,7 +285,8 @@ std::vector<TraceEvent> TraceCollector::SpansInWindow(uint64_t start_ns,
 
 void TraceCollector::FinishRoot(const char* op, uint64_t trace_id,
                                 uint64_t start_ns, uint64_t dur_ns,
-                                bool erred) {
+                                std::string error) {
+  const bool erred = !error.empty();
   const uint64_t seen = roots_finished_.fetch_add(1, std::memory_order_relaxed);
   const int keep_first = keep_first_n_.load(std::memory_order_relaxed);
   const bool warmup =
@@ -307,6 +307,7 @@ void TraceCollector::FinishRoot(const char* op, uint64_t trace_id,
   trace.start_ns = start_ns;
   trace.dur_ns = dur_ns;
   trace.erred = erred;
+  trace.error = std::move(error);
   trace.warmup = !erred && !slow;
   // Collect under the registry/buffer locks, insert under the store lock —
   // strictly after releasing the former (kTraceBuffer < kTraceStore).
@@ -333,8 +334,8 @@ void TraceCollector::ClearRetained() {
 namespace {
 
 /// One /tracez or profile-window span line. Line-oriented on purpose:
-/// tools/iq_trace and tools/check_metrics.sh re-ingest the payload with a
-/// tolerant line scanner instead of a JSON parser.
+/// tools/iq_trace re-ingests the payload with a tolerant line scanner
+/// instead of a JSON parser.
 std::string SpanLine(const TraceEvent& e) {
   return StrFormat(
       "{\"span\": {\"trace_id\": %llu, \"span_id\": %llu, "
@@ -348,16 +349,23 @@ std::string SpanLine(const TraceEvent& e) {
       static_cast<unsigned long long>(e.dur_ns), SetArgsJson(e).c_str());
 }
 
+/// One trace's summary line; an erred trace's status text goes last, so
+/// the line scanner finds every other key before any text inside it.
 std::string TracezSummaryLine(const RetainedTrace& t) {
+  const std::string error =
+      t.error.empty()
+          ? std::string()
+          : StrFormat(", \"error\": \"%s\"", JsonEscape(t.error).c_str());
   return StrFormat(
       "{\"trace_summary\": {\"trace_id\": %llu, \"op\": \"%s\", "
       "\"start_ns\": %llu, \"dur_ns\": %llu, \"erred\": %s, "
-      "\"warmup\": %s, \"num_spans\": %zu, \"num_threads\": %d}}",
+      "\"warmup\": %s, \"num_spans\": %zu, \"num_threads\": %d%s}}",
       static_cast<unsigned long long>(t.trace_id),
       JsonEscape(t.op != nullptr ? t.op : "?").c_str(),
       static_cast<unsigned long long>(t.start_ns),
       static_cast<unsigned long long>(t.dur_ns), t.erred ? "true" : "false",
-      t.warmup ? "true" : "false", t.spans.size(), t.NumThreads());
+      t.warmup ? "true" : "false", t.spans.size(), t.NumThreads(),
+      error.c_str());
 }
 
 }  // namespace
@@ -400,10 +408,11 @@ std::string TraceCollector::TraceJson(uint64_t trace_id) const {
 
 namespace {
 
-/// The records of one profile window (see ProfileSession::Stop); only the
-/// "profile_window" line when `enabled` is false.
+/// The records of one profile window (see ProfileSession::Stop) holding
+/// `spans`; only the "profile_window" line when `enabled` is false.
 std::string ProfileWindowRecords(const std::string& label, bool enabled,
-                                 uint64_t start_ns, uint64_t end_ns) {
+                                 uint64_t start_ns, uint64_t end_ns,
+                                 const std::vector<TraceEvent>& spans) {
   const TraceCollector& tc = TraceCollector::Global();
   std::string out = StrFormat(
       "{\"profile_window\": {\"label\": \"%s\", \"enabled\": %s, "
@@ -427,9 +436,7 @@ std::string ProfileWindowRecords(const std::string& label, bool enabled,
         static_cast<unsigned long long>(m.max_wait_nanos),
         static_cast<unsigned long long>(m.held_nanos));
   }
-  for (const TraceEvent& e : tc.SpansInWindow(start_ns, end_ns)) {
-    out += ",\n" + SpanLine(e);
-  }
+  for (const TraceEvent& e : spans) out += ",\n" + SpanLine(e);
   return out;
 }
 
@@ -449,8 +456,10 @@ void ProfileSession::Start() {
 std::string ProfileSession::Stop(const std::string& label) {
   const uint64_t end_ns = TraceNowNanos();
   prof::SetEnabled(false);
-  TraceCollector::Global().SetEnabled(was_tracing_);
-  return ProfileWindowRecords(label, /*enabled=*/true, start_ns_, end_ns);
+  TraceCollector& tc = TraceCollector::Global();
+  tc.SetEnabled(was_tracing_);
+  return ProfileWindowRecords(label, /*enabled=*/true, start_ns_, end_ns,
+                              tc.SpansInWindow(start_ns_, end_ns));
 }
 
 std::string ProfilezJson() {
@@ -458,7 +467,24 @@ std::string ProfilezJson() {
   const uint64_t start_ns = on ? prof::EnabledSinceNanos() : 0;
   const uint64_t end_ns = on ? TraceNowNanos() : 0;
   return "{\"profilez\": [\n" +
-         ProfileWindowRecords("live", on, start_ns, end_ns) + "\n]}\n";
+         ProfileWindowRecords(
+             "live", on, start_ns, end_ns,
+             on ? TraceCollector::Global().SpansInWindow(start_ns, end_ns)
+                : std::vector<TraceEvent>()) +
+         "\n]}\n";
+}
+
+std::string ErrorDumpJson() {
+  const TraceCollector& tc = TraceCollector::Global();
+  const uint64_t end_ns = TraceNowNanos();
+  const std::vector<TraceEvent> spans = tc.SpansInWindow(0, end_ns);
+  // The window opens at the oldest span still buffered (spans are sorted by
+  // start), so its serial fraction describes the run-up, not the uptime.
+  const uint64_t start_ns = spans.empty() ? end_ns : spans.front().start_ns;
+  return tc.TracezJson() + "{\"profilez\": [\n" +
+         ProfileWindowRecords("error_dump", /*enabled=*/true, start_ns, end_ns,
+                              spans) +
+         "\n]}\n";
 }
 
 }  // namespace iq

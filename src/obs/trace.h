@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/annotations.h"
@@ -28,12 +29,12 @@
 //    item/claim/steal counts in the same rings.
 //
 //  * Root spans + tail retention: IQ_TRACE_ROOT_SCOPE(root, "op") opens a
-//    *root* span at a solve entry point (MinCost / MaxHit / ApplyStrategy /
-//    SolveBatch). It allocates a fresh trace id, installs the context, and
-//    at destruction asks the collector to keep or discard the whole trace:
-//    retained iff the solve erred, its latency cleared the configured
-//    slow-trace threshold, or it fell in the keep-first-N warmup — into a
-//    bounded last-K store served at /tracez. Discarding is free (the scratch
+//    *root* span at an engine entry point (every solve and every write). It
+//    allocates a fresh trace id, installs the context, and at destruction
+//    asks the collector to keep or discard the whole trace: retained iff
+//    the call erred, its latency cleared the configured slow-trace
+//    threshold, or it fell in the keep-first-N warmup — into a bounded
+//    last-K store served at /tracez. Discarding is free (the scratch
 //    rings are simply left to be overwritten), which is what makes always-on
 //    capture affordable in production. A TraceRoot constructed while a trace
 //    is already active joins it as a child span instead (per-item roots
@@ -52,8 +53,8 @@
 //  * build time — configure with -DIQ_ENABLE_TRACING=OFF and the macros
 //    compile to nothing (the default presets keep it ON);
 //  * run time — collection starts only after SetEnabled(true) (the engine
-//    flips it when EngineOptions::slow_trace_nanos > 0); a disabled scope
-//    costs a single relaxed atomic load
+//    flips it when EngineOptions::slow_trace_nanos > 0 or event_dump_path
+//    is set); a disabled scope costs a single relaxed atomic load
 //    (bench/micro_solver.cc BM_TraceOverheadDisabled gates this).
 
 namespace iq {
@@ -105,6 +106,8 @@ struct RetainedTrace {
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
   bool erred = false;
+  /// Status::ToString() of the failed call; empty unless `erred`.
+  std::string error;
   /// Retained by the keep-first-N warmup rather than by latency/error.
   bool warmup = false;
   std::vector<TraceEvent> spans;
@@ -164,10 +167,11 @@ class TraceCollector {
 
   /// Called by a finishing TraceRoot that owns its trace: applies the
   /// retention policy and, when the trace is kept, collects its spans from
-  /// every thread's ring into the bounded last-K store. Not user API — the
-  /// root-span macro is the entry point.
+  /// every thread's ring into the bounded last-K store. A non-empty `error`
+  /// (the failed call's status text) marks the trace erred. Not user API —
+  /// the root-span macro is the entry point.
   void FinishRoot(const char* op, uint64_t trace_id, uint64_t start_ns,
-                  uint64_t dur_ns, bool erred);
+                  uint64_t dur_ns, std::string error);
 
   /// The retained slow traces, oldest first.
   std::vector<RetainedTrace> RetainedTraces() const;
@@ -292,13 +296,12 @@ class TraceScope {
   std::optional<Open> open_;
 };
 
-/// RAII body of IQ_TRACE_ROOT_SCOPE: the root span of one solve. Allocates
-/// a fresh trace id and owns the keep/discard decision at destruction —
-/// unless a trace is already active on the thread, in which case it joins
-/// as a plain child span (per-item roots inside a SolveBatch trace) and the
-/// enclosing root decides. The engine stamps trace_id() onto the flight
-/// recorder's solve events and calls NoteError() on failed solves so erred
-/// traces are always retained.
+/// RAII body of IQ_TRACE_ROOT_SCOPE: the root span of one solve or write.
+/// Allocates a fresh trace id and owns the keep/discard decision at
+/// destruction — unless a trace is already active on the thread, in which
+/// case it joins as a plain child span (per-item roots inside a SolveBatch
+/// trace) and the enclosing root decides. The engine calls NoteError() on
+/// failed calls so erred traces are always retained, with their status.
 class TraceRoot {
  public:
   explicit TraceRoot(const char* op,
@@ -316,20 +319,22 @@ class TraceRoot {
     const uint64_t dur_ns = CloseTraceSpan(span_, op_, arg0_, arg1_);
     if (owns_trace_) {
       TraceCollector::Global().FinishRoot(op_, trace_id(), span_.start_ns,
-                                          dur_ns, erred_);
+                                          dur_ns, std::move(error_));
     }
   }
 
   TraceRoot(const TraceRoot&) = delete;
   TraceRoot& operator=(const TraceRoot&) = delete;
 
-  /// Marks the solve as failed: the trace is retained regardless of
-  /// latency. No-op for joined (non-owning) roots — the enclosing solve
-  /// fails too and its root retains the shared trace.
-  void NoteError() { erred_ = true; }
+  /// Marks the call as failed with `st`: the trace is retained regardless
+  /// of latency and keeps the status text. No-op for disabled and joined
+  /// (non-owning) roots — the enclosing call fails too and its root retains
+  /// the shared trace.
+  void NoteError(const Status& st) {
+    if (owns_trace_) error_ = st.ToString();
+  }
 
-  /// The id stamped on this solve's spans and flight-recorder events;
-  /// 0 when tracing is disabled.
+  /// The id stamped on this call's spans; 0 when tracing is disabled.
   uint64_t trace_id() const { return span_.self.trace_id; }
 
   /// False when this root joined an enclosing trace instead of starting
@@ -342,7 +347,7 @@ class TraceRoot {
   int64_t arg0_ = TraceEvent::kNoArg;
   int64_t arg1_ = TraceEvent::kNoArg;
   bool owns_trace_ = false;
-  bool erred_ = false;
+  std::string error_;  // set by NoteError; empty = the call succeeded
 };
 
 /// One profile window (DESIGN.md §11). Start() resets and enables mutex
@@ -371,11 +376,17 @@ class ProfileSession {
 /// otherwise. Chunk spans appear only while tracing is on too.
 std::string ProfilezJson();
 
+/// The dump-on-error payload (EngineOptions::event_dump_path): TracezJson(),
+/// whose erred traces carry their status text, followed by one
+/// "error_dump" window holding every span still in the rings — the run-up
+/// to the failure. tools/iq_trace reads it like any other span dump.
+std::string ErrorDumpJson();
+
 /// Compiled-out stand-in for TraceRoot: same surface, no code.
 struct NoopTraceRoot {
   explicit NoopTraceRoot(const char* /*op*/, int64_t /*arg0*/ = 0,
                          int64_t /*arg1*/ = 0) {}
-  void NoteError() {}
+  void NoteError(const Status& /*st*/) {}
   uint64_t trace_id() const { return 0; }
   bool owns_trace() const { return false; }
 };

@@ -131,13 +131,13 @@ TraceDump ParseTracezDump(const std::string& text) {
   for (std::string_view line : StrSplit(text, '\n')) {
     const std::string_view kind = RecordKind(line);
     if (kind == "config") {
-      dump.tracez = true;
+      dump.has_config = true;
       dump.config.slow_trace_nanos = FindI64(line, "slow_trace_nanos", 0);
       dump.config.keep_first_n =
           static_cast<int>(FindI64(line, "keep_first_n", 0));
       dump.config.max_retained = FindU64(line, "max_retained");
     } else if (kind == "counters") {
-      dump.tracez = true;
+      dump.has_counters = true;
       dump.dropped = FindU64(line, "dropped");
       dump.slow_retained = FindU64(line, "slow_retained");
       dump.discarded = FindU64(line, "discarded");
@@ -150,6 +150,8 @@ TraceDump ParseTracezDump(const std::string& text) {
       t.erred = FindBool(line, "erred");
       t.warmup = FindBool(line, "warmup");
       t.num_threads = static_cast<int>(FindU64(line, "num_threads"));
+      t.declared_spans = FindU64(line, "num_spans");
+      t.error = FindString(line, "error");
       spans = &t.spans;
       window = nullptr;
     } else if (kind == "profile_window") {
@@ -183,8 +185,13 @@ TraceAnalysis AnalyzeTrace(const ParsedTrace& trace) {
   a.op = trace.op;
   a.dur_ns = trace.dur_ns;
   a.erred = trace.erred;
+  a.error = trace.error;
   a.num_threads = trace.num_threads;
   a.num_spans = trace.spans.size();
+  a.declared_spans = trace.declared_spans;
+  a.unstamped_spans = static_cast<size_t>(
+      std::count_if(trace.spans.begin(), trace.spans.end(),
+                    [](const ParsedSpan& s) { return s.tid == 0; }));
 
   std::map<uint64_t, std::vector<const ParsedSpan*>> children;
   const ParsedSpan* root = nullptr;
@@ -269,9 +276,10 @@ std::string TraceVerdict(const TraceAnalysis& a) {
                    : 0.0;
   if (a.erred) {
     return StrFormat(
-        "trace %llu was retained for an error; before failing it spent "
+        "trace %llu was retained for an error (%s); before failing it spent "
         "%.1f%% of %s in %s",
-        static_cast<unsigned long long>(a.trace_id), share,
+        static_cast<unsigned long long>(a.trace_id),
+        a.error.empty() ? "no status text" : a.error.c_str(), share,
         FormatNanos(a.dur_ns).c_str(), hot->name.c_str());
   }
   return StrFormat(
@@ -434,10 +442,15 @@ void AppendTraceReport(const TraceDump& dump, int top_n, std::string* out) {
   for (const ParsedTrace& t : dump.traces) {
     const TraceAnalysis a = AnalyzeTrace(t);
     *out += StrFormat(
-        "\ntrace %llu  %s  %s  spans=%zu threads=%d%s%s\n",
+        "\ntrace %llu  %s  %s  spans=%zu threads=%d%s%s%s\n",
         static_cast<unsigned long long>(a.trace_id), a.op.c_str(),
         FormatNanos(a.dur_ns).c_str(), a.num_spans, a.num_threads,
-        a.erred ? "  [erred]" : "", t.warmup ? "  [warmup]" : "");
+        a.erred ? "  [erred]" : "", t.warmup ? "  [warmup]" : "",
+        a.declared_spans > a.num_spans
+            ? StrFormat("  [TRUNCATED: %zu spans declared]", a.declared_spans)
+                  .c_str()
+            : "");
+    if (!a.error.empty()) *out += StrFormat("  error: %s\n", a.error.c_str());
     *out += StrFormat("  critical path (%.1f%% of wall accounted):\n",
                       100.0 * a.accounted_fraction);
     for (const CriticalPathStep& s : a.critical_path) {
@@ -541,7 +554,7 @@ std::vector<ProfileAnalysis> AnalyzeWindows(const TraceDump& dump) {
 
 std::string FormatTraceReport(const TraceDump& dump, int top_n) {
   std::string out;
-  if (dump.tracez || !dump.traces.empty()) {
+  if (dump.tracez() || !dump.traces.empty()) {
     AppendTraceReport(dump, top_n, &out);
   }
   if (!dump.windows.empty()) {
@@ -558,12 +571,21 @@ std::string TraceReportJson(const TraceDump& dump) {
   const std::vector<ProfileAnalysis> profiles = AnalyzeWindows(dump);
   std::string out = "{\"iq_trace\": {\n";
   out += StrFormat("\"num_traces\": %zu,\n", dump.traces.size());
-  out += StrFormat(
-      "\"counters\": {\"dropped\": %llu, \"slow_retained\": %llu, "
-      "\"discarded\": %llu},\n",
-      static_cast<unsigned long long>(dump.dropped),
-      static_cast<unsigned long long>(dump.slow_retained),
-      static_cast<unsigned long long>(dump.discarded));
+  if (dump.has_config) {
+    out += StrFormat(
+        "\"config\": {\"slow_trace_nanos\": %lld, \"keep_first_n\": %d, "
+        "\"max_retained\": %zu},\n",
+        static_cast<long long>(dump.config.slow_trace_nanos),
+        dump.config.keep_first_n, dump.config.max_retained);
+  }
+  if (dump.has_counters) {
+    out += StrFormat(
+        "\"counters\": {\"dropped\": %llu, \"slow_retained\": %llu, "
+        "\"discarded\": %llu},\n",
+        static_cast<unsigned long long>(dump.dropped),
+        static_cast<unsigned long long>(dump.slow_retained),
+        static_cast<unsigned long long>(dump.discarded));
+  }
   const std::string verdict =
       dump.traces.empty() ? "no retained traces"
                           : TraceVerdict(AnalyzeTrace(dump.traces.back()));
@@ -581,13 +603,15 @@ std::string TraceReportJson(const TraceDump& dump) {
     out += StrFormat(
         "%s{\"trace_analysis\": {\"trace_id\": %llu, \"op\": \"%s\", "
         "\"dur_ns\": %llu, \"erred\": %s, \"num_spans\": %zu, "
+        "\"declared_spans\": %zu, \"unstamped_spans\": %zu, "
         "\"num_threads\": %d, \"accounted_ns\": %llu, "
-        "\"accounted_fraction\": %.4f}}",
+        "\"accounted_fraction\": %.4f, \"error\": \"%s\"}}",
         sep, static_cast<unsigned long long>(a.trace_id),
         JsonEscape(a.op).c_str(), static_cast<unsigned long long>(a.dur_ns),
-        a.erred ? "true" : "false", a.num_spans, a.num_threads,
-        static_cast<unsigned long long>(a.accounted_ns),
-        a.accounted_fraction);
+        a.erred ? "true" : "false", a.num_spans, a.declared_spans,
+        a.unstamped_spans, a.num_threads,
+        static_cast<unsigned long long>(a.accounted_ns), a.accounted_fraction,
+        JsonEscape(a.error).c_str());
     sep = ",\n";
     for (const CriticalPathStep& s : a.critical_path) {
       out += StrFormat(

@@ -11,8 +11,9 @@
 // testable in-process. One line scanner reads both dump kinds the obs/trace.h
 // collector writes, and each gets its report:
 //
-//  * retained traces (/tracez, micro_parallel --scrape-tracez=) answer
-//    *where did this slow solve spend its wall-clock?* For each trace it
+//  * retained traces (/tracez, micro_parallel --scrape-tracez=, an
+//    engine's dump-on-error file) answer *where did this slow or failed
+//    call spend its wall-clock?* For each trace it
 //    reconstructs the span tree, walks the critical path (at every span,
 //    descend into the child whose interval ends last), attributes self
 //    time along it, and rolls up per-name self time across the trace;
@@ -49,6 +50,9 @@ struct ParsedTrace {
   bool erred = false;
   bool warmup = false;
   int num_threads = 0;
+  /// The summary's num_spans; more than spans.size() = a truncated dump.
+  size_t declared_spans = 0;
+  std::string error;  // status text of an erred trace
   std::vector<ParsedSpan> spans;
 };
 
@@ -80,7 +84,9 @@ struct ParsedProfileWindow {
 /// A whole dump: a /tracez payload (retention config, loss/retain counters,
 /// traces), profile windows, or both.
 struct TraceDump {
-  bool tracez = false;  // a tracez config/counters block was present
+  bool has_config = false;    // a tracez "config" line was present
+  bool has_counters = false;  // a tracez "counters" line was present
+  bool tracez() const { return has_config || has_counters; }
   TraceTailConfig config;
   uint64_t dropped = 0;
   uint64_t slow_retained = 0;
@@ -90,7 +96,8 @@ struct TraceDump {
 };
 
 /// Parses a /tracez payload, a /profilez payload, a micro_parallel
-/// --profile= dump, or any concatenation of them. Tolerant line scanner: a
+/// --profile= dump, a dump-on-error file (obs/trace.h ErrorDumpJson), or
+/// any concatenation of them. Tolerant line scanner: a
 /// line's first key names its record, unknown lines are skipped, a
 /// "trace_summary" or "profile_window" line opens a trace or window, and
 /// "span" / "mutex" lines attach to the most recently opened one — no JSON
@@ -122,8 +129,13 @@ struct TraceAnalysis {
   std::string op;
   uint64_t dur_ns = 0;
   bool erred = false;
+  std::string error;
   int num_threads = 0;
   size_t num_spans = 0;
+  /// The summary's span count, and the spans carried with tid 0 (thread
+  /// stamping broken); check_metrics.sh --trace fails on either mismatch.
+  size_t declared_spans = 0;
+  size_t unstamped_spans = 0;
   /// Root-to-leaf walk descending into the latest-ending child at each
   /// level. Because child intervals nest inside their parents, the steps'
   /// self times telescope back to the root duration.
@@ -142,8 +154,8 @@ struct TraceAnalysis {
 TraceAnalysis AnalyzeTrace(const ParsedTrace& trace);
 
 /// One sentence naming where the slow solve's wall-clock went — the span
-/// name with the largest self time on the critical path — or what kept the
-/// trace (error, warmup) when timing says nothing interesting.
+/// name with the largest self time on the critical path — and, for an
+/// erred trace, the error that kept it.
 std::string TraceVerdict(const TraceAnalysis& analysis);
 
 /// One ParallelFor call site over a profile window, from its chunk spans
@@ -208,7 +220,8 @@ std::string ProfileVerdict(const ProfileAnalysis& analysis);
 std::string FormatTraceReport(const TraceDump& dump, int top_n);
 
 /// Machine form of the same: {"iq_trace": {"num_traces": N, ...,
-/// "num_profiles": M, ...}} with one "trace_analysis" / "path_step" /
+/// "num_profiles": M, ...}} with the input's tracez "config" / "counters"
+/// lines when it had them, and one "trace_analysis" / "path_step" /
 /// "self_time" / "profile_analysis" / "parallel_site" / "mutex_site" /
 /// "thread" object per line — consumed by tools/check_metrics.sh
 /// --trace/--profile and the trace-smoke CI lane. Every string is escaped.

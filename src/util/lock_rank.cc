@@ -18,8 +18,6 @@ const char* LockRankName(LockRank rank) {
       return "kPoolDone";
     case LockRank::kExporter:
       return "kExporter";
-    case LockRank::kEventLogStripe:
-      return "kEventLogStripe";
     case LockRank::kMetricsRegistry:
       return "kMetricsRegistry";
     case LockRank::kTraceRegistry:

@@ -30,7 +30,7 @@ enum class LockRank : int {
   /// construction plus the publish swap of §4.3 maintenance and
   /// ApplyStrategy; readers pin epochs lock-free — but it can still hold
   /// every other lock inside (the maintenance hooks fan out over the pool
-  /// and record events/metrics).
+  /// and record spans/metrics).
   kEngine = 100,
   /// ThreadPool::mu_ — the task-queue lock, taken to enqueue helper tasks
   /// and by workers to dequeue (possibly while the dispatcher holds
@@ -43,9 +43,6 @@ enum class LockRank : int {
   kPoolDone = 220,
   /// MetricsExporter::mu_ — exporter lifecycle (Start/Stop) state.
   kExporter = 300,
-  /// EventLog stripe locks. All eight stripes share the rank: the log locks
-  /// exactly one stripe at a time (Snapshot visits them sequentially).
-  kEventLogStripe = 400,
   /// MetricsRegistry::mu_ — registration/snapshot lock; instrumented paths
   /// may register lazily while holding any of the locks above.
   kMetricsRegistry = 500,

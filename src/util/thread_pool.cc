@@ -124,7 +124,10 @@ void ThreadPool::WorkerLoop() {
 namespace {
 
 /// Shared per-call coordination state for ParallelFor (both policies).
-struct CallState {
+/// Every participant writes `next` once per claim; cache-line alignment
+/// keeps that line off whatever the dispatcher's stack holds next to it,
+/// which otherwise depends on the caller's frame depth (DESIGN.md §13.1).
+struct alignas(64) CallState {
   std::atomic<int64_t> next{0};
   std::atomic<bool> failed{false};
   Mutex err_mu{LockRank::kPoolError, "ParallelFor::err_mu"};

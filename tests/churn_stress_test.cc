@@ -4,17 +4,20 @@
 // ApplyStrategy while reader threads pin snapshots and solve on them with
 // no lock at all. TSan must stay silent, every pinned epoch must be frozen
 // (repeated reads through one pin agree), invariants must hold on any
-// published epoch, and the flight recorder must balance — one solve_end per
-// solve_start, one apply event per publish, epochs strictly increasing.
+// published epoch, and the span rings must balance — one root span per
+// engine solve, one ApplyStrategy root per publish, maintenance-hook epochs
+// strictly increasing.
 //
-// Op counts are fixed (not wall-clock driven) so the total event volume
-// stays below the recorder's ring capacity; the balance assertions would be
-// meaningless once the ring starts overwriting.
+// Op counts are fixed (not wall-clock driven) so the total span volume
+// stays below the per-thread ring capacity; the balance assertions would be
+// meaningless once a ring starts overwriting.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,7 +28,7 @@
 #include "data/queries.h"
 #include "data/synthetic.h"
 #include "geom/vec.h"
-#include "obs/event_log.h"
+#include "obs/trace.h"
 #include "util/random.h"
 
 namespace iq {
@@ -39,16 +42,16 @@ constexpr int kAppliesPerWriter = 30;
 constexpr int kReaders = 4;
 constexpr int kReadsPerReader = 40;
 
-Result<IqEngine> MakeEngine() {
+Result<IqEngine> MakeEngine(EngineOptions options = {}) {
   Dataset data = MakeIndependent(kN, kDim, 314);
   QueryGenOptions qopts;
   qopts.k_max = 5;
   return IqEngine::Create(std::move(data), LinearForm::Identity(kDim),
-                          MakeQueries(kM, kDim, 315, qopts), {});
+                          MakeQueries(kM, kDim, 315, qopts), options);
 }
 
 /// One serial improvement-query solve against a pinned epoch (no engine
-/// entry point, no events — pure epoch read).
+/// entry point, no root span — pure epoch read).
 bool SolveOnPin(const EpochHandle& pin, int target) {
   auto ctx = IqContext::FromIndex(pin.index_ptr(), target);
   if (!ctx.ok()) return false;
@@ -57,9 +60,14 @@ bool SolveOnPin(const EpochHandle& pin, int target) {
 }
 
 TEST(ChurnStressTest, WritersPublishWhilePinnedReadersSolve) {
-  EventLog::Global().Clear();
-  const uint64_t dropped_before = EventLog::Global().dropped_count();
-  auto engine = MakeEngine();
+  // Span capture on for the whole storm; nothing is slow enough to retain,
+  // so every span stays in the per-thread rings for the balance check.
+  TraceCollector& tc = TraceCollector::Global();
+  tc.SetEnabled(false);
+  tc.Clear();
+  EngineOptions options;
+  options.slow_trace_nanos = std::numeric_limits<int64_t>::max();
+  auto engine = MakeEngine(options);
   ASSERT_TRUE(engine.ok());
 
   // The strategies each writer will apply are fixed up front. Addition
@@ -114,8 +122,8 @@ TEST(ChurnStressTest, WritersPublishWhilePinnedReadersSolve) {
         if (pin.index().HitCount(target) != hits_first) {
           frozen_violations.fetch_add(1, std::memory_order_relaxed);
         }
-        // The engine-level solve pins its own epoch and records
-        // solve_start/solve_end events for the balance check below.
+        // The engine-level solve pins its own epoch and opens a root span
+        // for the balance check below.
         if (!engine->MinCost(target, /*tau=*/1).ok()) {
           read_failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -152,38 +160,36 @@ TEST(ChurnStressTest, WritersPublishWhilePinnedReadersSolve) {
     }
   }
 
-  // Flight-recorder balance over the whole storm.
-  uint64_t solve_starts = 0, solve_ends = 0, applies = 0;
-  uint64_t last_apply_epoch = 1;
-  for (const Event& e : EventLog::Global().Snapshot()) {
-    switch (e.type) {
-      case EventType::kSolveStart:
-        ++solve_starts;
-        break;
-      case EventType::kSolveEnd:
-        ++solve_ends;
-        EXPECT_TRUE(e.ok);
-        break;
-      case EventType::kApplyStrategy:
-        ++applies;
-        EXPECT_TRUE(e.ok);
-        // Publishes are serialized: epoch ids must be unique and, in the
-        // recorder's global sequence order, strictly increasing.
-        EXPECT_GT(e.epoch, last_apply_epoch);
-        last_apply_epoch = e.epoch;
-        break;
-      default:
-        break;
+#if defined(IQ_TRACING_ENABLED)
+  // Span balance over the whole storm, read from the rings in start order.
+  uint64_t solves = 0, applies = 0, hooks = 0;
+  int64_t last_hook_epoch = 1;
+  for (const TraceEvent& e :
+       tc.SpansInWindow(0, std::numeric_limits<uint64_t>::max())) {
+    const std::string name = e.name;
+    if (name == "IqEngine::MinCost" && e.parent_span_id == 0) {
+      ++solves;
+    } else if (name == "IqEngine::ApplyStrategy") {
+      ++applies;
+    } else if (name == "SubdomainIndex::OnObjectAdded") {
+      ++hooks;
+      // Publishes are serialized on the writer lock: the epoch each hook
+      // ran for (arg1) is unique and strictly increasing in start order.
+      EXPECT_GT(e.arg1, last_hook_epoch);
+      last_hook_epoch = e.arg1;
     }
   }
-  EXPECT_EQ(solve_starts, solve_ends);
-  EXPECT_EQ(solve_starts,
-            static_cast<uint64_t>(kReaders) * kReadsPerReader);
+  EXPECT_EQ(solves, static_cast<uint64_t>(kReaders) * kReadsPerReader);
   EXPECT_EQ(applies, kApplies);
-  EXPECT_EQ(last_apply_epoch, 1 + kApplies);
-  // Nothing was overwritten out of the ring, so the balance above saw the
+  EXPECT_EQ(hooks, kApplies);
+  EXPECT_EQ(last_hook_epoch, static_cast<int64_t>(1 + kApplies));
+  // Nothing was overwritten out of the rings, so the balance above saw the
   // complete record (the fixed op counts are sized for this).
-  EXPECT_EQ(EventLog::Global().dropped_count(), dropped_before);
+  EXPECT_EQ(tc.DroppedCount(), 0u);
+#endif  // IQ_TRACING_ENABLED
+  tc.SetEnabled(false);
+  tc.Clear();
+  tc.ConfigureTailCapture({});
 }
 
 TEST(ChurnStressTest, ConcurrentPinReleaseRacesRetirement) {

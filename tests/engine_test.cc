@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.h"
 #include "data/queries.h"
 #include "data/synthetic.h"
+#include "obs/trace.h"
 
 namespace iq {
 namespace {
 
-Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed) {
+Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed,
+                            EngineOptions options = {}) {
   Dataset data = MakeIndependent(n, dim, seed);
   QueryGenOptions qopts;
   qopts.k_max = 5;
   return IqEngine::Create(std::move(data), LinearForm::Identity(dim),
-                          MakeQueries(m, dim, seed + 1, qopts));
+                          MakeQueries(m, dim, seed + 1, qopts), options);
 }
 
 TEST(EngineTest, CreateAndInspect) {
@@ -107,6 +111,36 @@ TEST(EngineTest, MultiTargetThroughEngine) {
   auto mh = engine->MultiMaxHit({0, 1}, 0.3, {IqOptions{}});
   ASSERT_TRUE(mh.ok());
   EXPECT_LE(mh->total_cost, 0.3 + 1e-9);
+}
+
+TEST(EngineTest, UnwritableDumpPathWarnsAndKeepsStatus) {
+  auto reference = MakeEngine(20, 10, 2, 77);
+  ASSERT_TRUE(reference.ok());
+  EngineOptions options;
+  const std::string path =
+      ::testing::TempDir() + "/iq_no_such_dump_dir/error_dump.json";
+  options.event_dump_path = path;
+  auto engine = MakeEngine(20, 10, 2, 77, options);
+  ASSERT_TRUE(engine.ok());
+  const std::string want = reference->MinCost(-1, 1).status().ToString();
+
+  ::testing::internal::CaptureStderr();
+  auto r = engine->MinCost(-1, 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  // The caller gets the solve's own error, not the dump's.
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), want);
+  EXPECT_NE(err.find("WARN"), std::string::npos) << err;
+  EXPECT_NE(err.find("dump-on-error to " + path + " failed"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("cannot open"), std::string::npos) << err;
+
+  // The dump path switched span capture on process-wide; switch it off.
+  TraceCollector& tc = TraceCollector::Global();
+  tc.SetEnabled(false);
+  tc.Clear();
+  tc.ClearRetained();
 }
 
 TEST(EngineTest, SchemeNames) {

@@ -93,7 +93,8 @@ TEST(ExporterTest, ResponseRouting) {
   std::string statusz = ExporterResponseForPath("/statusz", 123);
   EXPECT_NE(statusz.find("application/json"), std::string::npos);
   EXPECT_NE(statusz.find("\"uptime_ns\": 123"), std::string::npos);
-  EXPECT_NE(statusz.find("\"events\""), std::string::npos);
+  EXPECT_NE(statusz.find("\"metrics\": {"), std::string::npos);
+  EXPECT_EQ(statusz.find("\"events\""), std::string::npos);
 
   std::string missing = ExporterResponseForPath("/nope", 123);
   EXPECT_EQ(missing.rfind("HTTP/1.0 404 Not Found\r\n", 0), 0u);

@@ -12,7 +12,7 @@ void SanctionedSpans(int target) {
     IQ_TRACE_SCOPE_ARG("Fixture::inner_arg", target);
     IQ_TRACE_SCOPE_ARG2("Fixture::inner_arg2", target, 42);
   }
-  if (target < 0) root.NoteError();
+  if (target < 0) root.NoteError(Status::InvalidArgument("negative target"));
   // Configuration, scraping and bookkeeping reads are all legal.
   static_cast<void>(TraceCollector::Global().EventCount());
   static_cast<void>(TraceCollector::Global().DroppedCount());

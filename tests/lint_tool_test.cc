@@ -40,8 +40,8 @@ TEST(LintGuardTest, ExpectedHeaderGuardDerivation) {
             "IQ_BENCH_COMMON_HARNESS_H_");
   EXPECT_EQ(ExpectedHeaderGuard("tools/iq_lint/lint.h"),
             "IQ_TOOLS_IQ_LINT_LINT_H_");
-  EXPECT_EQ(ExpectedHeaderGuard("src/obs/event_log.h"),
-            "IQ_OBS_EVENT_LOG_H_");
+  EXPECT_EQ(ExpectedHeaderGuard("src/obs/trace_analysis.h"),
+            "IQ_OBS_TRACE_ANALYSIS_H_");
 }
 
 TEST(LintGuardTest, FlagsWrongGuard) {

@@ -172,7 +172,7 @@ TEST(LockRankDeathTest, ReacquireAborts) {
 
 TEST(LockRankDeathTest, ViolationReportNamesBothRanks) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex inner(LockRank::kEventLogStripe);
+  Mutex inner(LockRank::kMetricsRegistry);
   Mutex outer(LockRank::kPoolQueue);
   // The report prints the offending rank and the held stack, outermost
   // first, so the fix (reorder or re-rank) is readable from the abort.
@@ -181,7 +181,7 @@ TEST(LockRankDeathTest, ViolationReportNamesBothRanks) {
         MutexLock a(&inner);
         MutexLock b(&outer);
       },
-      "kPoolQueue.*while holding(.|\n)*kEventLogStripe");
+      "kPoolQueue.*while holding(.|\n)*kMetricsRegistry");
 }
 
 #endif  // NDEBUG

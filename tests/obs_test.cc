@@ -239,6 +239,10 @@ TEST(TraceTest, JsonIsWellFormedChromeTrace) {
 TEST(TraceTest, RingOverwritesOldestBeyondCapacity) {
   TraceCollector& tc = TraceCollector::Global();
   tc.Clear();
+  // Every overwrite is mirrored to /metrics as iq.trace.dropped.
+  Counter* dropped_counter =
+      MetricsRegistry::Global().GetCounter("iq.trace.dropped");
+  const uint64_t counter_before = dropped_counter->value();
   tc.SetEnabled(true);
   const size_t total = TraceCollector::kRingCapacity + 100;
   for (size_t i = 0; i < total; ++i) {
@@ -247,6 +251,7 @@ TEST(TraceTest, RingOverwritesOldestBeyondCapacity) {
   tc.SetEnabled(false);
   EXPECT_EQ(tc.EventCount(), TraceCollector::kRingCapacity);
   EXPECT_EQ(tc.DroppedCount(), 100u);
+  EXPECT_EQ(dropped_counter->value() - counter_before, 100u);
   tc.Clear();
   EXPECT_EQ(tc.EventCount(), 0u);
   EXPECT_EQ(tc.DroppedCount(), 0u);

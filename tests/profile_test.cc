@@ -2,10 +2,10 @@
 // model: mutex wait attribution by rank under injected contention
 // (util/prof.h), ParallelFor chunks captured as trace spans through the pool
 // and the serial fallback, the profile-window dump round-trip through the
-// tools/iq_trace scanner, the /profilez endpoint shape, escaping of every
-// string in the iq_trace JSON report, and the flight recorder's
-// dropped-event counter mirroring. Chunk spans exist only when tracing is
-// compiled in, so their assertions are guarded; mutex attribution is not.
+// tools/iq_trace scanner, the /profilez endpoint shape, and escaping of
+// every string in the iq_trace JSON report. Chunk spans exist only when
+// tracing is compiled in, so their assertions are guarded; mutex
+// attribution is not.
 // This suite also runs under the TSan CI lane ("Prof" is in the lane's test
 // regex) — the capture layer's whole point is recording from many threads
 // without locks.
@@ -17,9 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/event_log.h"
 #include "obs/exporter.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
 #include "tests/json_check.h"
@@ -336,7 +334,7 @@ TEST(ProfileTest, ReportJsonRoundTrip) {
 {"span": {"trace_id": 0, "span_id": 6, "parent_span_id": 5, "name": "MinCostIq", "tid": 1, "start_ns": 502000, "dur_ns": 1000}})";
   const TraceDump dump = ParseTracezDump(window);
   ASSERT_EQ(dump.windows.size(), 1u);
-  EXPECT_FALSE(dump.tracez);
+  EXPECT_FALSE(dump.tracez());
   const ParsedProfileWindow& w = dump.windows[0];
   EXPECT_EQ(w.label, "threads=4");
   EXPECT_TRUE(w.enabled);
@@ -465,8 +463,8 @@ TEST(ProfileTest, VerdictPicksContentionWhenWaitDominates) {
   r.total_wait_nanos = 400000;  // 40% of the window blocked
   r.mutexes.push_back(
       {"IqEngine::mu_", "kEngine", 100, 80, 390000, 20000, 700000});
-  r.mutexes.push_back({"EventLog::stripe", "kEventLogStripe", 50, 1, 10000,
-                       1000, 20000});
+  r.mutexes.push_back({"MetricsRegistry::mu_", "kMetricsRegistry", 50, 1,
+                       10000, 1000, 20000});
   const std::string verdict = ProfileVerdict(r);
   EXPECT_NE(verdict.find("lock contention"), std::string::npos);
   EXPECT_NE(verdict.find("IqEngine::mu_"), std::string::npos);
@@ -474,15 +472,16 @@ TEST(ProfileTest, VerdictPicksContentionWhenWaitDominates) {
 }
 
 TEST(ProfileTest, ReportJsonEscapesHostileStrings) {
-  // A hand-edited dump whose op and span name carry a backslash and a
-  // quote (JSON-escaped in the dump), plus a second trace whose op ends in
-  // a lone backslash that escapes its closing quote. Every string iq_trace
-  // writes back must be escaped, so the machine report stays valid JSON.
+  // A hand-edited dump whose op, span name and error text carry a
+  // backslash and a quote (JSON-escaped in the dump), plus a second trace
+  // whose op ends in a lone backslash that escapes its closing quote. Every
+  // string iq_trace writes back must be escaped, so the machine report
+  // stays valid JSON.
   const std::string dump_text = R"({"tracez": {
 "config": {"slow_trace_nanos": 1, "keep_first_n": 0, "max_retained": 8},
 "counters": {"dropped": 0, "slow_retained": 2, "discarded": 0},
 "traces": [
-{"trace_summary": {"trace_id": 7, "op": "evil\\op\"x\\", "start_ns": 0, "dur_ns": 100, "erred": false, "warmup": false, "num_spans": 1, "num_threads": 1}},
+{"trace_summary": {"trace_id": 7, "op": "evil\\op\"x\\", "start_ns": 0, "dur_ns": 100, "erred": true, "warmup": false, "num_spans": 1, "num_threads": 1, "error": "Internal: \"q\" \\ done"}},
 {"span": {"trace_id": 7, "span_id": 7, "parent_span_id": 0, "name": "evil\\op\"x\\", "tid": 1, "start_ns": 0, "dur_ns": 100}},
 {"trace_summary": {"trace_id": 8, "op": "trailing\", "start_ns": 0, "dur_ns": 100, "erred": false, "warmup": false, "num_spans": 0, "num_threads": 0}}
 ]
@@ -492,31 +491,14 @@ TEST(ProfileTest, ReportJsonEscapesHostileStrings) {
   EXPECT_EQ(dump.traces[0].op, "evil\\op\"x\\");
   ASSERT_EQ(dump.traces[0].spans.size(), 1u);
   EXPECT_EQ(dump.traces[0].spans[0].name, "evil\\op\"x\\");
+  EXPECT_EQ(dump.traces[0].error, "Internal: \"q\" \\ done");
 
   const std::string json = TraceReportJson(dump);
   EXPECT_TRUE(IsStructurallyValidJson(json)) << json;
   EXPECT_NE(json.find(R"("op": "evil\\op\"x\\")"), std::string::npos);
   EXPECT_NE(json.find(R"("name": "evil\\op\"x\\")"), std::string::npos);
-}
-
-TEST(ProfileTest, EventLogDropsMirroredToMetricsCounter) {
-  EventLog& log = EventLog::Global();
-  Counter* counter =
-      MetricsRegistry::Global().GetCounter("iq.eventlog.dropped");
-  const uint64_t dropped_before = log.dropped_count();
-  const uint64_t counter_before = counter->value();
-
-  // A single thread maps to one stripe; overfilling that stripe's ring
-  // forces overwrites, each of which must tick both accountings.
-  const int to_record = static_cast<int>(2 * EventLog::kStripeCapacity);
-  for (int i = 0; i < to_record; ++i) {
-    log.Record(EventLog::IndexMaintenance("profile_test", i, true));
-  }
-
-  const uint64_t dropped_delta = log.dropped_count() - dropped_before;
-  const uint64_t counter_delta = counter->value() - counter_before;
-  EXPECT_GT(dropped_delta, 0u);
-  EXPECT_EQ(counter_delta, dropped_delta);
+  EXPECT_NE(json.find(R"("error": "Internal: \"q\" \\ done")"),
+            std::string::npos);
 }
 
 }  // namespace

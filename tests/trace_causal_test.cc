@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -27,6 +28,7 @@
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
 #include "tests/json_check.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/trace_context.h"
@@ -139,6 +141,32 @@ Result<IqEngine> MakeTracedEngine(int n, int m, int dim, uint64_t seed,
   return IqEngine::Create(MakeIndependent(n, dim, seed),
                           LinearForm::Identity(dim),
                           MakeQueries(m, dim, seed + 1), options);
+}
+
+/// An engine whose only observability setting is the dump-on-error path.
+Result<IqEngine> MakeDumpingEngine(const std::string& dump_path) {
+  std::remove(dump_path.c_str());
+  EngineOptions options;
+  options.event_dump_path = dump_path;
+  return IqEngine::Create(MakeIndependent(30, 3, 93), LinearForm::Identity(3),
+                          MakeQueries(20, 3, 94), options);
+}
+
+/// The dump at `path`, parsed back; the file is removed after reading.
+TraceDump ReadDump(const std::string& path) {
+  Result<std::string> text = ReadFileToString(path);
+  EXPECT_TRUE(text.ok()) << "expected a dump at " << path;
+  std::remove(path.c_str());
+  return text.ok() ? ParseTracezDump(*text) : TraceDump();
+}
+
+/// How many of the dump's traces erred in `op` with status text `error`.
+int CountErred(const TraceDump& dump, const std::string& op,
+               const std::string& error) {
+  return static_cast<int>(std::count_if(
+      dump.traces.begin(), dump.traces.end(), [&](const ParsedTrace& t) {
+        return t.erred && t.op == op && t.error == error;
+      }));
 }
 
 std::vector<BatchItem> MakeBatch(int n, int m) {
@@ -355,6 +383,70 @@ TEST(TraceCausalTest, ErredSolveIsRetainedRegardlessOfLatency) {
   EXPECT_TRUE(retained[0].erred);
   EXPECT_FALSE(retained[0].warmup);
   EXPECT_STREQ(retained[0].op, "IqEngine::MinCost");
+}
+
+TEST(TraceCausalTest, ErrorDumpHoldsTheErredTraceAndItsRunUp) {
+  ScopedTracing tracing(TraceTailConfig{});
+  TraceCollector& tc = TraceCollector::Global();
+  tc.SetEnabled(false);
+  const std::string path = ::testing::TempDir() + "/iq_error_dump.json";
+  auto engine = MakeDumpingEngine(path);
+  ASSERT_TRUE(engine.ok());
+  // The dump path alone switches span capture on.
+  EXPECT_TRUE(tc.enabled());
+
+  // A successful solve is discarded (nothing is slow) and writes nothing,
+  // but its spans stay in the rings as run-up.
+  ASSERT_TRUE(engine->MinCost(0, 1).ok());
+  EXPECT_EQ(tc.RetainedTraces().size(), 0u);
+  EXPECT_FALSE(ReadFileToString(path).ok());
+
+  auto r = engine->MinCost(-1, 3);
+  ASSERT_FALSE(r.ok());
+  const std::string error = r.status().ToString();
+  const TraceDump dump = ReadDump(path);
+  ASSERT_EQ(dump.traces.size(), 1u);
+  EXPECT_EQ(CountErred(dump, "IqEngine::MinCost", error), 1);
+
+  // One window: every span still in the rings — the engine's index build
+  // and both solves' roots included.
+  ASSERT_EQ(dump.windows.size(), 1u);
+  const ParsedProfileWindow& window = dump.windows[0];
+  EXPECT_EQ(window.label, "error_dump");
+  int roots = 0, builds = 0;
+  for (const ParsedSpan& s : window.spans) {
+    roots += s.name == "IqEngine::MinCost" && s.parent_span_id == 0;
+    builds += s.name == "SubdomainIndex::Build";
+  }
+  EXPECT_EQ(roots, 2);
+  EXPECT_EQ(builds, 1);
+
+  // iq_trace's analysis reads the erred trace and names its error.
+  const TraceAnalysis analysis = AnalyzeTrace(dump.traces[0]);
+  ASSERT_FALSE(analysis.critical_path.empty());
+  EXPECT_EQ(analysis.critical_path.front().name, "IqEngine::MinCost");
+  EXPECT_EQ(analysis.error, error);
+  EXPECT_NE(TraceVerdict(analysis).find(error), std::string::npos);
+  EXPECT_TRUE(IsStructurallyValidJson(TraceReportJson(dump)));
+}
+
+TEST(TraceCausalTest, FailedWritesDumpTheirOwnRootSpans) {
+  ScopedTracing tracing(TraceTailConfig{});
+  const std::string path = ::testing::TempDir() + "/iq_write_dump.json";
+  auto engine = MakeDumpingEngine(path);
+  ASSERT_TRUE(engine.ok());
+
+  const Status removed = engine->RemoveQuery(9999);
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(CountErred(ReadDump(path), "IqEngine::RemoveQuery",
+                       removed.ToString()),
+            1);
+
+  const Result<int> added = engine->AddObject({0.5});  // wrong dimension
+  ASSERT_FALSE(added.ok());
+  EXPECT_EQ(CountErred(ReadDump(path), "IqEngine::AddObject",
+                       added.status().ToString()),
+            1);
 }
 
 TEST(TraceCausalTest, KeepFirstNWarmupAndBoundedStore) {

@@ -29,15 +29,16 @@
 # have cloned cells (iq_index_cow_cells_cloned > 0), and the number of live
 # epochs must be a small positive count, not a leak.
 #
-# --trace validates a scraped /tracez payload (DESIGN.md §11) from a run
-# with a forced-low slow-trace threshold: the tail-capture config and
-# counter block must be present, at least one trace must have been
-# retained, every retained trace must carry spans, and the per-summary
-# num_spans bookkeeping must match the span lines actually emitted. An
-# optional second argument names a /metrics scrape to cross-check the
-# iq_trace_* mirror counters against the tracez payload.
+# --trace validates an iq_trace --json= machine report over a scraped
+# /tracez payload (DESIGN.md §11) from a run with a forced-low slow-trace
+# threshold: the payload's tail-capture config and counter blocks must
+# have been present, at least one trace must have been retained, every
+# retained trace must carry spans, each trace must carry every span its
+# summary declared (a truncated dump fails), and no span may have tid 0.
+# An optional second argument names a /metrics scrape to cross-check the
+# iq_trace_* mirror counters against the report.
 #
-#   tools/check_metrics.sh --trace tracez.json [metrics_scrape.txt]
+#   tools/check_metrics.sh --trace trace-report.json [metrics_scrape.txt]
 set -u
 
 check_pool=0
@@ -67,32 +68,35 @@ if [ "$check_trace" -eq 1 ] && [ $# -eq 2 ]; then
 fi
 if [ $# -ne "$want_args" ] || [ ! -f "$1" ]; then
   echo "usage: $0 [--pool|--exporter|--profile|--epoch] metrics.json" >&2
-  echo "       $0 --trace tracez.json [metrics_scrape.txt]" >&2
+  echo "       $0 --trace trace-report.json [metrics_scrape.txt]" >&2
   exit 2
 fi
 json="$1"
 failures=0
 
 if [ "$check_trace" -eq 1 ]; then
-  # Scraped /tracez payload: tail-captured slow traces plus drop counters.
-  if ! grep -q '"tracez":' "$json"; then
-    echo "check_metrics: $json is not a /tracez payload (no tracez key)" >&2
+  # iq_trace machine report over a /tracez payload.
+  if ! grep -q '"iq_trace":' "$json"; then
+    echo "check_metrics: $json is not an iq_trace --json= report" >&2
     echo "check_metrics: FAILED (1 problem(s))" >&2
     exit 1
   fi
-  if ! grep -q '"config":' "$json" || \
-     ! grep -q '"slow_trace_nanos":' "$json"; then
-    echo "check_metrics: tail-capture config block missing" >&2
+  if ! grep -qE '"config": \{"slow_trace_nanos": -?[0-9]+' "$json"; then
+    echo "check_metrics: tail-capture config block missing — the input" \
+         "was not a /tracez payload" >&2
     failures=$((failures + 1))
   fi
   for c in dropped slow_retained discarded; do
-    if ! grep -qE "\"$c\": [0-9]+" "$json"; then
-      echo "check_metrics: counter \"$c\" missing from tracez payload" >&2
+    if ! grep -qE "\"counters\": \{.*\"$c\": [0-9]+" "$json"; then
+      echo "check_metrics: counter \"$c\" missing from the tracez payload" >&2
       failures=$((failures + 1))
     fi
   done
-  num_traces="$(grep -c '"trace_summary":' "$json" || true)"
-  num_spans="$(grep -c '"span":' "$json" || true)"
+  num_traces="$(grep -oE '"num_traces": [0-9]+' "$json" \
+                | grep -oE '[0-9]+$' || true)"
+  num_traces="${num_traces:-0}"
+  num_spans="$(grep -oE '"num_spans": [0-9]+' "$json" | grep -oE '[0-9]+$' \
+               | awk '{s += $1} END {print s + 0}')"
   if [ "$num_traces" -eq 0 ]; then
     echo "check_metrics: no retained traces — tail capture never fired" \
          "(is slow_trace_nanos low enough?)" >&2
@@ -105,17 +109,24 @@ if [ "$check_trace" -eq 1 ]; then
          "is not wired to retention" >&2
     failures=$((failures + 1))
   fi
-  # Per-summary span accounting must match the span lines emitted.
-  declared="$(grep -oE '"num_spans": [0-9]+' "$json" | grep -oE '[0-9]+$' \
-              | awk '{s += $1} END {print s + 0}')"
-  if [ "$declared" -ne "$num_spans" ]; then
-    echo "check_metrics: summaries declare $declared spans but payload" \
-         "carries $num_spans" >&2
+  # Each trace must carry every span its summary declared.
+  truncated="$(grep '"trace_analysis":' "$json" | awk '
+    { n = ""; d = "" }
+    match($0, /"num_spans": [0-9]+/) { n = substr($0, RSTART + 13, RLENGTH - 13) }
+    match($0, /"declared_spans": [0-9]+/) { d = substr($0, RSTART + 18, RLENGTH - 18) }
+    n != d { bad++ }
+    END { print bad + 0 }')"
+  if [ "$truncated" -gt 0 ]; then
+    echo "check_metrics: $truncated trace(s) carry a span count other than" \
+         "their summary declares — the dump is truncated" >&2
     failures=$((failures + 1))
   fi
   # Every span must name its thread; tid 0 means stamping is broken.
-  if grep -qE '"span": \{[^}]*"tid": 0[,}]' "$json"; then
-    echo "check_metrics: span with tid 0 — thread stamping broken" >&2
+  unstamped="$(grep -oE '"unstamped_spans": [0-9]+' "$json" \
+               | grep -oE '[0-9]+$' | awk '{s += $1} END {print s + 0}')"
+  if [ "$unstamped" -gt 0 ]; then
+    echo "check_metrics: $unstamped span(s) with tid 0 — thread stamping" \
+         "broken" >&2
     failures=$((failures + 1))
   fi
   retained_tz="$(grep -oE '"slow_retained": [0-9]+' "$json" \
@@ -134,7 +145,7 @@ if [ "$check_trace" -eq 1 ]; then
     if [ -n "$retained_prom" ] && [ -n "$retained_tz" ] && \
        [ "$retained_prom" -lt "$retained_tz" ]; then
       echo "check_metrics: iq_trace_slow_retained ($retained_prom) <" \
-           "tracez slow_retained ($retained_tz) — mirror out of sync" >&2
+           "report slow_retained ($retained_tz) — mirror out of sync" >&2
       failures=$((failures + 1))
     else
       echo "check_metrics: iq_trace_slow_retained = ${retained_prom:-?}"
@@ -144,7 +155,7 @@ if [ "$check_trace" -eq 1 ]; then
     echo "check_metrics: FAILED ($failures problem(s))" >&2
     exit 1
   fi
-  echo "check_metrics: OK (tracez payload)"
+  echo "check_metrics: OK (trace report)"
   exit 0
 fi
 

@@ -1,7 +1,8 @@
 // iq_trace — the span-dump analyzer (DESIGN.md §11). Ingests what
 // obs/trace.h writes — a saved /tracez or /profilez scrape, a
-// `bench/micro_parallel --scrape-tracez=` or `--profile=` dump, or a live
-// scrape of both endpoints via --scrape= — and reports on what the input
+// `bench/micro_parallel --scrape-tracez=` or `--profile=` dump, an engine's
+// dump-on-error file (EngineOptions::event_dump_path), or a live scrape of
+// both endpoints via --scrape= — and reports on what the input
 // holds: per retained trace, the critical path through the span tree,
 // where the wall clock went (self time by span name) and a verdict; per
 // profile window, the serialization report (serial fraction, Amdahl
