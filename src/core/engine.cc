@@ -489,10 +489,8 @@ IqEngine::Delta IqEngine::BeginDelta(DeltaKind kind) {
 
 void IqEngine::PublishLocked(Delta delta) {
   EngineMetrics::Get().epoch->Set(static_cast<int64_t>(delta.epoch));
-  // The maintenance hooks dropped the clone's SoA kernels (scalar fallback
-  // while mutating); rebuild them once here so every reader of the published
-  // epoch scores through the batch path (DESIGN.md §13).
-  delta.index->RebuildScoreKernels();
+  // The maintenance hooks already re-packed the kernel blocks they touched
+  // (DESIGN.md §13); the index publishes as it stands.
   auto snapshot = std::make_shared<const EpochSnapshot>(
       delta.epoch, std::move(delta.dataset), std::move(delta.queries),
       std::move(delta.view),
@@ -531,6 +529,9 @@ Result<int> IqEngine::AddObject(Vec attrs) {
     MutexLock lock(&mu_);
     if (static_cast<int>(attrs.size()) != CurrentEpoch()->dataset->dim()) {
       return Status::InvalidArgument("attribute dimension mismatch");
+    }
+    if (!AllFinite(attrs)) {
+      return Status::InvalidArgument("attributes must be finite");
     }
     Delta delta = BeginDelta(DeltaKind::kObjects);
     int id = delta.mutable_dataset->Add(std::move(attrs));
@@ -577,6 +578,12 @@ Status IqEngine::ApplyStrategyOnDelta(Delta& delta, int target,
     return Status::InvalidArgument("strategy dimension mismatch");
   }
   Vec improved = Add(dataset.attrs(target), strategy);
+  // A non-finite strategy, or a finite one that overflows, would break the
+  // (score, id) order every ranking relies on.
+  if (!AllFinite(strategy) || !AllFinite(improved)) {
+    return Status::InvalidArgument(
+        "strategy and improved point must be finite");
+  }
   const size_t reranks_before = index.maintenance_rerank_events();
   const size_t affected_before = index.maintenance_affected_subdomains();
   // Update order matters: the index patches signatures by treating the

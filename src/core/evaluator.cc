@@ -50,37 +50,18 @@ EseEvaluator::EseEvaluator(const SubdomainIndex* index, int target)
     base_hit_flags_[static_cast<size_t>(q)] = hit;
     if (hit) ++base_hits_;
   }
-  query_kernel_ = index_->query_kernel();
-  if (query_kernel_ != nullptr) {
-    dense_thresholds_.reserve(static_cast<size_t>(query_kernel_->num_rows()));
-    for (int q : query_kernel_->ids()) {
-      dense_thresholds_.push_back(thresholds_[static_cast<size_t>(q)]);
-    }
+  for (int q : index_->query_kernel().ids()) {
+    dense_thresholds_.push_back(thresholds_[static_cast<size_t>(q)]);
   }
 }
 
 int EseEvaluator::HitsForCoeffs(const Vec& c) {
   ++calls_;
-  uint64_t scored;
-  int hits;
-  if (query_kernel_ != nullptr) {
-    // SoA batch path: same per-query Dot order and the same HitByThreshold
-    // comparison as the loop below, so the count is bit-identical.
-    hits = query_kernel_->CountHits(c, dense_thresholds_);
-    scored = static_cast<uint64_t>(query_kernel_->num_rows());
-  } else {
-    const QuerySet& queries = index_->queries();
-    hits = 0;
-    scored = 0;
-    for (int q = 0; q < queries.size(); ++q) {
-      if (!queries.is_active(q)) continue;
-      ++scored;
-      // Mid-mutation fallback: the On*() hooks reset the kernels.
-      // iq-lint: allow(raw-scoring-loop)
-      double score = Dot(c, index_->aug_weights(q));
-      if (HitByThreshold(score, thresholds_[static_cast<size_t>(q)])) ++hits;
-    }
-  }
+  // Per query: Dot(c, aug_weights(q)) against the cached threshold, with
+  // HitByThreshold, summed in one SoA pass (bit-identical; score_kernel.h).
+  const ScoreKernel& kernel = index_->query_kernel();
+  const int hits = kernel.CountHits(c, dense_thresholds_);
+  const uint64_t scored = static_cast<uint64_t>(kernel.num_rows());
   queries_rescored_ += scored;
   EseMetrics::Get().queries_reranked->Increment(scored);
   EseMetrics::Get().scan_evaluations->Increment();

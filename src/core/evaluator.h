@@ -70,10 +70,18 @@ class StrategyEvaluator {
  protected:
   // Atomic so thread-safe subclasses (SupportsConcurrentEval() == true) can
   // be driven concurrently by ThreadPool::ParallelFor without racing the
-  // bookkeeping; single-threaded evaluators pay one uncontended add.
-  std::atomic<size_t> calls_{0};
+  // bookkeeping; single-threaded evaluators pay one uncontended add. Every
+  // worker bumps them on every evaluation, so they get a cache line of
+  // their own: off the vtable pointer each virtual HitsForCoeffs call loads
+  // and off the subclass members the same workers read (DESIGN.md §13.1).
+  alignas(64) std::atomic<size_t> calls_{0};
   std::atomic<size_t> queries_rescored_{0};
   std::atomic<size_t> queries_reused_{0};
+
+ private:
+  // Fills the counters' line, so no subclass member lands in its tail.
+  [[maybe_unused]] char counters_pad_[64 - 3 * sizeof(std::atomic<size_t>)] =
+      {};
 };
 
 /// Efficient Strategy Evaluation (Algorithm 2). The subdomain index already
@@ -114,11 +122,8 @@ class EseEvaluator : public StrategyEvaluator {
   int base_hits_ = 0;
   std::vector<double> thresholds_;
   std::vector<bool> base_hit_flags_;
-  /// SoA batch path for the scan evaluation (DESIGN.md §13): the index's
-  /// query kernel captured at construction (null when the index is
-  /// mid-mutation → scalar fallback), plus thresholds_ re-indexed densely
-  /// to the kernel's row order so CountHits runs one fused pass.
-  std::shared_ptr<const ScoreKernel> query_kernel_;
+  /// thresholds_ re-indexed densely to the index's query kernel (DESIGN.md
+  /// §13), so the scan evaluation is one fused CountHits pass.
   std::vector<double> dense_thresholds_;
 };
 

@@ -25,7 +25,6 @@ FunctionView::FunctionView(const Dataset* dataset, LinearForm form)
     : dataset_(dataset),
       form_(std::move(form)),
       is_identity_(FormIsIdentity(form_, dataset->dim())) {
-  coeffs_.reserve(static_cast<size_t>(dataset_->size()));
   for (int i = 0; i < dataset_->size(); ++i) {
     coeffs_.push_back(form_.Coefficients(dataset_->attrs(i)));
   }
@@ -33,7 +32,8 @@ FunctionView::FunctionView(const Dataset* dataset, LinearForm form)
 
 void FunctionView::RefreshRow(int id) {
   IQ_CHECK(id >= 0 && id < static_cast<int>(coeffs_.size()));
-  coeffs_[static_cast<size_t>(id)] = form_.Coefficients(dataset_->attrs(id));
+  coeffs_.Mutable(static_cast<size_t>(id)) =
+      form_.Coefficients(dataset_->attrs(id));
 }
 
 void FunctionView::AppendRow(int id) {
@@ -42,9 +42,10 @@ void FunctionView::AppendRow(int id) {
 }
 
 size_t FunctionView::MemoryBytes() const {
-  size_t bytes = sizeof(FunctionView);
-  for (const Vec& c : coeffs_) bytes += c.capacity() * sizeof(double);
-  bytes += coeffs_.capacity() * sizeof(Vec);
+  size_t bytes = sizeof(FunctionView) + coeffs_.size() * sizeof(Vec);
+  for (size_t i = 0; i < coeffs_.size(); ++i) {
+    bytes += coeffs_[i].size() * sizeof(double);
+  }
   return bytes;
 }
 

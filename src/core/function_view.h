@@ -16,13 +16,14 @@ namespace iq {
 /// described by its coefficient vector c_p = form.Coefficients(p).
 ///
 /// FunctionView materializes the n x T coefficient matrix once and keeps it
-/// in sync with dataset mutations (improvements, additions, removals).
+/// in sync with dataset mutations (improvements, additions, removals). The
+/// rows are CowChunks, so a rebinding copy shares them chunk by chunk.
 class FunctionView {
  public:
   /// `dataset` must outlive the view.
   FunctionView(const Dataset* dataset, LinearForm form);
 
-  /// Rebinding copy: duplicates `other`'s form and coefficient matrix but
+  /// Rebinding copy: shares `other`'s form and coefficient chunks but
   /// points at `dataset` (a copy of the original dataset). The epoch-snapshot
   /// layer (DESIGN.md §12) uses this to give each published epoch a view
   /// bound to that epoch's own dataset clone.
@@ -43,7 +44,7 @@ class FunctionView {
   const Vec& coeffs(int id) const { return coeffs_[static_cast<size_t>(id)]; }
 
   /// All coefficient rows (aligned with object ids, tombstones included).
-  const std::vector<Vec>& rows() const { return coeffs_; }
+  const CowChunks<Vec>& rows() const { return coeffs_; }
 
   /// Coefficients of an arbitrary attribute point (e.g. an improved object).
   Vec CoefficientsFor(const Vec& attrs) const {
@@ -71,7 +72,7 @@ class FunctionView {
   const Dataset* dataset_;
   LinearForm form_;
   bool is_identity_;
-  std::vector<Vec> coeffs_;
+  CowChunks<Vec> coeffs_;
 };
 
 }  // namespace iq

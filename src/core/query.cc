@@ -13,6 +13,9 @@ Result<int> QuerySet::Add(TopKQuery q) {
                   num_weights_));
   }
   if (q.k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (!AllFinite(q.weights)) {
+    return Status::InvalidArgument("query weights must be finite");
+  }
   queries_.push_back(std::move(q));
   active_.push_back(true);
   ++num_active_;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "geom/vec.h"
+#include "util/cow_chunks.h"
 #include "util/status.h"
 
 namespace iq {
@@ -19,7 +20,8 @@ struct TopKQuery {
 };
 
 /// The query workload Q. Queries get stable ids (indices); removal
-/// tombstones a slot, mirroring Dataset.
+/// tombstones a slot, mirroring Dataset, and the queries are CowChunks like
+/// Dataset's rows.
 class QuerySet {
  public:
   explicit QuerySet(int num_weights) : num_weights_(num_weights) {}
@@ -33,7 +35,8 @@ class QuerySet {
   }
   bool is_active(int j) const { return active_[static_cast<size_t>(j)]; }
 
-  /// Appends a query; returns its id. Error on weight-length or k mismatch.
+  /// Appends a query; returns its id. Error on a weight-length mismatch,
+  /// k < 1 or a non-finite weight.
   Result<int> Add(TopKQuery q);
 
   Status Remove(int j);
@@ -44,7 +47,7 @@ class QuerySet {
  private:
   int num_weights_;
   int num_active_ = 0;
-  std::vector<TopKQuery> queries_;
+  CowChunks<TopKQuery> queries_;
   std::vector<bool> active_;
 };
 

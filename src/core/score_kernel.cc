@@ -23,42 +23,38 @@
 #endif
 
 namespace iq {
+namespace {
 
-ScoreKernel ScoreKernel::Build(const std::vector<Vec>& rows,
-                               const std::vector<bool>* active,
-                               int num_slots) {
-  ScoreKernel k;
-  k.num_slots_ = num_slots;
-  k.ids_.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (active != nullptr && !(*active)[i]) continue;
-    if (rows[i].size() < static_cast<size_t>(num_slots)) continue;
-    k.ids_.push_back(static_cast<int>(i));
-  }
-  k.num_rows_ = static_cast<int>(k.ids_.size());
-  k.data_.resize(static_cast<size_t>(num_slots) *
-                 static_cast<size_t>(k.num_rows_));
+/// acc[d] = score of the block's dense row d under `w`, each row summed in
+/// ascending slot order.
+void ScoreBlock(const ScoreKernel::Block& b, int num_slots, const Vec& w,
+                double* acc) {
+  const int len = static_cast<int>(b.ids.size());
+  for (int d = 0; d < len; ++d) acc[d] = 0.0;
   for (int s = 0; s < num_slots; ++s) {
-    double* col = k.data_.data() + static_cast<size_t>(s) *
-                                       static_cast<size_t>(k.num_rows_);
-    for (int d = 0; d < k.num_rows_; ++d) {
-      col[d] = rows[static_cast<size_t>(k.ids_[static_cast<size_t>(d)])]
-                   [static_cast<size_t>(s)];
-    }
+    const double* col =
+        b.data.data() + static_cast<size_t>(s) * static_cast<size_t>(len);
+    const double ws = w[static_cast<size_t>(s)];
+    IQ_SIMD_LOOP
+    for (int d = 0; d < len; ++d) acc[d] += col[d] * ws;
   }
-  return k;
+}
+
+}  // namespace
+
+std::vector<int> ScoreKernel::ids() const {
+  std::vector<int> out;
+  out.reserve(static_cast<size_t>(num_rows_));
+  for (const auto& b : blocks_) out.insert(out.end(), b->ids.begin(), b->ids.end());
+  return out;
 }
 
 void ScoreKernel::ScoreAll(const Vec& w, std::vector<double>* out) const {
-  const int n = num_rows_;
-  out->assign(static_cast<size_t>(n), 0.0);
+  out->resize(static_cast<size_t>(num_rows_));
   double* o = out->data();
-  for (int s = 0; s < num_slots_; ++s) {
-    const double* col =
-        data_.data() + static_cast<size_t>(s) * static_cast<size_t>(n);
-    const double ws = w[static_cast<size_t>(s)];
-    IQ_SIMD_LOOP
-    for (int d = 0; d < n; ++d) o[d] += col[d] * ws;
+  for (const auto& b : blocks_) {
+    ScoreBlock(*b, num_slots_, w, o);
+    o += b->ids.size();
   }
 }
 
@@ -67,9 +63,9 @@ std::vector<int> ScoreKernel::TopKappaSignature(
   ScoreAll(w, scratch);
   std::vector<ScoredObject> scored;
   scored.reserve(static_cast<size_t>(num_rows_));
-  for (int d = 0; d < num_rows_; ++d) {
-    scored.push_back({ids_[static_cast<size_t>(d)],
-                      (*scratch)[static_cast<size_t>(d)]});
+  const double* score = scratch->data();
+  for (const auto& b : blocks_) {
+    for (int id : b->ids) scored.push_back({id, *score++});
   }
   const size_t k = std::min<size_t>(static_cast<size_t>(kappa), scored.size());
   // Same comparator as TopKScan so the signature is bit-identical.
@@ -87,31 +83,30 @@ std::vector<int> ScoreKernel::TopKappaSignature(
 
 int ScoreKernel::CountHits(const Vec& w,
                            const std::vector<double>& thresholds) const {
-  constexpr int kBlock = 256;
-  double acc[kBlock];
-  const int n = num_rows_;
+  double acc[kCowChunkRows];
   const double* th = thresholds.data();
   int hits = 0;
-  for (int base = 0; base < n; base += kBlock) {
-    const int len = std::min(kBlock, n - base);
-    for (int d = 0; d < len; ++d) acc[d] = 0.0;
-    for (int s = 0; s < num_slots_; ++s) {
-      const double* col = data_.data() +
-                          static_cast<size_t>(s) * static_cast<size_t>(n) +
-                          static_cast<size_t>(base);
-      const double ws = w[static_cast<size_t>(s)];
-      IQ_SIMD_LOOP
-      for (int d = 0; d < len; ++d) acc[d] += col[d] * ws;
-    }
-    const double* bth = th + base;
+  for (const auto& b : blocks_) {
+    const int len = static_cast<int>(b->ids.size());
+    ScoreBlock(*b, num_slots_, w, acc);
     int block_hits = 0;
     IQ_SIMD_LOOP
     for (int d = 0; d < len; ++d) {
-      block_hits += HitByThreshold(acc[d], bth[d]) ? 1 : 0;
+      block_hits += HitByThreshold(acc[d], th[d]) ? 1 : 0;
     }
     hits += block_hits;
+    th += len;
   }
   return hits;
+}
+
+size_t ScoreKernel::MemoryBytes() const {
+  size_t bytes = sizeof(ScoreKernel);
+  for (const auto& b : blocks_) {
+    bytes += sizeof(std::shared_ptr<const Block>) + sizeof(Block) +
+             b->ids.size() * sizeof(int) + b->data.size() * sizeof(double);
+  }
+  return bytes;
 }
 
 }  // namespace iq

@@ -19,7 +19,7 @@ namespace {
 
 /// Cached pointers into the global registry; all increments are lock-free.
 struct IndexMetrics {
-  Counter* full_reranks;          // ComputeSignature calls (full TopKScan)
+  Counter* full_reranks;          // ComputeSignature calls (full re-rank)
   Counter* signature_cache_hits;  // OnQueryAdded resolved by kNN shortcut
   Counter* cells_visited;         // subdomains scanned in OnObjectRemoved
   Counter* cells_skipped;         // subdomains pruned by the Bloom filter
@@ -86,8 +86,9 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   index.epoch_ = options.epoch;
 
   const int m = queries->size();
-  index.aug_w_.resize(static_cast<size_t>(m));
   index.sd_of_.assign(static_cast<size_t>(m), -1);
+  index.signature_to_sd_ =
+      std::make_shared<std::unordered_map<std::string, int>>();
   index.sig_member_count_.assign(
       static_cast<size_t>(view->dataset().size()), 0);
   index.boundary_bloom_ = std::make_unique<BloomFilter>(
@@ -97,8 +98,8 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   // scores against it, shared read-only across the pool workers.
   {
     std::vector<bool> mask = ActiveMask(view->dataset());
-    index.object_kernel_ = std::make_shared<const ScoreKernel>(
-        ScoreKernel::Build(view->rows(), &mask, view->form().num_slots()));
+    index.object_kernel_ =
+        ScoreKernel::Build(view->rows(), &mask, view->form().num_slots());
   }
 
   std::vector<Vec> points;
@@ -107,7 +108,7 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   ids.reserve(points.capacity());
 
   // Phase 1 (parallel): the expensive per-query ranking — augmented weights
-  // plus a full TopKScan signature per active query. Every unit writes only
+  // plus a full top-κ signature per active query. Every unit writes only
   // its own slots.
   std::vector<int> active;
   active.reserve(static_cast<size_t>(queries->num_active()));
@@ -115,6 +116,7 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
     if (queries->is_active(q)) active.push_back(q);
   }
   std::vector<std::vector<int>> sigs(active.size());
+  std::vector<Vec> aug_w(static_cast<size_t>(m));
   if (options.pool != nullptr && active.size() > 1) {
     IndexMetrics::Get().parallel_rank_batches->Increment();
   }
@@ -123,13 +125,14 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
       [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           const int q = active[static_cast<size_t>(i)];
-          index.aug_w_[static_cast<size_t>(q)] =
+          aug_w[static_cast<size_t>(q)] =
               view->form().AugmentWeights(queries->query(q).weights);
           sigs[static_cast<size_t>(i)] =
-              index.ComputeSignature(index.aug_w_[static_cast<size_t>(q)]);
+              index.ComputeSignature(aug_w[static_cast<size_t>(q)]);
         }
       },
       "index.build_rank");
+  index.aug_w_ = CowChunks<Vec>(std::move(aug_w));
 
   // Phase 2 (serial): attach in ascending query id, so subdomain ids are
   // assigned in first-encounter order exactly as the serial build does.
@@ -149,8 +152,8 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   {
     std::vector<bool> qmask(static_cast<size_t>(m), false);
     for (int q : active) qmask[static_cast<size_t>(q)] = true;
-    index.query_kernel_ = std::make_shared<const ScoreKernel>(
-        ScoreKernel::Build(index.aug_w_, &qmask, view->form().num_slots()));
+    index.query_kernel_ =
+        ScoreKernel::Build(index.aug_w_, &qmask, view->form().num_slots());
   }
 
   index.build_seconds_ = timer.ElapsedSeconds();
@@ -168,22 +171,23 @@ SubdomainIndex SubdomainIndex::CloneCow(const FunctionView* view,
   copy.kappa_ = kappa_;
   copy.pool_ = pool_;
   copy.epoch_ = epoch;
-  copy.aug_w_ = aug_w_;
   copy.sd_of_ = sd_of_;
-  // Cells and the R-tree are shared, not copied: MutableCell/MutableRTree
-  // clone them lazily when (and only when) a maintenance hook touches them.
+  // Cells, the R-tree, the signature map and the aug_w_ chunks are shared,
+  // not copied: the Mutable* accessors clone them lazily when (and only
+  // when) a maintenance hook touches them. Kernel blocks are immutable;
+  // the hooks replace the one block they re-pack.
+  copy.aug_w_ = aug_w_;
   copy.subdomains_ = subdomains_;
   copy.rtree_ = rtree_;
+  copy.signature_to_sd_ = signature_to_sd_;
+  copy.object_kernel_ = object_kernel_;
+  copy.query_kernel_ = query_kernel_;
   copy.free_subdomains_ = free_subdomains_;
   copy.num_occupied_ = num_occupied_;
-  copy.signature_to_sd_ = signature_to_sd_;
   copy.sig_member_count_ = sig_member_count_;
   // The Bloom filter is append-only and small; an eager copy keeps the
   // frozen parent's filter untouched when the clone adds boundary pairs.
   copy.boundary_bloom_ = std::make_unique<BloomFilter>(*boundary_bloom_);
-  // The SoA kernels stay null on the clone: the maintenance hooks are about
-  // to mutate the owners, so the scalar paths take over until the engine
-  // calls RebuildScoreKernels() at publish time (once per epoch).
   copy.build_seconds_ = build_seconds_;
   copy.knn_shortcut_hits_ = knn_shortcut_hits_;
   copy.maintenance_rerank_events_ = maintenance_rerank_events_;
@@ -207,33 +211,44 @@ RTree& SubdomainIndex::MutableRTree() {
   return *rtree_;
 }
 
+std::unordered_map<std::string, int>& SubdomainIndex::MutableSignatureMap() {
+  if (signature_to_sd_.use_count() > 1) {
+    signature_to_sd_ = std::make_shared<std::unordered_map<std::string, int>>(
+        *signature_to_sd_);
+  }
+  return *signature_to_sd_;
+}
+
+void SubdomainIndex::RepackObject(int id) {
+  const Dataset& data = view_->dataset();
+  object_kernel_.Repack(id, view_->rows(), [&data](size_t i) {
+    return data.is_active(static_cast<int>(i));
+  });
+}
+
+void SubdomainIndex::RepackQuery(int q) {
+  query_kernel_.Repack(q, aug_w_, [this](size_t i) {
+    return queries_->is_active(static_cast<int>(i));
+  });
+}
+
 void SubdomainIndex::RebuildScoreKernels() {
   std::vector<bool> mask = ActiveMask(view_->dataset());
-  object_kernel_ = std::make_shared<const ScoreKernel>(
-      ScoreKernel::Build(view_->rows(), &mask, view_->form().num_slots()));
+  object_kernel_ =
+      ScoreKernel::Build(view_->rows(), &mask, view_->form().num_slots());
   std::vector<bool> qmask(aug_w_.size(), false);
   for (int q = 0; q < queries_->size(); ++q) {
     if (queries_->is_active(q)) qmask[static_cast<size_t>(q)] = true;
   }
-  query_kernel_ = std::make_shared<const ScoreKernel>(
-      ScoreKernel::Build(aug_w_, &qmask, view_->form().num_slots()));
+  query_kernel_ = ScoreKernel::Build(aug_w_, &qmask, view_->form().num_slots());
 }
 
 std::vector<int> SubdomainIndex::ComputeSignature(const Vec& aug_w) const {
   IndexMetrics::Get().full_reranks->Increment();
-  if (object_kernel_ != nullptr) {
-    // SoA batch path: bit-identical to the TopKScan below (same comparator,
-    // same per-row accumulation order; see score_kernel.h).
-    std::vector<double> scratch;
-    return object_kernel_->TopKappaSignature(aug_w, kappa_, &scratch);
-  }
-  std::vector<bool> mask = ActiveMask(view_->dataset());
-  std::vector<ScoredObject> top =
-      TopKScan(view_->rows(), &mask, aug_w, kappa_);
-  std::vector<int> sig;
-  sig.reserve(top.size());
-  for (const ScoredObject& so : top) sig.push_back(so.id);
-  return sig;
+  // Bit-identical to TopKScan over the active rows (same comparator, same
+  // per-row accumulation order; see score_kernel.h).
+  std::vector<double> scratch;
+  return object_kernel_.TopKappaSignature(aug_w, kappa_, &scratch);
 }
 
 bool SubdomainIndex::SignatureMatches(const Vec& aug_w,
@@ -271,8 +286,8 @@ bool SubdomainIndex::SignatureMatches(const Vec& aug_w,
 
 int SubdomainIndex::FindOrCreateSubdomain(std::vector<int> signature) {
   std::string key = SignatureKey(signature);
-  auto it = signature_to_sd_.find(key);
-  if (it != signature_to_sd_.end()) return it->second;
+  auto it = signature_to_sd_->find(key);
+  if (it != signature_to_sd_->end()) return it->second;
   int sd;
   if (!free_subdomains_.empty()) {
     sd = free_subdomains_.back();
@@ -286,7 +301,7 @@ int SubdomainIndex::FindOrCreateSubdomain(std::vector<int> signature) {
   s.query_ids.clear();
   s.occupied = true;
   ++num_occupied_;
-  signature_to_sd_.emplace(std::move(key), sd);
+  MutableSignatureMap().emplace(std::move(key), sd);
   for (int obj : s.signature) {
     ++sig_member_count_[static_cast<size_t>(obj)];
     boundary_bloom_->Add(BloomFilter::KeyFromPair(obj, sd));
@@ -311,7 +326,7 @@ void SubdomainIndex::DetachQueryFromSubdomain(int q) {
 void SubdomainIndex::ReleaseSubdomainIfEmpty(int sd) {
   if (!Cell(sd).occupied || !Cell(sd).query_ids.empty()) return;
   Subdomain& s = MutableCell(sd);
-  signature_to_sd_.erase(SignatureKey(s.signature));
+  MutableSignatureMap().erase(SignatureKey(s.signature));
   for (int obj : s.signature) {
     --sig_member_count_[static_cast<size_t>(obj)];
   }
@@ -386,14 +401,13 @@ Status SubdomainIndex::OnQueryAdded(int q) {
       sd_of_[static_cast<size_t>(q)] >= 0) {
     return Status::AlreadyExists("query already indexed");
   }
-  // The owners changed: drop the SoA kernels so every scoring path below
-  // (and until the next RebuildScoreKernels) is the scalar reference.
-  object_kernel_.reset();
-  query_kernel_.reset();
-  aug_w_.resize(static_cast<size_t>(queries_->size()));
+  while (aug_w_.size() < static_cast<size_t>(queries_->size())) {
+    aug_w_.push_back(Vec());
+  }
   sd_of_.resize(static_cast<size_t>(queries_->size()), -1);
-  aug_w_[static_cast<size_t>(q)] =
+  aug_w_.Mutable(static_cast<size_t>(q)) =
       view_->form().AugmentWeights(queries_->query(q).weights);
+  RepackQuery(q);
   const Vec& w = aug_w_[static_cast<size_t>(q)];
 
   // kNN shortcut (§4.3): try the subdomains of nearby query points first.
@@ -423,8 +437,7 @@ Status SubdomainIndex::OnQueryRemoved(int q) {
       sd_of_[static_cast<size_t>(q)] < 0) {
     return Status::NotFound("query is not indexed");
   }
-  object_kernel_.reset();
-  query_kernel_.reset();
+  RepackQuery(q);
   MutableRTree().Remove(aug_w_[static_cast<size_t>(q)], q);
   DetachQueryFromSubdomain(q);
   return Status::Ok();
@@ -436,20 +449,24 @@ Status SubdomainIndex::OnObjectAdded(int id) {
       !view_->dataset().is_active(id)) {
     return Status::InvalidArgument("object id is not an active object");
   }
-  object_kernel_.reset();
-  query_kernel_.reset();
+  RepackObject(id);
   sig_member_count_.resize(static_cast<size_t>(view_->dataset().size()), 0);
   const Vec& c = view_->coeffs(id);
   std::vector<int> touched_sds;
 
   // A new object can only change a query's signature when it enters the
-  // top-κ prefix; test against the current κ-th member first (one dot).
-  for (int q = 0; q < queries_->size(); ++q) {
-    if (!queries_->is_active(q)) continue;
+  // top-κ prefix; test against the current κ-th member first. One query-
+  // kernel pass scores the object under every active query, in ascending
+  // query id (Dot(c, w) bit for bit).
+  std::vector<double> scores;
+  query_kernel_.ScoreAll(c, &scores);
+  const std::vector<int> active_queries = query_kernel_.ids();
+  for (size_t d = 0; d < active_queries.size(); ++d) {
+    const int q = active_queries[d];
     int sd = sd_of_[static_cast<size_t>(q)];
     const Vec& w = aug_w_[static_cast<size_t>(q)];
     const std::vector<int>& sig = Cell(sd).signature;
-    double score_new = Dot(c, w);  // iq-lint: allow(raw-scoring-loop)
+    const double score_new = scores[d];
     bool enters;
     if (static_cast<int>(sig.size()) < kappa_) {
       enters = true;  // prefix not full: the new object always joins it
@@ -491,8 +508,9 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   if (id < 0 || id >= static_cast<int>(sig_member_count_.size())) {
     return Status::OutOfRange("object id out of range");
   }
-  object_kernel_.reset();
-  query_kernel_.reset();
+  // The re-ranks below score against the object kernel, so it must drop
+  // (or, for OnObjectChanged, refresh) the object's row first.
+  RepackObject(id);
   // Collect queries whose signature contains the object. The Bloom filter
   // over (object, subdomain) membership prunes subdomains that certainly do
   // not use the object as a boundary (paper §4.3).
@@ -628,9 +646,9 @@ Status SubdomainIndex::CheckInvariants() const {
         std::to_string(num_occupied_) + ", re-count " +
         std::to_string(occupied));
   }
-  if (static_cast<int>(signature_to_sd_.size()) != num_occupied_) {
+  if (static_cast<int>(signature_to_sd_->size()) != num_occupied_) {
     return Status::Internal("signature hash table holds " +
-                            std::to_string(signature_to_sd_.size()) +
+                            std::to_string(signature_to_sd_->size()) +
                             " entries for " + std::to_string(num_occupied_) +
                             " occupied subdomains");
   }
@@ -697,19 +715,23 @@ void SubdomainIndex::TestOnlyCorruptSignature(int sd) {
 }
 
 size_t SubdomainIndex::MemoryBytes() const {
+  // Sizes, not capacities: the figure depends on what the index holds, not
+  // on how its tables grew, so a hook-patched clone and a replayed one
+  // agree.
   size_t bytes = sizeof(SubdomainIndex);
-  for (const Vec& w : aug_w_) bytes += w.capacity() * sizeof(double);
-  bytes += sd_of_.capacity() * sizeof(int);
+  for (size_t q = 0; q < aug_w_.size(); ++q) {
+    bytes += aug_w_[q].size() * sizeof(double);
+  }
+  bytes += sd_of_.size() * sizeof(int);
   for (const auto& s : subdomains_) {
     bytes += sizeof(Subdomain) + sizeof(std::shared_ptr<Subdomain>);
-    bytes += s->signature.capacity() * sizeof(int);
-    bytes += s->query_ids.capacity() * sizeof(int);
+    bytes += s->signature.size() * sizeof(int);
+    bytes += s->query_ids.size() * sizeof(int);
   }
-  bytes += sig_member_count_.capacity() * sizeof(int);
+  bytes += sig_member_count_.size() * sizeof(int);
   if (rtree_ != nullptr) bytes += rtree_->MemoryBytes();
   if (boundary_bloom_ != nullptr) bytes += boundary_bloom_->MemoryBytes();
-  if (object_kernel_ != nullptr) bytes += object_kernel_->MemoryBytes();
-  if (query_kernel_ != nullptr) bytes += query_kernel_->MemoryBytes();
+  bytes += object_kernel_.MemoryBytes() + query_kernel_.MemoryBytes();
   return bytes;
 }
 

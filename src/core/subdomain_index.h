@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "index/bloom_filter.h"
 #include "index/rtree.h"
 #include "util/annotations.h"
+#include "util/cow_chunks.h"
 #include "util/status.h"
 
 namespace iq {
@@ -80,14 +82,15 @@ class SubdomainIndex {
   SubdomainIndex& operator=(SubdomainIndex&&) = default;
 
   /// Copy-on-write clone for the next epoch (DESIGN.md §12): the subdomain
-  /// cells and the R-tree are *shared* with this index (cheap pointer
-  /// copies), the O(m) per-query tables and the Bloom filter are copied, and
-  /// `view`/`queries` rebind the clone to the next epoch's own owners. The
-  /// clone's maintenance hooks then clone any cell they touch before
-  /// mutating it (the §4.3 affected-subspace computation decides which),
-  /// counted by iq.index.cow_cells_cloned — untouched cells stay shared
-  /// across arbitrarily many epochs. `this` must be treated as frozen while
-  /// any clone of it is alive.
+  /// cells, the R-tree, the signature map, the augmented-weight chunks and
+  /// both kernels' blocks are *shared* with this index (pointer copies);
+  /// the small per-query and per-object tables and the Bloom filter are
+  /// copied, and `view`/`queries` rebind the clone to the next epoch's own
+  /// owners. The clone's maintenance hooks then clone any cell they touch
+  /// before mutating it (the §4.3 affected-subspace computation decides
+  /// which), counted by iq.index.cow_cells_cloned — untouched cells stay
+  /// shared across arbitrarily many epochs. `this` must be treated as
+  /// frozen while any clone of it is alive.
   SubdomainIndex CloneCow(const FunctionView* view, const QuerySet* queries,
                           uint64_t epoch) const;
 
@@ -115,23 +118,17 @@ class SubdomainIndex {
     return aug_w_[static_cast<size_t>(q)];
   }
 
-  /// SoA batch-scoring kernels (DESIGN.md §13), or null while the index is
-  /// mid-mutation. `object_kernel()` mirrors the active FunctionView rows
-  /// (signature ranking scores against it); `query_kernel()` mirrors the
-  /// active queries' augmented weights (ESE scan evaluation scores against
-  /// it). Build() constructs both; every On*() maintenance hook and
-  /// CloneCow() drop them (the scalar paths take over, bit-identically);
-  /// RebuildScoreKernels() — called by the engine right before an epoch is
-  /// published — restores them, so each epoch builds its kernels exactly
-  /// once under the COW delta path.
-  std::shared_ptr<const ScoreKernel> object_kernel() const {
-    return object_kernel_;
-  }
-  std::shared_ptr<const ScoreKernel> query_kernel() const {
-    return query_kernel_;
-  }
-  /// Rebuilds both kernels from the current owners. Caller holds the writer
-  /// lock (or owns the index exclusively, standalone).
+  /// SoA batch-scoring kernels (DESIGN.md §13), never stale.
+  /// `object_kernel()` mirrors the active FunctionView rows (signature
+  /// ranking scores against it); `query_kernel()` mirrors the active
+  /// queries' augmented weights (ESE scan evaluation and OnObjectAdded
+  /// score against it). Build() packs both; CloneCow() shares their blocks;
+  /// each On*() hook re-packs the one block of the row it touches.
+  const ScoreKernel& object_kernel() const { return object_kernel_; }
+  const ScoreKernel& query_kernel() const { return query_kernel_; }
+  /// Re-packs both kernels from scratch out of the current owners: the
+  /// oracle the hook-patched kernels equal byte for byte. Caller holds the
+  /// writer lock (or owns the index exclusively, standalone).
   void RebuildScoreKernels();
 
   /// Object ids that appear in at least one signature — the only possible
@@ -228,8 +225,14 @@ class SubdomainIndex {
   /// reader can drop a retired epoch's reference (making the count fall),
   /// never raise it, so a count of 1 proves exclusive ownership.
   Subdomain& MutableCell(int sd);
-  /// Same discipline for the shared R-tree (query add/remove only).
+  /// Same discipline for the shared R-tree (query add/remove only) and the
+  /// shared signature map (subdomain creation and release only).
   RTree& MutableRTree();
+  std::unordered_map<std::string, int>& MutableSignatureMap();
+  /// Re-packs the kernel block holding object `id` / query `q` (DESIGN.md
+  /// §13).
+  void RepackObject(int id);
+  void RepackQuery(int q);
 
   const FunctionView* view_ = nullptr;
   const QuerySet* queries_ = nullptr;
@@ -242,29 +245,26 @@ class SubdomainIndex {
 
   // Subdomain structure: written by Build and the On*() maintenance hooks,
   // read by everything. The writer's lock separates clone construction from
-  // the publish; published epochs are frozen (see the class comment). Cells
-  // and the R-tree are shared_ptrs shared across epochs, mutated only
-  // through the COW accessors above.
-  std::vector<Vec> aug_w_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
+  // the publish; published epochs are frozen (see the class comment). Cells,
+  // the R-tree, the signature map and the aug_w_ chunks are shared across
+  // epochs and mutated only through the COW accessors above.
+  CowChunks<Vec> aug_w_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::vector<int> sd_of_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::vector<std::shared_ptr<Subdomain>> subdomains_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::vector<int> free_subdomains_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   int num_occupied_ IQ_GUARDED_BY_CALLER(IqEngine::mu_) = 0;
-  std::unordered_map<std::string, int> signature_to_sd_
+  std::shared_ptr<std::unordered_map<std::string, int>> signature_to_sd_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   // sig_member_count_[obj] = number of subdomains whose signature holds obj.
   std::vector<int> sig_member_count_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::shared_ptr<RTree> rtree_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::unique_ptr<BloomFilter> boundary_bloom_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);
-  // SoA scoring kernels; null while mutating (see accessors above). Shared
-  // const so readers holding an epoch pin can keep scoring against a
-  // retired epoch's kernel after the writer moves on.
-  std::shared_ptr<const ScoreKernel> object_kernel_
-      IQ_GUARDED_BY_CALLER(IqEngine::mu_);
-  std::shared_ptr<const ScoreKernel> query_kernel_
-      IQ_GUARDED_BY_CALLER(IqEngine::mu_);
+  // SoA scoring kernels (see accessors above); their immutable blocks are
+  // shared with the epochs this index was cloned from.
+  ScoreKernel object_kernel_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
+  ScoreKernel query_kernel_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
 
   double build_seconds_ = 0.0;
   size_t knn_shortcut_hits_ IQ_GUARDED_BY_CALLER(IqEngine::mu_) = 0;

@@ -82,4 +82,11 @@ bool ApproxEqual(const Vec& a, const Vec& b, double tol) {
   return true;
 }
 
+bool AllFinite(const Vec& a) {
+  for (double v : a) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
 }  // namespace iq

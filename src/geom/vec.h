@@ -42,6 +42,9 @@ Vec Zeros(int d);
 /// True if every |a_i - b_i| <= tol.
 bool ApproxEqual(const Vec& a, const Vec& b, double tol = 1e-9);
 
+/// True if no component is NaN or infinite.
+bool AllFinite(const Vec& a);
+
 }  // namespace iq
 
 #endif  // IQ_GEOM_VEC_H_

@@ -7,10 +7,6 @@
 
 namespace iq {
 
-Rta::Rta(const std::vector<Vec>* coeffs, const std::vector<bool>* active,
-         int exclude)
-    : coeffs_(coeffs), active_(active), exclude_(exclude) {}
-
 int Rta::CountHits(const Vec& c, const std::vector<Vec>& aug_weights,
                    const std::vector<int>& ks,
                    const std::vector<int>* order) {
@@ -45,8 +41,8 @@ int Rta::CountHits(const Vec& c, const std::vector<Vec>& aug_weights,
     // Buffer-based pruning: if k buffered objects score <= score_c, the
     // candidate cannot beat the k-th best competitor for this query.
     int no_worse = 0;
-    for (int id : buffer_) {
-      if (Dot((*coeffs_)[static_cast<size_t>(id)], w) <= score_c) {
+    for (const Vec* row : buffer_) {
+      if (Dot(*row, w) <= score_c) {
         ++no_worse;
         if (no_worse >= k) break;
       }
@@ -58,10 +54,9 @@ int Rta::CountHits(const Vec& c, const std::vector<Vec>& aug_weights,
 
     // Full evaluation: k-th best competitor score and the fresh buffer.
     ++full_evaluations_;
-    std::vector<ScoredObject> topk =
-        TopKScan(*coeffs_, active_, w, k, exclude_);
+    std::vector<ScoredObject> topk = top_k_(w, k);
     buffer_.clear();
-    for (const ScoredObject& so : topk) buffer_.push_back(so.id);
+    for (const ScoredObject& so : topk) buffer_.push_back(&row_(so.id));
     double kth = static_cast<int>(topk.size()) < k
                      ? std::numeric_limits<double>::infinity()
                      : topk.back().score;

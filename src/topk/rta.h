@@ -2,6 +2,7 @@
 #define IQ_TOPK_RTA_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "geom/vec.h"
@@ -21,10 +22,17 @@ namespace iq {
 class Rta {
  public:
   /// `coeffs`/`active` must outlive the evaluator; rows are object-function
-  /// coefficient vectors. `exclude` removes the original target row from
-  /// every competition (the improved object replaces it).
-  Rta(const std::vector<Vec>* coeffs, const std::vector<bool>* active,
-      int exclude = -1);
+  /// coefficient vectors in any row table TopKScan reads (std::vector<Vec>
+  /// or a FunctionView's CowChunks<Vec>). `exclude` removes the original
+  /// target row from every competition (the improved object replaces it).
+  template <typename Rows>
+  Rta(const Rows* coeffs, const std::vector<bool>* active, int exclude = -1)
+      : row_([coeffs](int id) -> const Vec& {
+          return (*coeffs)[static_cast<size_t>(id)];
+        }),
+        top_k_([coeffs, active, exclude](const Vec& w, int k) {
+          return TopKScan(*coeffs, active, w, k, exclude);
+        }) {}
 
   /// Number of queries (given as augmented weight vectors plus per-query k)
   /// hit by the candidate coefficient vector c. `order` optionally supplies
@@ -50,10 +58,13 @@ class Rta {
   static std::vector<int> LocalityOrder(const std::vector<Vec>& aug_weights);
 
  private:
-  const std::vector<Vec>* coeffs_;
-  const std::vector<bool>* active_;
-  int exclude_;
-  std::vector<int> buffer_;  // ids of the last full evaluation's top-k
+  /// Row `id` of the bound table, and TopKScan over it (with the bound
+  /// active mask and excluded id).
+  std::function<const Vec&(int)> row_;
+  std::function<std::vector<ScoredObject>(const Vec&, int)> top_k_;
+  // Rows of the last full evaluation's top-k (the bound table outlives
+  // the evaluator).
+  std::vector<const Vec*> buffer_;
   size_t full_evaluations_ = 0;
   size_t pruned_ = 0;
 };

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "obs/metrics.h"
 #include "topk/topk.h"
 #include "util/check.h"
+#include "util/cow_chunks.h"
 #include "util/random.h"
 
 namespace iq {
@@ -425,6 +427,15 @@ TEST(EpochSnapshotTest, FailedUpdatePublishesNothing) {
   EXPECT_FALSE(engine->ApplyStrategy(0, Vec(kDim + 2, 0.1)).ok());  // dim
   EXPECT_FALSE(engine->AddObject(Vec(kDim + 1, 0.5)).ok());
   EXPECT_FALSE(engine->RemoveQuery(12345).ok());
+  // Non-finite input: NaN or inf would break the (score, id) order every
+  // ranking relies on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int hits5 = engine->HitCount(5);
+  EXPECT_FALSE(engine->AddObject({nan, 0.5, 0.5}).ok());
+  EXPECT_FALSE(engine->ApplyStrategy(5, {-inf, 0.0, 0.0}).ok());
+  EXPECT_FALSE(engine->AddQuery({1, {0.5, nan, 0.5}}).ok());
+  EXPECT_EQ(engine->HitCount(5), hits5);
 
   EXPECT_EQ(engine->Snapshot().epoch(), epoch);
   EXPECT_EQ(EpochCounters::Read().live, before.live);
@@ -452,6 +463,66 @@ TEST(EpochSnapshotTest, CowSharesUntouchedCellsAcrossEpochs) {
   EXPECT_GT(after, before);
   EXPECT_LT(after - before,
             static_cast<uint64_t>(8 * subdomains));
+
+  // Row tables (DESIGN.md §12): a write clones only the chunks it touches.
+  // Three-plus chunks of objects and of queries.
+  const int n = 3 * static_cast<int>(kCowChunkRows) + 17;
+  const int m = 3 * static_cast<int>(kCowChunkRows) + 5;
+  QueryGenOptions qopts;
+  qopts.k_max = 5;
+  auto big = IqEngine::Create(MakeIndependent(n, kDim, 11),
+                              LinearForm::Identity(kDim),
+                              MakeQueries(m, kDim, 12, qopts));
+  ASSERT_TRUE(big.ok());
+  const auto same_chunk = [](int a, int b) {
+    return static_cast<size_t>(a) / kCowChunkRows ==
+           static_cast<size_t>(b) / kCowChunkRows;
+  };
+
+  EpochHandle first = big->Snapshot();
+  const int t = static_cast<int>(kCowChunkRows) + 3;
+  const Vec old_attrs = first.dataset().attrs(t);
+  const Vec strategy(kDim, -0.01);
+  ASSERT_TRUE(big->ApplyStrategy(t, strategy).ok());
+  EpochHandle second = big->Snapshot();
+  for (int i = 0; i < n; ++i) {
+    const bool shared = !same_chunk(i, t);
+    EXPECT_EQ(&second.dataset().attrs(i) == &first.dataset().attrs(i), shared)
+        << "object " << i;
+    EXPECT_EQ(&second.view().coeffs(i) == &first.view().coeffs(i), shared)
+        << "object " << i;
+  }
+  for (int q = 0; q < m; ++q) {
+    EXPECT_EQ(&second.index().aug_weights(q), &first.index().aug_weights(q))
+        << "query " << q;
+    EXPECT_EQ(&second.queries().query(q), &first.queries().query(q))
+        << "query " << q;
+  }
+  // The still-pinned epoch reads the old attributes.
+  EXPECT_EQ(first.dataset().attrs(t), old_attrs);
+  EXPECT_EQ(second.dataset().attrs(t), Add(old_attrs, strategy));
+
+  // A query write shares every object row and clones only the last query
+  // chunk, which the new query lands in.
+  TopKQuery extra;
+  extra.k = 2;
+  extra.weights = Vec(kDim, 0.3);
+  auto q_new = big->AddQuery(extra);
+  ASSERT_TRUE(q_new.ok());
+  EpochHandle third = big->Snapshot();
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(&third.dataset().attrs(i), &second.dataset().attrs(i))
+        << "object " << i;
+  }
+  for (int q = 0; q < m; ++q) {
+    const bool shared = !same_chunk(q, *q_new);
+    EXPECT_EQ(&third.index().aug_weights(q) == &second.index().aug_weights(q),
+              shared)
+        << "query " << q;
+    EXPECT_EQ(&third.queries().query(q) == &second.queries().query(q), shared)
+        << "query " << q;
+  }
+  EXPECT_TRUE(third.index().CheckInvariants().ok());
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 // reference paths — not approximately equal: the per-row accumulation runs
 // in the same slot order as Dot(), the top-κ comparator is TopKScan's, the
 // hit predicate is HitByThreshold. These tests enforce the promise with a
-// randomized differential sweep: 1000 random worlds across dims 2-10,
-// diffing raw scores, top-κ signatures, hit sets and the ESE
-// rescored/reused work split between the kernel path and the scalar
-// fallback, plus the same searches across pools of 0/1/2/8 threads. CI
-// runs the suite with IQ_SIMD both ON and OFF (and under ASan/TSan) — the
-// assertions are exact equality either way.
+// randomized differential sweep across dims 2-10: raw scores, top-κ
+// signatures and hit counts diffed against the scalar reference loops;
+// after every §4.3 maintenance hook, the block-patched kernels diffed
+// byte for byte against a from-scratch pack and the subdomain structure
+// against a from-scratch Build; plus the same searches across pools of
+// 0/1/2/8 threads. CI runs the suite with IQ_SIMD both ON and OFF (and
+// under ASan/TSan) — the assertions are exact equality either way.
 //
 // The FP-order contract tests at the bottom pin down *why* exactness is
 // required: with catastrophic-cancellation rows a reassociated sum gives a
@@ -22,7 +23,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
@@ -75,8 +78,9 @@ TEST(KernelEquivTest, KernelsBitIdenticalToScalarOnRandomWorlds) {
     std::vector<double> scores;
     kernel.ScoreAll(w, &scores);
     ASSERT_EQ(static_cast<int>(scores.size()), kernel.num_rows());
+    const std::vector<int> ids = kernel.ids();
     for (int d = 0; d < kernel.num_rows(); ++d) {
-      const int id = kernel.id_at(d);
+      const int id = ids[static_cast<size_t>(d)];
       EXPECT_EQ(scores[static_cast<size_t>(d)],
                 Dot(view.rows()[static_cast<size_t>(id)], w))
           << "dense row " << d << " (id " << id << ")";
@@ -136,93 +140,203 @@ TEST(KernelEquivTest, EmptyAndDegenerateKernels) {
 }
 
 // ---------------------------------------------------------------------------
-// Index + evaluator routing: kernel path vs scalar fallback on one state
+// Kernel lifecycle: hook-patched blocks vs a from-scratch pack
 // ---------------------------------------------------------------------------
 
-// The only way to observe the scalar fallback on a semantically identical
-// index is the real lifecycle: a maintenance hook drops the kernels (scalar
-// takes over), RebuildScoreKernels() restores them. Both evaluators below
-// therefore wrap the *same* post-mutation index state.
+/// Same blocks, same ids, bit-identical slot values, same MemoryBytes.
+void ExpectSameKernel(const ScoreKernel& patched, const ScoreKernel& packed,
+                      const char* what) {
+  ASSERT_EQ(patched.num_rows(), packed.num_rows()) << what;
+  ASSERT_EQ(patched.num_slots(), packed.num_slots()) << what;
+  ASSERT_EQ(patched.blocks().size(), packed.blocks().size()) << what;
+  for (size_t b = 0; b < packed.blocks().size(); ++b) {
+    const ScoreKernel::Block& x = *patched.blocks()[b];
+    const ScoreKernel::Block& y = *packed.blocks()[b];
+    ASSERT_EQ(x.ids, y.ids) << what << " block " << b;
+    ASSERT_EQ(x.data.size(), y.data.size()) << what << " block " << b;
+    EXPECT_EQ(std::memcmp(x.data.data(), y.data.data(),
+                          x.data.size() * sizeof(double)),
+              0)
+        << what << " block " << b;
+  }
+  EXPECT_EQ(patched.MemoryBytes(), packed.MemoryBytes()) << what;
+}
+
+/// The index's hook-patched kernels equal RebuildScoreKernels() over the
+/// same owners (run on a CloneCow, so the patched index stays as it is).
+void ExpectKernelsMatchRebuild(const TestWorld& w) {
+  SubdomainIndex oracle =
+      w.index->CloneCow(w.view.get(), w.queries.get(), w.index->epoch());
+  oracle.RebuildScoreKernels();
+  ExpectSameKernel(w.index->object_kernel(), oracle.object_kernel(),
+                   "object kernel");
+  ExpectSameKernel(w.index->query_kernel(), oracle.query_kernel(),
+                   "query kernel");
+  EXPECT_EQ(w.index->MemoryBytes(), oracle.MemoryBytes());
+}
+
+/// The scalar reference for EseEvaluator::HitsForCoeffs: one Dot per active
+/// query against its threshold, with the shared strict-< hit rule.
+int ScalarHits(const SubdomainIndex& index,
+               const std::vector<double>& thresholds, const Vec& c) {
+  int hits = 0;
+  for (int q = 0; q < index.queries().size(); ++q) {
+    if (!index.queries().is_active(q)) continue;
+    if (HitByThreshold(Dot(c, index.aug_weights(q)),
+                       thresholds[static_cast<size_t>(q)])) {
+      ++hits;
+    }
+  }
+  return hits;
+}
+
+int PickActiveObject(const Dataset& data, Rng& rng) {
+  for (;;) {
+    const int id = static_cast<int>(rng.UniformInt(0, data.size() - 1));
+    if (data.is_active(id)) return id;
+  }
+}
+
+/// One seeded maintenance step through the §4.3 hooks: object remove,
+/// re-add of a removed object with new attributes, object append, query
+/// add or query remove.
+void RandomHook(TestWorld& w, int dim, int max_k, Rng& rng) {
+  const int roll = static_cast<int>(rng.UniformInt(0, 99));
+  std::vector<int> removed;
+  for (int i = 0; i < w.data->size(); ++i) {
+    if (!w.data->is_active(i)) removed.push_back(i);
+  }
+  if (roll < 30 && w.data->num_active() > max_k + 2) {
+    const int id = PickActiveObject(*w.data, rng);
+    ASSERT_TRUE(w.data->Remove(id).ok());
+    ASSERT_TRUE(w.index->OnObjectRemoved(id).ok());
+  } else if (roll < 50 && !removed.empty()) {
+    const int id = removed[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int>(removed.size()) - 1))];
+    ASSERT_TRUE(w.data
+                    ->SetAttrsIncludingInactive(
+                        id, rng.UniformVector(dim, 0.0, 1.0))
+                    .ok());
+    ASSERT_TRUE(w.data->Reactivate(id).ok());
+    w.view->RefreshRow(id);
+    ASSERT_TRUE(w.index->OnObjectAdded(id).ok());
+  } else if (roll < 70) {
+    const int id = w.data->Add(rng.UniformVector(dim, 0.0, 1.0));
+    w.view->AppendRow(id);
+    ASSERT_TRUE(w.index->OnObjectAdded(id).ok());
+  } else if (roll < 85 || w.queries->num_active() <= 2) {
+    TopKQuery q;
+    q.k = 1 + static_cast<int>(rng.UniformInt(0, max_k - 1));
+    q.weights = rng.UniformVector(dim, 0.0, 1.0);
+    auto id = w.queries->Add(std::move(q));
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(w.index->OnQueryAdded(*id).ok());
+  } else {
+    int q;
+    do {
+      q = static_cast<int>(rng.UniformInt(0, w.queries->size() - 1));
+    } while (!w.queries->is_active(q));
+    ASSERT_TRUE(w.queries->Remove(q).ok());
+    ASSERT_TRUE(w.index->OnQueryRemoved(q).ok());
+  }
+}
+
+/// World sizes for the lifecycle tests: mostly one block, and every fifth
+/// world just under a block boundary so appends open a new block and the
+/// patched blocks sit behind untouched ones.
+std::pair<int, int> LifecycleSizes(int trial, Rng& rng) {
+  if (trial % 5 == 0) {
+    const int blocks = 1 + trial / 5 % 2;
+    return {blocks * 256 - static_cast<int>(rng.UniformInt(1, 4)),
+            256 - static_cast<int>(rng.UniformInt(1, 3))};
+  }
+  return {static_cast<int>(rng.UniformInt(10, 40)),
+          static_cast<int>(rng.UniformInt(6, 24))};
+}
+
+// After every hook the patched kernels equal a from-scratch pack, and the
+// evaluator's kernel count equals the scalar Dot/HitByThreshold loop — the
+// thresholds themselves checked against a full KthBestScore scan.
 TEST(KernelEquivTest, EseKernelAndScalarPathsIdenticalOn200Worlds) {
   Rng rng(1234);
   for (int trial = 0; trial < 200; ++trial) {
     const int dim = 2 + trial % 9;
-    const int n = static_cast<int>(rng.UniformInt(10, 40));
-    const int m = static_cast<int>(rng.UniformInt(6, 24));
+    const auto [n, m] = LifecycleSizes(trial, rng);
     const uint64_t seed = rng.NextUint64(1'000'000);
     SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
                                     << " m=" << m << " dim=" << dim);
     TestWorld w = TestWorld::Linear(n, m, dim, seed);
-    ASSERT_NE(w.index->object_kernel(), nullptr);
-    ASSERT_NE(w.index->query_kernel(), nullptr);
+    const int max_k = w.queries->max_k();
+    ExpectKernelsMatchRebuild(w);
 
-    // Mutate through a hook: kernels drop, scalar paths take over.
-    const int victim = static_cast<int>(rng.UniformInt(0, n - 1));
-    ASSERT_TRUE(w.data->Remove(victim).ok());
-    ASSERT_TRUE(w.index->OnObjectRemoved(victim).ok());
-    ASSERT_EQ(w.index->object_kernel(), nullptr);
-    ASSERT_EQ(w.index->query_kernel(), nullptr);
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      RandomHook(w, dim, max_k, rng);
+      if (HasFatalFailure()) return;
+      ExpectKernelsMatchRebuild(w);
+      if (HasFatalFailure()) return;
 
-    int target = static_cast<int>(rng.UniformInt(0, n - 1));
-    if (target == victim) target = (victim + 1) % n;
-    EseEvaluator scalar(w.index.get(), target);
+      const int target = PickActiveObject(*w.data, rng);
+      EseEvaluator ese(w.index.get(), target);
+      std::vector<bool> mask(static_cast<size_t>(w.data->size()));
+      for (int i = 0; i < w.data->size(); ++i) {
+        mask[static_cast<size_t>(i)] = w.data->is_active(i);
+      }
+      for (int q = 0; q < w.queries->size(); ++q) {
+        if (!w.queries->is_active(q)) continue;
+        EXPECT_EQ(ese.thresholds()[static_cast<size_t>(q)],
+                  KthBestScore(w.view->rows(), &mask, w.index->aug_weights(q),
+                               w.queries->query(q).k, target))
+            << "query " << q;
+      }
+      for (int probe = 0; probe < 4; ++probe) {
+        const Vec s = rng.UniformVector(dim, -0.2, 0.2);
+        const Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), s));
+        EXPECT_EQ(ese.HitsForCoeffs(c), ScalarHits(*w.index, ese.thresholds(), c))
+            << "probe " << probe;
+      }
+      EXPECT_EQ(ese.calls(), 4u);
+      EXPECT_EQ(ese.queries_rescored(),
+                4u * static_cast<size_t>(w.queries->num_active()));
+      EXPECT_EQ(ese.queries_reused(), 0u);
 
-    w.index->RebuildScoreKernels();
-    ASSERT_NE(w.index->query_kernel(), nullptr);
-    EseEvaluator kernel(w.index.get(), target);
-
-    // Construction-time state matches exactly.
-    ASSERT_EQ(scalar.base_hits(), kernel.base_hits());
-    ASSERT_EQ(scalar.thresholds().size(), kernel.thresholds().size());
-    for (size_t q = 0; q < scalar.thresholds().size(); ++q) {
-      const double a = scalar.thresholds()[q], b = kernel.thresholds()[q];
-      EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b))) << "query " << q;
-    }
-    EXPECT_EQ(scalar.base_hit_flags(), kernel.base_hit_flags());
-
-    // Random candidate coefficient vectors: identical hit counts AND an
-    // identical rescored/reused work split, call by call.
-    for (int probe = 0; probe < 8; ++probe) {
-      const Vec s = rng.UniformVector(dim, -0.2, 0.2);
+      // The geometric wedge path (always scalar) agrees with the scan.
+      const Vec s = rng.UniformVector(dim, -0.1, 0.1);
       const Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), s));
-      ASSERT_EQ(scalar.HitsForCoeffs(c), kernel.HitsForCoeffs(c))
-          << "probe " << probe;
+      EseEvaluator wedge(w.index.get(), target);
+      EXPECT_EQ(wedge.HitsViaWedges(c), ese.HitsForCoeffs(c));
     }
-    EXPECT_EQ(scalar.calls(), kernel.calls());
-    EXPECT_EQ(scalar.queries_rescored(), kernel.queries_rescored());
-    EXPECT_EQ(scalar.queries_reused(), kernel.queries_reused());
-
-    // The geometric wedge path (always scalar) must agree with both scans.
-    const Vec s = rng.UniformVector(dim, -0.1, 0.1);
-    const Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), s));
-    EseEvaluator wedge_scalar(w.index.get(), target);
-    EXPECT_EQ(wedge_scalar.HitsViaWedges(c), kernel.HitsForCoeffs(c));
   }
 }
 
 TEST(KernelEquivTest, SignatureRankingIdenticalAcrossLifecycle) {
-  // ComputeSignature flows through the object kernel on a freshly built or
-  // re-published index and through TopKScan mid-mutation; the subdomain
-  // structure must be indistinguishable. Rebuild-from-scratch (kernel path
-  // end to end) vs hook-patched (scalar re-rank, then kernels restored).
+  // Every maintenance re-rank scores against the hook-patched object
+  // kernel; after a seeded hook sequence the subdomain structure must be
+  // indistinguishable from a from-scratch Build over the same owners.
   Rng rng(5678);
   for (int trial = 0; trial < 50; ++trial) {
     const int dim = 2 + trial % 9;
-    const int n = static_cast<int>(rng.UniformInt(12, 48));
-    const int m = static_cast<int>(rng.UniformInt(8, 24));
+    const auto [n, m] = LifecycleSizes(trial, rng);
     const uint64_t seed = rng.NextUint64(1'000'000);
     SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
                                     << " m=" << m << " dim=" << dim);
     TestWorld w = TestWorld::Linear(n, m, dim, seed);
-    const int victim = static_cast<int>(rng.UniformInt(0, n - 1));
-    ASSERT_TRUE(w.data->Remove(victim).ok());
-    ASSERT_TRUE(w.index->OnObjectRemoved(victim).ok());
-    w.index->RebuildScoreKernels();
+    const int max_k = w.queries->max_k();
+    for (int step = 0; step < 12; ++step) {
+      RandomHook(w, dim, max_k, rng);
+      if (HasFatalFailure()) return;
+    }
+    ExpectKernelsMatchRebuild(w);
     EXPECT_TRUE(w.index->CheckInvariants().ok());
 
-    auto rebuilt = SubdomainIndex::Build(w.view.get(), w.queries.get());
+    auto rebuilt = SubdomainIndex::Build(w.view.get(), w.queries.get(),
+                                         {.kappa = w.index->kappa()});
     ASSERT_TRUE(rebuilt.ok());
-    for (int q = 0; q < m; ++q) {
+    ExpectSameKernel(w.index->object_kernel(), rebuilt->object_kernel(),
+                     "object kernel vs Build");
+    ExpectSameKernel(w.index->query_kernel(), rebuilt->query_kernel(),
+                     "query kernel vs Build");
+    for (int q = 0; q < w.queries->size(); ++q) {
       const int sd_p = w.index->subdomain_of(q);
       const int sd_r = rebuilt->subdomain_of(q);
       ASSERT_EQ(sd_p >= 0, sd_r >= 0) << "query " << q;
@@ -263,7 +377,7 @@ TEST(KernelEquivTest, SearchesOverKernelIdenticalAcrossThreadCounts) {
     SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
                                     << " m=" << m << " dim=" << dim);
     TestWorld w = TestWorld::Linear(n, m, dim, seed);
-    ASSERT_NE(w.index->query_kernel(), nullptr);
+    ASSERT_FALSE(w.index->query_kernel().empty());
     const int target = static_cast<int>(rng.UniformInt(0, n - 1));
     const int tau = static_cast<int>(rng.UniformInt(1, m / 2 + 1));
     auto ctx = IqContext::FromIndex(w.index.get(), target);

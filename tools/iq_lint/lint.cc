@@ -509,9 +509,9 @@ const std::regex kLoopHeadRe(R"(\b(for|while)\s*\()");
 /// Dot()/FunctionView::Score() once per element: the per-element form
 /// defeats the SoA layout and the vectorizer (DESIGN.md §13). A scalar
 /// scoring call inside any for/while loop is flagged unless the line
-/// carries the raw-scoring-loop waiver — sanctioned for the mid-mutation
-/// fallback paths (kernels are reset by the On*() hooks) and for O(κ)-sized
-/// reads where building a kernel would cost more than it saves.
+/// carries the raw-scoring-loop waiver — sanctioned for reference
+/// evaluators and for O(κ)-sized reads where building a kernel would cost
+/// more than it saves.
 ///
 /// Token-level like the other checks: a brace-depth pass tracks which open
 /// braces belong to loop bodies; `pending_loop` covers a loop head whose

@@ -50,9 +50,9 @@ inline constexpr char kWaiverUnguardedMember[] =
 
 /// Marker that waives the raw-scoring-loop check for the line it appears
 /// on (or, placed on its own comment line, for the line directly below):
-/// a deliberate scalar scoring loop in src/core/ (the mid-mutation
-/// fallback paths, the O(κ) threshold reads) instead of a ScoreKernel
-/// batch call. Leave the reason in a nearby comment.
+/// a deliberate scalar scoring loop in src/core/ (the O(κ) threshold
+/// reads, reference evaluators) instead of a ScoreKernel batch call. Leave
+/// the reason in a nearby comment.
 inline constexpr char kWaiverRawScoringLoop[] =
     "iq-lint: allow(raw-scoring-loop)";
 
