@@ -58,27 +58,55 @@ void ScoreKernel::ScoreAll(const Vec& w, std::vector<double>* out) const {
   }
 }
 
-std::vector<int> ScoreKernel::TopKappaSignature(
-    const Vec& w, int kappa, std::vector<double>* scratch) const {
-  ScoreAll(w, scratch);
-  std::vector<ScoredObject> scored;
-  scored.reserve(static_cast<size_t>(num_rows_));
-  const double* score = scratch->data();
+std::vector<std::vector<int>> ScoreKernel::TopKappaSignatures(
+    const std::vector<const Vec*>& ws, int kappa) const {
+  std::vector<std::vector<int>> out(ws.size());
+  const size_t k = std::min(static_cast<size_t>(std::max(kappa, 0)),
+                            static_cast<size_t>(num_rows_));
+  if (k == 0) return out;
+  // TopKScan's comparator; (score, id) is a strict total order, so the
+  // selection is deterministic. Under it each heap is a max-heap whose
+  // front is the query's current κ-th best row.
+  auto before = [](const ScoredObject& a, const ScoredObject& b) {
+    if (a.score != b.score) return a.score < b.score;
+    return a.id < b.id;
+  };
+  std::vector<std::vector<ScoredObject>> heaps(ws.size());
+  for (auto& heap : heaps) heap.reserve(k);
+  double acc[kCowChunkRows];
   for (const auto& b : blocks_) {
-    for (int id : b->ids) scored.push_back({id, *score++});
+    const int len = static_cast<int>(b->ids.size());
+    for (size_t t = 0; t < ws.size(); ++t) {
+      ScoreBlock(*b, num_slots_, *ws[t], acc);
+      std::vector<ScoredObject>& heap = heaps[t];
+      int d = 0;
+      for (; d < len && heap.size() < k; ++d) {
+        heap.push_back({b->ids[d], acc[d]});
+        std::push_heap(heap.begin(), heap.end(), before);
+      }
+      if (d == len) continue;
+      // The heap is full. Rows arrive in ascending id, so every row left has
+      // a larger id than every heap entry: it ranks before the front iff its
+      // score is strictly lower (an equal score loses the id tie-break).
+      const double bound = heap.front().score;
+      int beats = 0;
+      IQ_SIMD_LOOP
+      for (int e = d; e < len; ++e) beats += acc[e] < bound ? 1 : 0;
+      if (beats == 0) continue;
+      for (; d < len; ++d) {
+        if (!(acc[d] < heap.front().score)) continue;
+        std::pop_heap(heap.begin(), heap.end(), before);
+        heap.back() = {b->ids[d], acc[d]};
+        std::push_heap(heap.begin(), heap.end(), before);
+      }
+    }
   }
-  const size_t k = std::min<size_t>(static_cast<size_t>(kappa), scored.size());
-  // Same comparator as TopKScan so the signature is bit-identical.
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
-                    scored.end(),
-                    [](const ScoredObject& a, const ScoredObject& b) {
-                      if (a.score != b.score) return a.score < b.score;
-                      return a.id < b.id;
-                    });
-  std::vector<int> sig;
-  sig.reserve(k);
-  for (size_t i = 0; i < k; ++i) sig.push_back(scored[i].id);
-  return sig;
+  for (size_t t = 0; t < ws.size(); ++t) {
+    std::sort_heap(heaps[t].begin(), heaps[t].end(), before);
+    out[t].reserve(heaps[t].size());
+    for (const ScoredObject& so : heaps[t]) out[t].push_back(so.id);
+  }
+  return out;
 }
 
 int ScoreKernel::CountHits(const Vec& w,

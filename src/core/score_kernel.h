@@ -98,12 +98,16 @@ class ScoreKernel {
   /// bit-for-bit. `out` is resized to num_rows().
   void ScoreAll(const Vec& w, std::vector<double>* out) const;
 
-  /// The ordered top-κ row ids under `w` — ascending (score, id), i.e. the
-  /// id sequence of TopKScan(rows, active, w, kappa) — as one batch-scored
-  /// pass. `scratch` avoids per-call allocation of the score buffer; pass
-  /// any vector (resized internally).
-  std::vector<int> TopKappaSignature(const Vec& w, int kappa,
-                                     std::vector<double>* scratch) const;
+  /// The ordered top-κ row ids under each of a tile of weight vectors:
+  /// result[t] is the id sequence of TopKScan(rows, active, *ws[t], kappa),
+  /// ascending (score, id). One pass over the blocks serves the whole tile:
+  /// each block is scored once per query while it sits in L1, into a
+  /// κ-entry (score, id) heap per query; a block none of whose rows beats a
+  /// query's current κ-th score costs that query one compare pass and no
+  /// heap work. No n-sized buffer is allocated. A single query is a
+  /// one-element tile.
+  std::vector<std::vector<int>> TopKappaSignatures(
+      const std::vector<const Vec*>& ws, int kappa) const;
 
   /// Number of dense rows whose score under `w` beats the row's threshold:
   /// count of HitByThreshold(score(d), thresholds[d]). `thresholds` is

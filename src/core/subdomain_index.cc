@@ -19,7 +19,7 @@ namespace {
 
 /// Cached pointers into the global registry; all increments are lock-free.
 struct IndexMetrics {
-  Counter* full_reranks;          // ComputeSignature calls (full re-rank)
+  Counter* full_reranks;          // queries ranked in full (RankSignatures)
   Counter* signature_cache_hits;  // OnQueryAdded resolved by kNN shortcut
   Counter* cells_visited;         // subdomains scanned in OnObjectRemoved
   Counter* cells_skipped;         // subdomains pruned by the Bloom filter
@@ -48,6 +48,14 @@ struct IndexMetrics {
   }
 };
 
+/// Queries per RankSignatures tile: one ScoreKernel::TopKappaSignatures
+/// pass scores each object block for the whole tile while the block is in
+/// L1. Serial CPU per query on the build_house ranking (HOUSE, n=100000,
+/// m=2000, κ=51, 4-CPU host, 9 runs each): one query per pass median
+/// 557 µs (444-606), 16-query tiles 505 µs (494-526), 32 and 64 2-4%
+/// lower, inside that spread.
+constexpr size_t kRankTileQueries = 16;
+
 std::string SignatureKey(const std::vector<int>& sig) {
   std::string key(sig.size() * sizeof(int), '\0');
   if (!sig.empty()) std::memcpy(key.data(), sig.data(), key.size());
@@ -72,83 +80,47 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
     return Status::InvalidArgument(
         "query weight count does not match the utility form");
   }
+  const int max_k = queries->max_k();
+  if (options.kappa > 0 && options.kappa <= max_k) {
+    return Status::InvalidArgument(
+        "kappa " + std::to_string(options.kappa) +
+        " must exceed the largest query k (" + std::to_string(max_k) + ")");
+  }
   IQ_TRACE_SCOPE_ARG2("SubdomainIndex::Build", queries->size(),
                       options.epoch);
   WallTimer timer;
   SubdomainIndex index;
   index.view_ = view;
   index.queries_ = queries;
-  int kappa = options.kappa;
-  if (kappa <= 0) kappa = queries->max_k() + 1;
-  kappa = std::max(kappa, 2);
-  index.kappa_ = kappa;
+  index.kappa_ = std::max(options.kappa > 0 ? options.kappa : max_k + 1, 2);
   index.pool_ = options.pool;
   index.epoch_ = options.epoch;
 
   const int m = queries->size();
-  index.sd_of_.assign(static_cast<size_t>(m), -1);
-  index.signature_to_sd_ =
-      std::make_shared<std::unordered_map<std::string, int>>();
-  index.sig_member_count_.assign(
-      static_cast<size_t>(view->dataset().size()), 0);
-  index.boundary_bloom_ = std::make_unique<BloomFilter>(
-      static_cast<size_t>(std::max(64, m)) * static_cast<size_t>(kappa), 0.01);
+  std::vector<Vec> aug_w(static_cast<size_t>(m));
+  for (int q = 0; q < m; ++q) {
+    if (queries->is_active(q)) {
+      aug_w[static_cast<size_t>(q)] =
+          view->form().AugmentWeights(queries->query(q).weights);
+    }
+  }
+  index.aug_w_ = CowChunks<Vec>(std::move(aug_w));
 
-  // SoA object kernel first (DESIGN.md §13): phase 1's per-query ranking
-  // scores against it, shared read-only across the pool workers.
+  // SoA object kernel first (DESIGN.md §13): the ranking scores against it,
+  // shared read-only across the pool workers.
   {
     std::vector<bool> mask = ActiveMask(view->dataset());
     index.object_kernel_ =
         ScoreKernel::Build(view->rows(), &mask, view->form().num_slots());
   }
+  const std::vector<int> active = index.GroupQueries();
 
   std::vector<Vec> points;
-  std::vector<int> ids;
-  points.reserve(static_cast<size_t>(queries->num_active()));
-  ids.reserve(points.capacity());
-
-  // Phase 1 (parallel): the expensive per-query ranking — augmented weights
-  // plus a full top-κ signature per active query. Every unit writes only
-  // its own slots.
-  std::vector<int> active;
-  active.reserve(static_cast<size_t>(queries->num_active()));
-  for (int q = 0; q < m; ++q) {
-    if (queries->is_active(q)) active.push_back(q);
-  }
-  std::vector<std::vector<int>> sigs(active.size());
-  std::vector<Vec> aug_w(static_cast<size_t>(m));
-  if (options.pool != nullptr && active.size() > 1) {
-    IndexMetrics::Get().parallel_rank_batches->Increment();
-  }
-  ParallelForOrSerial(
-      options.pool, static_cast<int64_t>(active.size()),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const int q = active[static_cast<size_t>(i)];
-          aug_w[static_cast<size_t>(q)] =
-              view->form().AugmentWeights(queries->query(q).weights);
-          sigs[static_cast<size_t>(i)] =
-              index.ComputeSignature(aug_w[static_cast<size_t>(q)]);
-        }
-      },
-      "index.build_rank");
-  index.aug_w_ = CowChunks<Vec>(std::move(aug_w));
-
-  // Phase 2 (serial): attach in ascending query id, so subdomain ids are
-  // assigned in first-encounter order exactly as the serial build does.
-  for (size_t i = 0; i < active.size(); ++i) {
-    const int q = active[i];
-    const Vec& w = index.aug_w_[static_cast<size_t>(q)];
-    int sd = index.FindOrCreateSubdomain(std::move(sigs[i]));
-    index.AttachQueryToSubdomain(q, sd);
-    points.push_back(w);
-    ids.push_back(q);
-  }
-
+  points.reserve(active.size());
+  for (int q : active) points.push_back(index.aug_w_[static_cast<size_t>(q)]);
   index.rtree_ = std::make_shared<RTree>(RTree::BulkLoad(
-      view->form().num_slots(), points, ids, options.rtree_max_entries));
+      view->form().num_slots(), points, active, options.rtree_max_entries));
 
-  // Query kernel second: the augmented weights only exist after phase 1.
   {
     std::vector<bool> qmask(static_cast<size_t>(m), false);
     for (int q : active) qmask[static_cast<size_t>(q)] = true;
@@ -160,6 +132,63 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   IndexMetrics::Get().build_nanos->Record(timer.ElapsedNanos());
   IndexMetrics::Get().num_subdomains->Set(index.num_occupied_);
   return index;
+}
+
+std::vector<int> SubdomainIndex::GroupQueries() {
+  const int m = queries_->size();
+  std::vector<int> active;
+  active.reserve(static_cast<size_t>(queries_->num_active()));
+  for (int q = 0; q < m; ++q) {
+    if (queries_->is_active(q)) active.push_back(q);
+  }
+  // Fresh cells: a clone drops its references to the shared ones, which the
+  // published epochs keep.
+  sd_of_.assign(static_cast<size_t>(m), -1);
+  subdomains_.clear();
+  free_subdomains_.clear();
+  num_occupied_ = 0;
+  signature_to_sd_ = std::make_shared<std::unordered_map<std::string, int>>();
+  sig_member_count_.assign(static_cast<size_t>(view_->dataset().size()), 0);
+  boundary_bloom_ = std::make_unique<BloomFilter>(
+      static_cast<size_t>(std::max(64, m)) * static_cast<size_t>(kappa_),
+      0.01);
+  std::vector<std::vector<int>> sigs = RankSignatures(active);
+  // Serial, in ascending query id: subdomain ids are assigned in
+  // first-encounter order whatever the pool.
+  for (size_t i = 0; i < active.size(); ++i) {
+    AttachQueryToSubdomain(active[i],
+                           FindOrCreateSubdomain(std::move(sigs[i])));
+  }
+  return active;
+}
+
+std::vector<std::vector<int>> SubdomainIndex::RankSignatures(
+    const std::vector<int>& qs) const {
+  std::vector<std::vector<int>> sigs(qs.size());
+  const size_t tiles = (qs.size() + kRankTileQueries - 1) / kRankTileQueries;
+  IndexMetrics::Get().full_reranks->Increment(qs.size());
+  if (pool_ != nullptr && tiles > 1) {
+    IndexMetrics::Get().parallel_rank_batches->Increment();
+  }
+  // Every tile writes only its own slots.
+  ParallelForOrSerial(
+      pool_, static_cast<int64_t>(tiles),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t t = begin; t < end; ++t) {
+          const size_t first = static_cast<size_t>(t) * kRankTileQueries;
+          const size_t last = std::min(qs.size(), first + kRankTileQueries);
+          std::vector<const Vec*> ws;
+          for (size_t i = first; i < last; ++i) {
+            ws.push_back(&aug_w_[static_cast<size_t>(qs[i])]);
+          }
+          std::vector<std::vector<int>> tile =
+              object_kernel_.TopKappaSignatures(ws, kappa_);
+          std::move(tile.begin(), tile.end(),
+                    sigs.begin() + static_cast<std::ptrdiff_t>(first));
+        }
+      },
+      "index.build_rank");
+  return sigs;
 }
 
 SubdomainIndex SubdomainIndex::CloneCow(const FunctionView* view,
@@ -241,14 +270,6 @@ void SubdomainIndex::RebuildScoreKernels() {
     if (queries_->is_active(q)) qmask[static_cast<size_t>(q)] = true;
   }
   query_kernel_ = ScoreKernel::Build(aug_w_, &qmask, view_->form().num_slots());
-}
-
-std::vector<int> SubdomainIndex::ComputeSignature(const Vec& aug_w) const {
-  IndexMetrics::Get().full_reranks->Increment();
-  // Bit-identical to TopKScan over the active rows (same comparator, same
-  // per-row accumulation order; see score_kernel.h).
-  std::vector<double> scratch;
-  return object_kernel_.TopKappaSignature(aug_w, kappa_, &scratch);
 }
 
 bool SubdomainIndex::SignatureMatches(const Vec& aug_w,
@@ -410,6 +431,22 @@ Status SubdomainIndex::OnQueryAdded(int q) {
   RepackQuery(q);
   const Vec& w = aug_w_[static_cast<size_t>(q)];
 
+  const int k = queries_->query(q).k;
+  if (k >= kappa_) {
+    // κ growth (DESIGN.md §2): a prefix of κ <= k ranks cannot answer this
+    // query's top-k, so every active query is re-ranked at κ = k + 1 and
+    // regrouped — Build's grouping in place, keeping the epoch, the pool
+    // and the running maintenance counters.
+    const int cells_before = num_occupied_;
+    kappa_ = k + 1;
+    const size_t ranked = GroupQueries().size();
+    maintenance_rerank_events_ += ranked - 1;
+    maintenance_affected_subdomains_ += static_cast<size_t>(cells_before);
+    MutableRTree().Insert(w, q);
+    IndexMetrics::Get().num_subdomains->Set(num_occupied_);
+    return Status::Ok();
+  }
+
   // kNN shortcut (§4.3): try the subdomains of nearby query points first.
   int sd = -1;
   for (const auto& [nbr, dist] : rtree_->KNearest(w, 4)) {
@@ -424,7 +461,7 @@ Status SubdomainIndex::OnQueryAdded(int q) {
     }
   }
   if (sd < 0) {
-    sd = FindOrCreateSubdomain(ComputeSignature(w));
+    sd = FindOrCreateSubdomain(std::move(RankSignatures({q}).front()));
   }
   AttachQueryToSubdomain(q, sd);
   MutableRTree().Insert(w, q);
@@ -536,21 +573,9 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   for (int q : affected) {
     DetachQueryFromSubdomain(q);
   }
-  // Re-rank the affected queries (the §4.3 hot loop) in parallel; cell
-  // creation stays serial in `affected` order so ids match the serial path.
-  std::vector<std::vector<int>> sigs(affected.size());
-  if (pool_ != nullptr && affected.size() > 1) {
-    IndexMetrics::Get().parallel_rank_batches->Increment();
-  }
-  ParallelForOrSerial(pool_, static_cast<int64_t>(affected.size()),
-                      [&](int64_t begin, int64_t end) {
-                        for (int64_t i = begin; i < end; ++i) {
-                          sigs[static_cast<size_t>(i)] = ComputeSignature(
-                              aug_w_[static_cast<size_t>(
-                                  affected[static_cast<size_t>(i)])]);
-                        }
-                      },
-                      "index.maintenance_rerank");
+  // Re-rank the affected queries (the §4.3 hot loop); cell creation stays
+  // serial in `affected` order so ids match the serial path.
+  std::vector<std::vector<int>> sigs = RankSignatures(affected);
   for (size_t i = 0; i < affected.size(); ++i) {
     AttachQueryToSubdomain(affected[i],
                            FindOrCreateSubdomain(std::move(sigs[i])));
@@ -609,6 +634,18 @@ Status SubdomainIndex::CheckInvariants() const {
       return Status::Internal("query " + std::to_string(q) +
                               " claims subdomain " + std::to_string(sd) +
                               " but is missing from its member list");
+    }
+    // A prefix shorter than k + 1 answers the query's top-k only when it
+    // holds every active object.
+    const int k = queries_->query(q).k;
+    const size_t sig_len = Cell(sd).signature.size();
+    if (k >= kappa_ &&
+        sig_len < static_cast<size_t>(view_->dataset().num_active())) {
+      return Status::Internal(
+          "query " + std::to_string(q) + " has k = " + std::to_string(k) +
+          " >= kappa = " + std::to_string(kappa_) + ", but its signature " +
+          "holds only " + std::to_string(sig_len) + " of " +
+          std::to_string(view_->dataset().num_active()) + " active objects");
     }
   }
 
@@ -669,7 +706,7 @@ Status SubdomainIndex::CheckInvariants() const {
     const Subdomain& s = Cell(sd);
     if (!s.occupied) continue;
     int rep = s.query_ids.front();
-    std::vector<int> fresh = ComputeSignature(aug_w_[static_cast<size_t>(rep)]);
+    std::vector<int> fresh = std::move(RankSignatures({rep}).front());
     if (fresh != s.signature) {
       size_t pos = 0;
       while (pos < fresh.size() && pos < s.signature.size() &&

@@ -26,14 +26,15 @@ struct SubdomainIndexOptions {
   /// ordered top-κ objects — the scalable equivalent of the subdomain
   /// partition of Algorithm 1 (see DESIGN.md §2): two queries share a
   /// truncated subdomain iff every rank that can influence any top-k result
-  /// (k <= max_k < κ) is identical. -1 = max_k + 1.
+  /// (k <= max_k < κ) is identical. -1 = max_k + 1; an explicit κ <= max_k
+  /// is rejected. OnQueryAdded grows κ past a larger k.
   int kappa = -1;
   int rtree_max_entries = 16;
-  /// Non-owning worker pool (DESIGN.md §8). When set, Build's per-query
-  /// ranking (signature computation) and the §4.3 maintenance re-ranks fan
-  /// out over the pool; the subdomain cells are still created serially in
-  /// query-id order, so cell ids and contents match the serial build
-  /// exactly. The pool must outlive the index. nullptr = serial.
+  /// Non-owning worker pool (DESIGN.md §8). When set, Build's ranking
+  /// (signature computation) and the §4.3 maintenance re-ranks fan tiles of
+  /// queries out over the pool; the subdomain cells are still created
+  /// serially in query-id order, so cell ids and contents match the serial
+  /// build exactly. The pool must outlive the index. nullptr = serial.
   ThreadPool* pool = nullptr;
   /// Epoch id stamped onto the built index and its maintenance-hook trace
   /// scopes (DESIGN.md §12). IqEngine starts at 1; standalone indexes keep
@@ -152,6 +153,8 @@ class SubdomainIndex {
 
   /// Query `q` was appended to the QuerySet. Uses the kNN candidate-
   /// subdomain shortcut before falling back to a full signature computation.
+  /// A query with k >= κ instead grows κ to k + 1 and regroups every
+  /// active query (DESIGN.md §2).
   Status OnQueryAdded(int q);
   /// Query `q` was tombstoned in the QuerySet.
   Status OnQueryRemoved(int q);
@@ -207,7 +210,16 @@ class SubdomainIndex {
 
   SubdomainIndex() = default;
 
-  std::vector<int> ComputeSignature(const Vec& aug_w) const;
+  /// The ordered top-κ signature of each query in `qs` (aug_w_ must hold
+  /// their weights): fixed-size tiles of queries, one blocked
+  /// ScoreKernel::TopKappaSignatures pass each, fanned out over the pool.
+  /// The one ranking path of Build, the §4.3 hooks and CheckInvariants.
+  std::vector<std::vector<int>> RankSignatures(
+      const std::vector<int>& qs) const;
+  /// Drops every cell and groups the active queries by their signature at
+  /// the current κ, creating cells serially in ascending query id (Build,
+  /// and OnQueryAdded's κ growth). Returns the active query ids.
+  std::vector<int> GroupQueries();
   /// Verifies "q belongs to subdomain sd" with one unsorted scan (the
   /// signature-based analogue of the paper's boundary above/below checks).
   bool SignatureMatches(const Vec& aug_w, const std::vector<int>& sig) const;

@@ -86,10 +86,9 @@ TEST(KernelEquivTest, KernelsBitIdenticalToScalarOnRandomWorlds) {
           << "dense row " << d << " (id " << id << ")";
     }
 
-    // (b) TopKappaSignature == TopKScan's id sequence, every κ.
+    // (b) TopKappaSignatures == TopKScan's id sequence, every κ.
     for (int kappa : {1, 2, kernel.num_rows(), kernel.num_rows() + 3}) {
-      std::vector<double> scratch;
-      std::vector<int> sig = kernel.TopKappaSignature(w, kappa, &scratch);
+      std::vector<int> sig = kernel.TopKappaSignatures({&w}, kappa)[0];
       std::vector<ScoredObject> top = TopKScan(view.rows(), &mask, w, kappa);
       ASSERT_EQ(sig.size(), top.size()) << "kappa " << kappa;
       for (size_t i = 0; i < sig.size(); ++i) {
@@ -125,11 +124,16 @@ TEST(KernelEquivTest, EmptyAndDegenerateKernels) {
   ScoreKernel empty =
       ScoreKernel::Build(view.rows(), &none, view.form().num_slots());
   EXPECT_TRUE(empty.empty());
-  std::vector<double> scores(5, 99.0), scratch;
+  std::vector<double> scores(5, 99.0);
   const Vec w = {1.0, 1.0, 1.0};
   empty.ScoreAll(w, &scores);
   EXPECT_TRUE(scores.empty());
-  EXPECT_TRUE(empty.TopKappaSignature(w, 4, &scratch).empty());
+  const std::vector<std::vector<int>> sigs =
+      empty.TopKappaSignatures({&w, &w}, 4);
+  ASSERT_EQ(sigs.size(), 2u);
+  EXPECT_TRUE(sigs[0].empty());
+  EXPECT_TRUE(sigs[1].empty());
+  EXPECT_TRUE(empty.TopKappaSignatures({}, 4).empty());
   EXPECT_EQ(empty.CountHits(w, {}), 0);
 
   // Null active mask = every row.
@@ -137,6 +141,83 @@ TEST(KernelEquivTest, EmptyAndDegenerateKernels) {
       ScoreKernel::Build(view.rows(), nullptr, view.form().num_slots());
   EXPECT_EQ(all.num_rows(), 3);
   EXPECT_GT(all.MemoryBytes(), sizeof(ScoreKernel));
+}
+
+// ---------------------------------------------------------------------------
+// Tiled top-κ selection: many blocks, tiles of 1-17 queries, exact ties
+// ---------------------------------------------------------------------------
+
+TEST(KernelEquivTest, TiledSelectionMatchesTopKScanAcrossBlocksAndTies) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(520, 1100));
+    const int slots = 2 + trial % 3;
+    const int tile = 1 + trial % 17;
+    // Odd trials draw rows from a 5-point grid and weights from a grid of
+    // halves, so every score is exact and ties are everywhere: at the κ-th
+    // position, within blocks and across block boundaries.
+    const bool grid = trial % 2 == 1;
+    auto grid_vector = [&rng, slots](double lo, int steps, double step) {
+      Vec v(static_cast<size_t>(slots));
+      for (double& x : v) {
+        x = lo + step * static_cast<double>(rng.UniformInt(0, steps));
+      }
+      return v;
+    };
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
+                                    << " tile=" << tile << " grid=" << grid);
+
+    std::vector<Vec> rows(static_cast<size_t>(n));
+    for (Vec& row : rows) {
+      row = grid ? grid_vector(0.0, 4, 0.25)
+                 : rng.UniformVector(slots, 0.0, 1.0);
+    }
+    std::vector<bool> mask(static_cast<size_t>(n));
+    for (size_t i = 0; i < mask.size(); ++i) mask[i] = !rng.Bernoulli(0.2);
+    // Three exact duplicates: the last row of block 0, the first of block 1
+    // and one in a later block. The zero row is the unique best under the
+    // positive first query of each tile, so all three tie at rank 1 there
+    // and only the id decides which of them a small κ keeps.
+    const int block = static_cast<int>(kCowChunkRows);
+    const int far = static_cast<int>(rng.UniformInt(2 * block, n - 1));
+    for (int id : {block - 1, block, far}) {
+      rows[static_cast<size_t>(id)] = Vec(static_cast<size_t>(slots), 0.0);
+      mask[static_cast<size_t>(id)] = true;
+    }
+    ScoreKernel kernel = ScoreKernel::Build(rows, &mask, slots);
+    ASSERT_GE(kernel.blocks().size(), 3u);
+    const int n_active = kernel.num_rows();
+
+    std::vector<Vec> ws(static_cast<size_t>(tile));
+    for (size_t t = 0; t < ws.size(); ++t) {
+      if (t == 0) {
+        ws[t] = rng.UniformVector(slots, 0.25, 2.0);
+      } else {
+        ws[t] = grid ? grid_vector(-2.0, 8, 0.5)
+                     : rng.UniformVector(slots, -2.0, 2.0);
+      }
+    }
+    std::vector<const Vec*> tile_ws;
+    for (const Vec& w : ws) tile_ws.push_back(&w);
+
+    for (int kappa : {0, 1, 2, 51, n_active, n_active + 3}) {
+      const std::vector<std::vector<int>> sigs =
+          kernel.TopKappaSignatures(tile_ws, kappa);
+      ASSERT_EQ(sigs.size(), ws.size()) << "kappa " << kappa;
+      for (size_t t = 0; t < ws.size(); ++t) {
+        const std::vector<ScoredObject> top =
+            TopKScan(rows, &mask, ws[t], kappa);
+        std::vector<int> expected;
+        for (const ScoredObject& so : top) expected.push_back(so.id);
+        EXPECT_EQ(sigs[t], expected) << "kappa " << kappa << " query " << t;
+      }
+      if (kappa == 2 && !grid) {
+        // The duplicates tie for rank 1; the strict `<` keeps the far copy
+        // out once the heap holds the two lower ids.
+        EXPECT_EQ(sigs[0], (std::vector<int>{block - 1, block}));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -438,8 +519,7 @@ TEST(KernelEquivTest, FpOrderContractExactTiesBreakById) {
   std::vector<Vec> rows = {{0.5, 0.5}, {0.5, 0.5}, {0.25, 0.5}, {0.5, 0.5}};
   const Vec w = {1.0, 1.0};
   ScoreKernel kernel = ScoreKernel::Build(rows, nullptr, 2);
-  std::vector<double> scratch;
-  const std::vector<int> sig = kernel.TopKappaSignature(w, 4, &scratch);
+  const std::vector<int> sig = kernel.TopKappaSignatures({&w}, 4)[0];
   std::vector<ScoredObject> top = TopKScan(rows, nullptr, w, 4);
   ASSERT_EQ(sig.size(), 4u);
   for (size_t i = 0; i < sig.size(); ++i) EXPECT_EQ(sig[i], top[i].id);

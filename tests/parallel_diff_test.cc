@@ -28,6 +28,7 @@
 #include "data/synthetic.h"
 #include "obs/trace.h"
 #include "tests/test_world.h"
+#include "topk/topk.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -344,6 +345,58 @@ TEST(ParallelDiffTest, IndexBuildIdenticalAcrossThreadCounts) {
                   serial->subdomain_queries(sd));
       }
       EXPECT_TRUE(parallel->CheckInvariants().ok());
+    }
+  }
+}
+
+TEST(ParallelDiffTest, IndexBuildMatchesTopKScanAtTiledShape) {
+  // Several object blocks and a query count that is not a multiple of the
+  // ranking tile, with tombstoned objects and queries: at every thread
+  // count, each active query's signature is TopKScan's id sequence over the
+  // active objects, and the cells are the serial build's.
+  Rng rng(78);
+  ThreadPool pool2(2), pool8(8);
+  const int n = 640;
+  const int m = 37;
+  TestWorld w = TestWorld::Linear(n, m, 3, 4242, /*k_max=*/20);
+  for (int i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.2)) {
+      ASSERT_TRUE(w.data->Remove(i).ok());
+    }
+  }
+  for (int q : {0, 5, 17, 36}) ASSERT_TRUE(w.queries->Remove(q).ok());
+  std::vector<bool> mask(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    mask[static_cast<size_t>(i)] = w.data->is_active(i);
+  }
+
+  std::vector<int> serial_sd;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
+    SubdomainIndexOptions options;
+    options.pool = pool;
+    auto index = SubdomainIndex::Build(w.view.get(), w.queries.get(), options);
+    ASSERT_TRUE(index.ok());
+    EXPECT_TRUE(index->CheckInvariants().ok());
+    std::vector<int> sd_of;
+    for (int q = 0; q < m; ++q) {
+      sd_of.push_back(index->subdomain_of(q));
+      if (!w.queries->is_active(q)) {
+        EXPECT_EQ(index->subdomain_of(q), -1) << "query " << q;
+        continue;
+      }
+      std::vector<int> expected;
+      for (const ScoredObject& so : TopKScan(w.view->rows(), &mask,
+                                             index->aug_weights(q),
+                                             index->kappa())) {
+        expected.push_back(so.id);
+      }
+      EXPECT_EQ(index->signature(index->subdomain_of(q)), expected)
+          << "query " << q;
+    }
+    if (pool == nullptr) {
+      serial_sd = sd_of;
+    } else {
+      EXPECT_EQ(sd_of, serial_sd);
     }
   }
 }

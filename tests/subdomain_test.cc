@@ -122,6 +122,29 @@ TEST(SubdomainIndexTest, RejectsWeightMismatch) {
   EXPECT_FALSE(SubdomainIndex::Build(nullptr, &queries).ok());
 }
 
+TEST(SubdomainIndexTest, ExplicitKappaMustExceedMaxK) {
+  // A prefix of κ <= k ranks cannot answer a top-k query: KthScoreExcluding
+  // would run out of signature and call every object a hit.
+  TestWorld w = TestWorld::Linear(30, 20, 2, 9);
+  const int max_k = w.queries->max_k();
+  ASSERT_GE(max_k, 2);
+  for (int kappa : {1, max_k - 1, max_k}) {
+    SubdomainIndexOptions opts;
+    opts.kappa = kappa;
+    auto index = SubdomainIndex::Build(w.view.get(), w.queries.get(), opts);
+    ASSERT_FALSE(index.ok()) << "kappa " << kappa;
+    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+  }
+  SubdomainIndexOptions opts;
+  opts.kappa = max_k + 1;
+  auto index = SubdomainIndex::Build(w.view.get(), w.queries.get(), opts);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->kappa(), max_k + 1);
+  for (int i = 0; i < w.data->size(); ++i) {
+    EXPECT_EQ(index->HitCount(i), w.index->HitCount(i)) << "object " << i;
+  }
+}
+
 // ---- Algorithm 1 (BSP) equivalence ----
 
 struct BspCase {

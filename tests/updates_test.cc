@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/engine.h"
+#include "core/epoch.h"
+#include "core/evaluator.h"
 #include "tests/test_world.h"
 #include "util/random.h"
 
@@ -39,6 +42,51 @@ TEST(UpdatesTest, AddQueryMatchesRebuild) {
   }
   EXPECT_EQ(w.index->rtree().size(), 55u);
   ExpectEquivalentToRebuild(w);
+}
+
+TEST(UpdatesTest, AddQueryWithLargerKMatchesBruteForce) {
+  // κ is fixed at Build as max_k + 1. A query whose k reaches it grows κ to
+  // k + 1 and regroups every active query, so the index still counts hits
+  // exactly; with a κ-long signature it would call almost every object a
+  // hit for the new query.
+  const int n = 200;
+  QueryGenOptions qopts;
+  qopts.k_max = 5;
+  auto engine = IqEngine::Create(MakeIndependent(n, 3, 71),
+                                 LinearForm::Identity(3),
+                                 MakeQueries(40, 3, 72, qopts));
+  ASSERT_TRUE(engine.ok());
+  const EpochHandle built = engine->Snapshot();
+  const int kappa = built.index().kappa();
+  const int cells = built.index().num_subdomains();
+  ASSERT_LE(kappa, 6);
+
+  TopKQuery wide;
+  wide.k = 20;
+  wide.weights = {0.3, 0.5, 0.2};
+  ASSERT_TRUE(engine->AddQuery(wide).ok());
+  EXPECT_TRUE(engine->CheckInvariants().ok());
+  const EpochHandle now = engine->Snapshot();
+  EXPECT_EQ(now.index().kappa(), 21);
+  for (int target = 0; target < n; ++target) {
+    BruteForceEvaluator brute(&now.view(), &now.queries(), target);
+    EXPECT_EQ(engine->HitCount(target), brute.base_hits())
+        << "target " << target;
+  }
+
+  // The regroup is Build's grouping: the same cells and signatures.
+  auto rebuilt = SubdomainIndex::Build(&now.view(), &now.queries());
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_EQ(now.index().num_subdomains(), rebuilt->num_subdomains());
+  for (int q = 0; q < now.queries().size(); ++q) {
+    const int sd = now.index().subdomain_of(q);
+    ASSERT_EQ(sd, rebuilt->subdomain_of(q)) << "query " << q;
+    EXPECT_EQ(now.index().signature(sd), rebuilt->signature(sd));
+  }
+  // The build epoch kept its own cells.
+  EXPECT_EQ(built.index().kappa(), kappa);
+  EXPECT_EQ(built.index().num_subdomains(), cells);
+  EXPECT_TRUE(built.index().CheckInvariants().ok());
 }
 
 TEST(UpdatesTest, KnnShortcutFiresForNearbyQueries) {

@@ -505,7 +505,7 @@ const std::regex kScalarScoreCallRe(R"(\bDot\s*\(|(->|\.)\s*Score\s*\()");
 const std::regex kLoopHeadRe(R"(\b(for|while)\s*\()");
 
 /// src/core/ hot paths must score object/query sets through the ScoreKernel
-/// batch calls (ScoreAll/TopKappaSignature/CountHits), not by calling
+/// batch calls (ScoreAll/TopKappaSignatures/CountHits), not by calling
 /// Dot()/FunctionView::Score() once per element: the per-element form
 /// defeats the SoA layout and the vectorizer (DESIGN.md §13). A scalar
 /// scoring call inside any for/while loop is flagged unless the line
@@ -538,7 +538,7 @@ void CheckRawScoringLoops(const std::string& path,
       findings->push_back(
           {"raw-scoring-loop", path, static_cast<int>(i + 1),
            "scalar Dot()/Score() call inside a loop — score the set through "
-           "a ScoreKernel batch call (ScoreAll/TopKappaSignature/CountHits), "
+           "a ScoreKernel batch call (ScoreAll/TopKappaSignatures/CountHits), "
            "or waive a deliberate scalar path with // " +
                std::string(kWaiverRawScoringLoop)});
     }
