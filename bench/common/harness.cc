@@ -137,39 +137,17 @@ namespace {
 
 Result<IqResult> RunOne(const Workload& w, IqScheme scheme, bool min_cost,
                         int target, int tau, double beta) {
-  IQ_ASSIGN_OR_RETURN(IqContext ctx,
-                      IqContext::FromIndex(w.index.get(), target));
-  IqOptions options;  // L2 cost (Eq. 30), unbounded strategies
+  BatchItem item;  // L2 cost (Eq. 30), unbounded strategies
+  item.kind = min_cost ? BatchItem::Kind::kMinCost : BatchItem::Kind::kMaxHit;
+  item.target = target;
+  item.tau = tau;
+  item.beta = beta;
   // Identical search parameters for every scheme (fairness): evaluate the
   // 64 cheapest candidates per iteration and bound Max-Hit iterations, so
   // the slow baselines stay tractable at bench scale.
-  options.candidate_eval_limit = 64;
-  if (!min_cost) options.max_iterations = 60;
-  switch (scheme) {
-    case IqScheme::kEfficient: {
-      EseEvaluator ese(w.index.get(), target);
-      return min_cost ? MinCostIq(ctx, &ese, tau, options)
-                      : MaxHitIq(ctx, &ese, beta, options);
-    }
-    case IqScheme::kRta: {
-      RtaStrategyEvaluator rta(w.view.get(), w.queries.get(), target);
-      return min_cost ? MinCostIq(ctx, &rta, tau, options)
-                      : MaxHitIq(ctx, &rta, beta, options);
-    }
-    case IqScheme::kGreedy: {
-      EseEvaluator ese(w.index.get(), target);
-      return min_cost ? GreedyMinCost(ctx, &ese, tau, options)
-                      : GreedyMaxHit(ctx, &ese, beta, options);
-    }
-    case IqScheme::kRandom: {
-      EseEvaluator ese(w.index.get(), target);
-      return min_cost ? RandomMinCost(ctx, &ese, tau, options)
-                      : RandomMaxHit(ctx, &ese, beta, options);
-    }
-    case IqScheme::kExhaustive:
-      break;
-  }
-  return Status::InvalidArgument("scheme not supported in batch runner");
+  item.options.candidate_eval_limit = 64;
+  if (!min_cost) item.options.max_iterations = 60;
+  return SolveOne(w.index.get(), item, scheme);
 }
 
 }  // namespace

@@ -46,53 +46,11 @@ struct EngineMetrics {
   }
 };
 
-/// Solves one improvement query against a read-only (index, view, queries)
-/// snapshot. Shared by the single-target MinCost/MaxHit entry points and the
-/// SolveBatch workers; takes raw pointers into a pinned epoch, so workers
-/// run it with no lock at all — the pin keeps the epoch immutable.
-Result<IqResult> SolveOne(const SubdomainIndex* index,
-                          const FunctionView* view, const QuerySet* queries,
-                          const BatchItem& item, IqScheme scheme) {
-  IQ_ASSIGN_OR_RETURN(IqContext ctx,
-                      IqContext::FromIndex(index, item.target));
-  const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
-  switch (scheme) {
-    case IqScheme::kEfficient: {
-      EseEvaluator ese(index, item.target);
-      return min_cost ? MinCostIq(ctx, &ese, item.tau, item.options)
-                      : MaxHitIq(ctx, &ese, item.beta, item.options);
-    }
-    case IqScheme::kRta: {
-      RtaStrategyEvaluator rta(view, queries, item.target);
-      return min_cost ? MinCostIq(ctx, &rta, item.tau, item.options)
-                      : MaxHitIq(ctx, &rta, item.beta, item.options);
-    }
-    case IqScheme::kGreedy: {
-      EseEvaluator ese(index, item.target);
-      return min_cost ? GreedyMinCost(ctx, &ese, item.tau, item.options)
-                      : GreedyMaxHit(ctx, &ese, item.beta, item.options);
-    }
-    case IqScheme::kRandom: {
-      EseEvaluator ese(index, item.target);
-      return min_cost ? RandomMinCost(ctx, &ese, item.tau, item.options)
-                      : RandomMaxHit(ctx, &ese, item.beta, item.options);
-    }
-    case IqScheme::kExhaustive: {
-      ExhaustiveOptions ex;
-      ex.iq = item.options;
-      return min_cost ? ExhaustiveMinCost(ctx, item.tau, ex)
-                      : ExhaustiveMaxHit(ctx, item.beta, ex);
-    }
-  }
-  return Status::InvalidArgument("unknown scheme");
-}
-
 /// SolveBatchOn's body: solves `items` against the pinned epoch `snap`,
 /// fanned out over `pool` (serial when null).
 Result<std::vector<IqResult>> SolveItems(const EpochHandle& snap,
                                          const std::vector<BatchItem>& items,
-                                         IqScheme scheme, ThreadPool* pool,
-                                         ChunkPolicy chunk_policy) {
+                                         IqScheme scheme, ThreadPool* pool) {
   ScopedTimer latency(EngineMetrics::Get().solve_batch_nanos);
   if (!snap.valid()) {
     return Status::InvalidArgument("SolveBatchOn requires a pinned epoch");
@@ -103,8 +61,6 @@ Result<std::vector<IqResult>> SolveItems(const EpochHandle& snap,
   // region; concurrent mutators publish *newer* epochs and never touch this
   // one, so the workers' lock-free reads cannot race a write.
   const SubdomainIndex* index = snap.index_ptr();
-  const FunctionView* view = snap.view_ptr();
-  const QuerySet* queries = snap.queries_ptr();
   std::vector<std::optional<Result<IqResult>>> slots(items.size());
   ParallelForOrSerial(
       pool, static_cast<int64_t>(items.size()),
@@ -121,11 +77,12 @@ Result<std::vector<IqResult>> SolveItems(const EpochHandle& snap,
           // new one — standalone semantics (own trace) apply only when the
           // item solve is the outermost traced operation.
           IQ_TRACE_ROOT_SCOPE(item_root, "SolveBatch.item", item.target, i);
-          slots[static_cast<size_t>(i)] =
-              SolveOne(index, view, queries, item, scheme);
+          slots[static_cast<size_t>(i)] = SolveOne(index, item, scheme);
         }
       },
-      "engine.solve_batch", chunk_policy);
+      // Items are heavy-tailed, so they are claimed work-stealing style
+      // (DESIGN.md §13.1).
+      "engine.solve_batch", ChunkPolicy::kDynamic);
   EngineMetrics::Get().batch_items->Increment(
       static_cast<uint64_t>(items.size()));
   // Deterministic error policy: the lowest-index failure wins.
@@ -218,6 +175,41 @@ const char* IqSchemeName(IqScheme scheme) {
   return "?";
 }
 
+Result<IqResult> SolveOne(const SubdomainIndex* index, const BatchItem& item,
+                          IqScheme scheme) {
+  IQ_ASSIGN_OR_RETURN(IqContext ctx, IqContext::FromIndex(index, item.target));
+  const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
+  switch (scheme) {
+    case IqScheme::kEfficient: {
+      EseEvaluator ese(index, item.target);
+      return min_cost ? MinCostIq(ctx, &ese, item.tau, item.options)
+                      : MaxHitIq(ctx, &ese, item.beta, item.options);
+    }
+    case IqScheme::kRta: {
+      RtaStrategyEvaluator rta(&index->view(), &index->queries(), item.target);
+      return min_cost ? MinCostIq(ctx, &rta, item.tau, item.options)
+                      : MaxHitIq(ctx, &rta, item.beta, item.options);
+    }
+    case IqScheme::kGreedy: {
+      EseEvaluator ese(index, item.target);
+      return min_cost ? GreedyMinCost(ctx, &ese, item.tau, item.options)
+                      : GreedyMaxHit(ctx, &ese, item.beta, item.options);
+    }
+    case IqScheme::kRandom: {
+      EseEvaluator ese(index, item.target);
+      return min_cost ? RandomMinCost(ctx, &ese, item.tau, item.options)
+                      : RandomMaxHit(ctx, &ese, item.beta, item.options);
+    }
+    case IqScheme::kExhaustive: {
+      ExhaustiveOptions ex;
+      ex.iq = item.options;
+      return min_cost ? ExhaustiveMinCost(ctx, item.tau, ex)
+                      : ExhaustiveMaxHit(ctx, item.beta, ex);
+    }
+  }
+  return Status::InvalidArgument("unknown scheme");
+}
+
 Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
                                   std::vector<TopKQuery> queries,
                                   EngineOptions options) {
@@ -245,7 +237,6 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
     // already has.
     TraceTailConfig tail;
     tail.slow_trace_nanos = options.slow_trace_nanos;
-    tail.keep_first_n = options.slow_trace_keep_first;
     tail.max_retained =
         static_cast<size_t>(std::max(1, options.slow_trace_max_retained));
     TraceCollector::Global().ConfigureTailCapture(tail);
@@ -268,17 +259,16 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
       /*epoch_arg=*/1, dataset_ptr, queries_ptr, view_ptr,
       std::make_shared<const SubdomainIndex>(std::move(index)));
   return IqEngine(std::move(snapshot), std::move(pool), std::move(exporter),
-                  std::move(options.event_dump_path), options.chunk_policy);
+                  std::move(options.event_dump_path));
 }
 
 IqEngine::IqEngine(std::shared_ptr<const EpochSnapshot> snapshot,
                    std::unique_ptr<ThreadPool> pool,
                    std::unique_ptr<MetricsExporter> exporter,
-                   std::string event_dump_path, ChunkPolicy chunk_policy)
+                   std::string event_dump_path)
     : pool_(std::move(pool)),
       exporter_(std::move(exporter)),
-      event_dump_path_(std::move(event_dump_path)),
-      chunk_policy_(chunk_policy) {
+      event_dump_path_(std::move(event_dump_path)) {
   EngineMetrics::Get().epoch->Set(static_cast<int64_t>(snapshot->epoch));
   epoch_.store(std::move(snapshot), std::memory_order_release);
 }
@@ -294,7 +284,6 @@ IqEngine::IqEngine(IqEngine&& other) noexcept {
   pool_ = std::move(other.pool_);
   exporter_ = std::move(other.exporter_);
   event_dump_path_ = std::move(other.event_dump_path_);
-  chunk_policy_ = other.chunk_policy_;
   apply_ticket_ = other.apply_ticket_;
 }
 
@@ -311,7 +300,6 @@ IqEngine& IqEngine::operator=(IqEngine&& other) noexcept {
     pool_ = std::move(other.pool_);
     exporter_ = std::move(other.exporter_);
     event_dump_path_ = std::move(other.event_dump_path_);
-    chunk_policy_ = other.chunk_policy_;
     apply_ticket_ = other.apply_ticket_;
   }
   return *this;
@@ -392,8 +380,7 @@ Result<IqResult> IqEngine::MinCost(int target, int tau,
     // generation + ESE evaluation); see SolveBatch for across-target
     // fan-out.
     item.options.pool = pool_.get();
-    return SolveOne(snap.index_ptr(), snap.view_ptr(), snap.queries_ptr(),
-                    item, scheme);
+    return SolveOne(snap.index_ptr(), item, scheme);
   });
 }
 
@@ -409,8 +396,7 @@ Result<IqResult> IqEngine::MaxHit(int target, double beta,
     item.beta = beta;
     item.options = options;
     item.options.pool = pool_.get();
-    return SolveOne(snap.index_ptr(), snap.view_ptr(), snap.queries_ptr(),
-                    item, scheme);
+    return SolveOne(snap.index_ptr(), item, scheme);
   });
 }
 
@@ -429,8 +415,7 @@ Result<std::vector<IqResult>> IqEngine::SolveBatchOn(
   // single trace whose spans carry the worker tids.
   return RootCall("IqEngine::SolveBatch", static_cast<int64_t>(items.size()),
                   kNoArg, [&] {
-                    return SolveItems(snap, items, scheme, pool_.get(),
-                                      chunk_policy_);
+                    return SolveItems(snap, items, scheme, pool_.get());
                   });
 }
 

@@ -43,11 +43,6 @@ struct EngineOptions {
   /// through the pool with results bit-identical to serial (deterministic
   /// reduction — see tests/parallel_diff_test.cc).
   int num_threads = 0;
-  /// Chunking for the engine's pooled loops (engine.solve_batch and the
-  /// candidate loops of engine-driven searches). Batch items and candidate
-  /// bodies are heavy-tailed, so work-stealing claims are the default;
-  /// results are bit-identical under either policy (util/thread_pool.h).
-  ChunkPolicy chunk_policy = ChunkPolicy::kDynamic;
   /// Live observability endpoint (DESIGN.md §9). -1 (the default) serves
   /// nothing; 0 starts the /metrics exporter on a kernel-chosen loopback
   /// port (read it back via exporter()->port()); any other value binds
@@ -69,9 +64,6 @@ struct EngineOptions {
   /// observation-only: results stay byte-identical with it on or off
   /// (tests/parallel_diff_test.cc).
   int64_t slow_trace_nanos = 0;
-  /// With capture on, also retain the first N root solves unconditionally
-  /// (warmup examples for a fresh process before anything is slow).
-  int slow_trace_keep_first = 0;
   /// Capacity of the retained-trace store; oldest traces drop first.
   int slow_trace_max_retained = 32;
 };
@@ -91,6 +83,14 @@ struct BatchItem {
   /// ignored.
   IqOptions options;
 };
+
+/// Solves one improvement query with `scheme` against a read-only subdomain
+/// index (and the view and queries it was built over) — the one scheme
+/// dispatch. IqEngine's MinCost, MaxHit and SolveBatch run through it
+/// against a pinned epoch's index, with no lock (the pin keeps the epoch
+/// immutable); the figure benches run it against a standalone index.
+Result<IqResult> SolveOne(const SubdomainIndex* index, const BatchItem& item,
+                          IqScheme scheme);
 
 /// The analytic tool's core facade (§6.1): owns the dataset, the query
 /// workload, the objects-as-functions view and the subdomain index, and
@@ -272,7 +272,7 @@ class IqEngine {
   IqEngine(std::shared_ptr<const EpochSnapshot> snapshot,
            std::unique_ptr<ThreadPool> pool,
            std::unique_ptr<MetricsExporter> exporter,
-           std::string event_dump_path, ChunkPolicy chunk_policy);
+           std::string event_dump_path);
 
   /// The published snapshot; readers' single acquire load.
   std::shared_ptr<const EpochSnapshot> CurrentEpoch() const {
@@ -327,9 +327,6 @@ class IqEngine {
       exporter_;  // iq-lint: allow(unguarded-member)
   /// Dump-on-error target; set once at Create, then immutable.
   std::string event_dump_path_;  // iq-lint: allow(unguarded-member)
-  /// Chunking for engine.solve_batch; set once at Create, then immutable.
-  ChunkPolicy chunk_policy_ =  // iq-lint: allow(unguarded-member)
-      ChunkPolicy::kDynamic;
   /// Round-robin ticket for the Debug-mode sampled-subdomain cross-check.
   uint64_t apply_ticket_ IQ_GUARDED_BY(mu_) = 0;
 };

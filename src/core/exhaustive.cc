@@ -37,8 +37,7 @@ struct HalfspaceSet {
   int always_hit = 0;  // queries with t = +inf (fewer than k competitors)
 };
 
-Result<HalfspaceSet> BuildHalfspaces(const IqContext& ctx,
-                                     const IqOptions& options) {
+Result<HalfspaceSet> BuildHalfspaces(const IqContext& ctx) {
   if (!ctx.view().IsIdentityForm()) {
     return Status::Unimplemented(
         "exhaustive search supports linear utilities only");
@@ -53,7 +52,7 @@ Result<HalfspaceSet> BuildHalfspaces(const IqContext& ctx,
       ++hs.always_hit;
       continue;
     }
-    double margin = options.hit_margin * (1.0 + std::fabs(t));
+    double margin = kHitMargin * (1.0 + std::fabs(t));
     hs.query_ids.push_back(q);
     hs.a.push_back(ctx.aug_w(q));
     // iq-lint: allow(raw-scoring-loop): one-time halfspace-constant setup
@@ -122,7 +121,7 @@ Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
                                    const ExhaustiveOptions& options) {
   if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
   WallTimer timer;
-  IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx, options.iq));
+  IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx));
 
   const int dim = ctx.view().dataset().dim();
   AdjustBox box = options.iq.box.has_value() ? *options.iq.box
@@ -188,7 +187,7 @@ Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
                                   const ExhaustiveOptions& options) {
   if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
   WallTimer timer;
-  IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx, options.iq));
+  IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx));
 
   const int dim = ctx.view().dataset().dim();
   AdjustBox box = options.iq.box.has_value() ? *options.iq.box

@@ -147,7 +147,7 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
   const double t = thresholds_[static_cast<size_t>(q)];
   if (std::isnan(t)) return Status::InvalidArgument("inactive query");
   const Vec& w = aug_w_[static_cast<size_t>(q)];
-  const double margin = options.hit_margin * (1.0 + std::fabs(t));
+  const double margin = kHitMargin * (1.0 + std::fabs(t));
   const double goal = t - margin;  // need score(p_cur + step) <= goal
   const int dim = view_->dataset().dim();
   AdjustBox total_box = EffectiveBox(options, dim);
@@ -203,20 +203,14 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
       return HitSolution{step, options.cost.Cost(step)};
     }
   }
-  if (!options.thorough_candidates) {
-    return Status::FailedPrecondition(
-        "sequential linearization found no feasible step");
-  }
-  // Fall back to the penalty solver on the true constraint.
-  return MinCostNonlinear(
-      [&](const Vec& s) { return score_at(s) - goal; }, nullptr, options.cost,
-      step_box);
+  return Status::FailedPrecondition(
+      "sequential linearization found no feasible step");
 }
 
 namespace {
 
-/// Generates and evaluates all candidates for the current iteration.
-/// Returns candidates sorted by ascending cost-per-hit ratio.
+/// Generates the candidates of one iteration, in ascending query id, and
+/// evaluates H(p'+s) for each of them when `evaluate_hits` is set.
 ///
 /// Parallel execution (DESIGN.md §8): when options.pool is set, the
 /// per-query candidate solves — and, for thread-safe evaluators, the
@@ -248,6 +242,8 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
   if (options.pool != nullptr && pending.size() > 1) {
     SearchMetrics::Get().parallel_solve_batches->Increment();
   }
+  // Candidate solve and eval bodies are heavy-tailed, so both loops claim
+  // work-stealing style (DESIGN.md §13.1).
   ParallelForOrSerial(
       options.pool, static_cast<int64_t>(pending.size()),
       [&](int64_t begin, int64_t end) {
@@ -261,7 +257,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
           cand.step_cost = sol->cost;
         }
       },
-      "greedy.candidate_solve", options.chunk_policy);
+      "greedy.candidate_solve", ChunkPolicy::kDynamic);
   out.reserve(slots.size());
   for (Candidate& cand : slots) {
     if (cand.q >= 0) out.push_back(std::move(cand));
@@ -311,7 +307,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
                             cand.hits = evaluator->HitsForCoeffs(c_cand);
                           }
                         },
-                        "greedy.candidate_eval", options.chunk_policy);
+                        "greedy.candidate_eval", ChunkPolicy::kDynamic);
     bd->eval_seconds += eval_timer.ElapsedSeconds();
     bd->candidates_evaluated += out.size();
     SearchMetrics::Get().eval_nanos->Record(eval_timer.ElapsedNanos());
@@ -322,6 +318,76 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
 
 double Ratio(const Candidate& c) {
   return c.step_cost / static_cast<double>(std::max(1, c.hits));
+}
+
+/// What a search is for. The goal sets the stop rule, the default iteration
+/// cap, the budget filter and the cost cap of the granularity snap.
+struct Goal {
+  bool min_cost = true;
+  int tau = 0;         // Min-Cost: hits to reach
+  double beta = kInf;  // Max-Hit: budget on the cumulative strategy
+
+  static Result<Goal> MinCost(int tau) {
+    if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
+    return Goal{true, tau, kInf};
+  }
+  static Result<Goal> MaxHit(double beta) {
+    if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+    return Goal{false, 0, beta};
+  }
+
+  /// Min-Cost stops once tau queries are hit; Max-Hit runs until no step
+  /// fits the budget.
+  bool Reached(int hits) const { return min_cost && hits >= tau; }
+  /// IqResult::reached_goal: Max-Hit always meets its goal (the budget).
+  bool Met(int hits) const { return !min_cost || hits >= tau; }
+  bool Affordable(const CostFunction& cost, const Vec& s_total,
+                  const Vec& step) const {
+    return min_cost || cost.Cost(Add(s_total, step)) <= beta;
+  }
+  int DefaultIterations(const IqContext& ctx) const {
+    return min_cost ? 4 * tau + 16 : ctx.queries().size() + 16;
+  }
+};
+
+/// How a greedy iteration picks its step.
+enum class PickRule {
+  /// Algorithms 3 and 4: evaluate every candidate, take the best
+  /// cost-per-hit ratio.
+  kBestRatio,
+  /// The Greedy baseline (§6.1): take the cheapest step, ignoring the
+  /// ratio; only the step taken is evaluated.
+  kCheapest,
+};
+
+/// The candidate this iteration takes, or null when none is admissible.
+/// Ties go to the first candidate in query-id order.
+const Candidate* PickStep(const std::vector<Candidate>& candidates,
+                          const Goal& goal, PickRule rule, int cur_hits,
+                          const Vec& s_total, const CostFunction& cost) {
+  const bool by_ratio = rule == PickRule::kBestRatio;
+  const Candidate* best = nullptr;
+  for (const Candidate& c : candidates) {
+    // Algorithm 4 takes only steps that raise the hit count.
+    if (by_ratio && !goal.min_cost && c.hits <= cur_hits) continue;
+    if (!goal.Affordable(cost, s_total, c.step)) continue;
+    if (best == nullptr || (by_ratio ? Ratio(c) < Ratio(*best)
+                                     : c.step_cost < best->step_cost)) {
+      best = &c;
+    }
+  }
+  if (by_ratio && best != nullptr && goal.Reached(best->hits)) {
+    // Algorithm 3, lines 10-13: once the goal is reachable this round, take
+    // the cheapest candidate that reaches it (avoid over-achieving).
+    best = nullptr;
+    for (const Candidate& c : candidates) {
+      if (goal.Reached(c.hits) &&
+          (best == nullptr || c.step_cost < best->step_cost)) {
+        best = &c;
+      }
+    }
+  }
+  return best;
 }
 
 /// Snaps the strategy onto the per-attribute grid of options.granularity
@@ -377,264 +443,102 @@ void ApplyGranularity(const IqContext& ctx, StrategyEvaluator* evaluator,
   *s_total = std::move(snapped);
 }
 
-IqResult FinishResult(const Vec& s_total, const IqOptions& options,
-                      int hits_before, int hits_after, bool reached_goal,
-                      int iterations) {
-  IqResult r;
-  r.strategy = s_total;
-  r.cost = options.cost.Cost(s_total);
-  r.hits_before = hits_before;
-  r.hits_after = hits_after;
-  r.reached_goal = reached_goal;
-  r.iterations = iterations;
-  return r;
-}
+/// The per-call accounting every scheme shares. Construction snapshots the
+/// evaluator's counters and starts the clock; Finish snaps the strategy onto
+/// the granularity grid, stamps the IqResult with its EvalBreakdown, and
+/// folds the iteration count into the global registry.
+class SearchCall {
+ public:
+  SearchCall(const IqContext& ctx, StrategyEvaluator* evaluator,
+             const IqOptions& options)
+      : ctx_(ctx),
+        evaluator_(evaluator),
+        options_(options),
+        calls_before_(evaluator->calls()),
+        rescored_before_(evaluator->queries_rescored()),
+        reused_before_(evaluator->queries_reused()),
+        hits_before_(evaluator->base_hits()) {}
 
-/// Closes out the per-call accounting: derives the evaluator deltas, stamps
-/// the result, and folds the iteration count into the global registry.
-void FinishBreakdown(const StrategyEvaluator& ev, size_t calls_before,
-                     size_t rescored_before, size_t reused_before,
-                     const WallTimer& timer, EvalBreakdown* bd, IqResult* r) {
-  bd->iterations = r->iterations;
-  bd->evaluator_calls = ev.calls() - calls_before;
-  bd->queries_rescored = ev.queries_rescored() - rescored_before;
-  bd->queries_reused = ev.queries_reused() - reused_before;
-  bd->total_seconds = timer.ElapsedSeconds();
-  r->evaluator_calls = bd->evaluator_calls;
-  r->seconds = bd->total_seconds;
-  r->breakdown = *bd;
-  SearchMetrics::Get().iterations->Increment(
-      static_cast<uint64_t>(r->iterations));
-}
+  int hits_before() const { return hits_before_; }
+  EvalBreakdown* breakdown() { return &bd_; }
 
-}  // namespace
+  /// H for the improved coefficients `c`, timed as evaluation.
+  int EvalHits(const Vec& c) {
+    WallTimer eval_timer;
+    const int hits = evaluator_->HitsForCoeffs(c);
+    bd_.eval_seconds += eval_timer.ElapsedSeconds();
+    return hits;
+  }
 
-Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
-                           int tau, const IqOptions& options) {
-  IQ_TRACE_SCOPE_ARG2("MinCostIq", ctx.target(), tau);
-  if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
+  IqResult Finish(const Goal& goal, Vec strategy, int hits, int iterations) {
+    ApplyGranularity(ctx_, evaluator_, options_, goal.beta, &strategy, &hits);
+    IqResult r;
+    r.strategy = std::move(strategy);
+    r.cost = options_.cost.Cost(r.strategy);
+    r.hits_before = hits_before_;
+    r.hits_after = hits;
+    r.reached_goal = goal.Met(hits);
+    r.iterations = iterations;
+    bd_.iterations = iterations;
+    bd_.evaluator_calls = evaluator_->calls() - calls_before_;
+    bd_.queries_rescored = evaluator_->queries_rescored() - rescored_before_;
+    bd_.queries_reused = evaluator_->queries_reused() - reused_before_;
+    bd_.total_seconds = timer_.ElapsedSeconds();
+    r.evaluator_calls = bd_.evaluator_calls;
+    r.seconds = bd_.total_seconds;
+    r.breakdown = bd_;
+    SearchMetrics::Get().iterations->Increment(
+        static_cast<uint64_t>(iterations));
+    return r;
+  }
 
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters =
-      options.max_iterations > 0 ? options.max_iterations : 4 * tau + 16;
+ private:
+  const IqContext& ctx_;
+  StrategyEvaluator* evaluator_;
+  const IqOptions& options_;
+  WallTimer timer_;
+  const size_t calls_before_;
+  const size_t rescored_before_;
+  const size_t reused_before_;
+  const int hits_before_;
+  EvalBreakdown bd_;
+};
 
+/// Algorithms 3 and 4 and the Greedy baseline, which differ only in the goal
+/// and the pick rule. Each iteration solves a single-constraint step per
+/// unhit query (Eq. 13-14) and takes the one the pick rule chooses, until
+/// the goal is reached, no step is admissible, or the iteration cap.
+IqResult GreedySearch(const IqContext& ctx, StrategyEvaluator* evaluator,
+                      const Goal& goal, PickRule rule,
+                      const IqOptions& options) {
+  SearchCall call(ctx, evaluator, options);
+  const int max_iters = options.max_iterations > 0
+                            ? options.max_iterations
+                            : goal.DefaultIterations(ctx);
+  const bool by_ratio = rule == PickRule::kBestRatio;
+  Vec s_total = Zeros(ctx.view().dataset().dim());
+  Vec p_cur = ctx.view().dataset().attrs(ctx.target());
+  Vec c_cur = ctx.view().coeffs(ctx.target());
+  int cur_hits = call.hits_before();
   int iter = 0;
-  bool reached = cur_hits >= tau;
-  while (!reached && iter < max_iters) {
+  while (!goal.Reached(cur_hits) && iter < max_iters) {
     ++iter;
-    std::vector<Candidate> candidates = BuildCandidates(
-        ctx, evaluator, p_cur, s_total, c_cur, options, /*evaluate_hits=*/true, &bd);
-    if (candidates.empty()) break;
-
-    const Candidate* best = nullptr;
-    for (const Candidate& c : candidates) {
-      if (best == nullptr || Ratio(c) < Ratio(*best)) best = &c;
-    }
-    if (best->hits >= tau) {
-      // Algorithm 3, lines 10-13: once the goal is reachable this round,
-      // take the cheapest candidate that reaches it (avoid over-achieving).
-      const Candidate* cheapest = nullptr;
-      for (const Candidate& c : candidates) {
-        if (c.hits >= tau &&
-            (cheapest == nullptr || c.step_cost < cheapest->step_cost)) {
-          cheapest = &c;
-        }
-      }
-      best = cheapest;
-    }
+    std::vector<Candidate> candidates =
+        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
+                        /*evaluate_hits=*/by_ratio, call.breakdown());
+    const Candidate* best =
+        PickStep(candidates, goal, rule, cur_hits, s_total, options.cost);
+    if (best == nullptr) break;
     AddInPlace(&s_total, best->step);
     p_cur = Add(p_cur, best->step);
     c_cur = ctx.view().CoefficientsFor(p_cur);
-    int new_hits = best->hits;
+    // The ratio pick already evaluated the step it took.
+    const int new_hits = by_ratio ? best->hits : call.EvalHits(c_cur);
     if (new_hits <= cur_hits && NormL2(best->step) < 1e-15) break;  // stuck
     cur_hits = new_hits;
-    reached = cur_hits >= tau;
   }
-
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
-    reached = cur_hits >= tau;
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            reached, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  return call.Finish(goal, std::move(s_total), cur_hits, iter);
 }
-
-Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
-                          double beta, const IqOptions& options) {
-  IQ_TRACE_SCOPE_ARG("MaxHitIq", ctx.target());
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters = options.max_iterations > 0 ? options.max_iterations
-                                             : ctx.queries().size() + 16;
-
-  int iter = 0;
-  while (iter < max_iters) {
-    ++iter;
-    std::vector<Candidate> candidates = BuildCandidates(
-        ctx, evaluator, p_cur, s_total, c_cur, options, /*evaluate_hits=*/true, &bd);
-    // Keep only candidates affordable under the cumulative budget.
-    std::vector<Candidate> affordable;
-    for (Candidate& c : candidates) {
-      if (options.cost.Cost(Add(s_total, c.step)) <= beta) {
-        affordable.push_back(std::move(c));
-      }
-    }
-    if (affordable.empty()) break;
-
-    // Best cost-per-hit among affordable candidates that do not lose hits.
-    const Candidate* best = nullptr;
-    for (const Candidate& c : affordable) {
-      if (c.hits <= cur_hits) continue;  // must improve
-      if (best == nullptr || Ratio(c) < Ratio(*best)) best = &c;
-    }
-    if (best == nullptr) break;
-
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    cur_hits = best->hits;
-  }
-
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            /*reached_goal=*/true, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
-}
-
-Result<IqResult> GreedyMinCost(const IqContext& ctx,
-                               StrategyEvaluator* evaluator, int tau,
-                               const IqOptions& options) {
-  if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters =
-      options.max_iterations > 0 ? options.max_iterations : 4 * tau + 16;
-
-  int iter = 0;
-  bool reached = cur_hits >= tau;
-  while (!reached && iter < max_iters) {
-    ++iter;
-    // Cheapest single query, no hit evaluation of alternatives.
-    std::vector<Candidate> candidates =
-        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
-                        /*evaluate_hits=*/false, &bd);
-    if (candidates.empty()) break;
-    const Candidate* best = nullptr;
-    for (const Candidate& c : candidates) {
-      if (best == nullptr || c.step_cost < best->step_cost) best = &c;
-    }
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    WallTimer eval_timer;
-    cur_hits = evaluator->HitsForCoeffs(c_cur);
-    bd.eval_seconds += eval_timer.ElapsedSeconds();
-    reached = cur_hits >= tau;
-  }
-
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
-    reached = cur_hits >= tau;
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            reached, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
-}
-
-Result<IqResult> GreedyMaxHit(const IqContext& ctx,
-                              StrategyEvaluator* evaluator, double beta,
-                              const IqOptions& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters = options.max_iterations > 0 ? options.max_iterations
-                                             : ctx.queries().size() + 16;
-
-  int iter = 0;
-  while (iter < max_iters) {
-    ++iter;
-    std::vector<Candidate> candidates =
-        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
-                        /*evaluate_hits=*/false, &bd);
-    const Candidate* best = nullptr;
-    for (const Candidate& c : candidates) {
-      if (options.cost.Cost(Add(s_total, c.step)) > beta) continue;
-      if (best == nullptr || c.step_cost < best->step_cost) best = &c;
-    }
-    if (best == nullptr) break;
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    WallTimer eval_timer;
-    cur_hits = evaluator->HitsForCoeffs(c_cur);
-    bd.eval_seconds += eval_timer.ElapsedSeconds();
-  }
-
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            /*reached_goal=*/true, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
-}
-
-namespace {
 
 /// Attribute span of the active dataset (for the Random baseline's radius
 /// schedule).
@@ -664,74 +568,74 @@ Vec RandomDirection(Rng* rng, int dim) {
 
 }  // namespace
 
+Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
+                           int tau, const IqOptions& options) {
+  IQ_TRACE_SCOPE_ARG2("MinCostIq", ctx.target(), tau);
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
+  return GreedySearch(ctx, evaluator, goal, PickRule::kBestRatio, options);
+}
+
+Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
+                          double beta, const IqOptions& options) {
+  IQ_TRACE_SCOPE_ARG("MaxHitIq", ctx.target());
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
+  return GreedySearch(ctx, evaluator, goal, PickRule::kBestRatio, options);
+}
+
+Result<IqResult> GreedyMinCost(const IqContext& ctx,
+                               StrategyEvaluator* evaluator, int tau,
+                               const IqOptions& options) {
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
+  return GreedySearch(ctx, evaluator, goal, PickRule::kCheapest, options);
+}
+
+Result<IqResult> GreedyMaxHit(const IqContext& ctx,
+                              StrategyEvaluator* evaluator, double beta,
+                              const IqOptions& options) {
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
+  return GreedySearch(ctx, evaluator, goal, PickRule::kCheapest, options);
+}
+
 Result<IqResult> RandomMinCost(const IqContext& ctx,
                                StrategyEvaluator* evaluator, int tau,
                                const IqOptions& options) {
-  if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
+  SearchCall call(ctx, evaluator, options);
   const int dim = ctx.view().dataset().dim();
+  const Vec& p = ctx.view().dataset().attrs(ctx.target());
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
-  const double span = DataSpan(ctx.view().dataset());
+  double radius = 0.05 * DataSpan(ctx.view().dataset());
 
-  const int hits_before = evaluator->base_hits();
   Vec best_s = Zeros(dim);
-  int best_hits = hits_before;
-  bool reached = best_hits >= tau;
+  int best_hits = call.hits_before();
   int samples = 0;
-  double radius = 0.05 * span;
-  while (!reached && samples < options.random_samples) {
+  while (!goal.Reached(best_hits) && samples < options.random_samples) {
     ++samples;
     Vec s = box.Clamp(Scale(RandomDirection(&rng, dim),
                             radius * rng.UniformDouble(0.2, 1.0)));
-    Vec p = Add(ctx.view().dataset().attrs(ctx.target()), s);
-    WallTimer eval_timer;
-    int hits = evaluator->HitsForCoeffs(ctx.view().CoefficientsFor(p));
-    bd.eval_seconds += eval_timer.ElapsedSeconds();
+    int hits = call.EvalHits(ctx.view().CoefficientsFor(Add(p, s)));
     if (hits > best_hits) {
       best_hits = hits;
-      best_s = s;
-    }
-    if (hits >= tau) {
-      best_s = s;
-      best_hits = hits;
-      reached = true;
-      break;
+      best_s = std::move(s);
     }
     if (samples % 16 == 0) radius *= 1.5;  // widen the search
   }
-
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, kInf, &best_s, &best_hits);
-    reached = best_hits >= tau;
-  }
-  IqResult r = FinishResult(best_s, options, hits_before, best_hits,
-                            reached, samples);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  return call.Finish(goal, std::move(best_s), best_hits, samples);
 }
 
 Result<IqResult> RandomMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
+  SearchCall call(ctx, evaluator, options);
   const int dim = ctx.view().dataset().dim();
+  const Vec& p = ctx.view().dataset().attrs(ctx.target());
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
 
-  const int hits_before = evaluator->base_hits();
   Vec best_s = Zeros(dim);
-  int best_hits = hits_before;
+  int best_hits = call.hits_before();
   for (int sample = 0; sample < options.random_samples; ++sample) {
     Vec dir = RandomDirection(&rng, dim);
     // Scale the sample so its cost stays within the budget (bisection —
@@ -750,24 +654,14 @@ Result<IqResult> RandomMaxHit(const IqContext& ctx,
     }
     Vec s = box.Clamp(Scale(dir, lo * rng.UniformDouble(0.3, 1.0)));
     if (options.cost.Cost(s) > beta) continue;
-    Vec p = Add(ctx.view().dataset().attrs(ctx.target()), s);
-    WallTimer eval_timer;
-    int hits = evaluator->HitsForCoeffs(ctx.view().CoefficientsFor(p));
-    bd.eval_seconds += eval_timer.ElapsedSeconds();
+    int hits = call.EvalHits(ctx.view().CoefficientsFor(Add(p, s)));
     if (hits > best_hits) {
       best_hits = hits;
-      best_s = s;
+      best_s = std::move(s);
     }
   }
-
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, beta, &best_s, &best_hits);
-  }
-  IqResult r = FinishResult(best_s, options, hits_before, best_hits,
-                            /*reached_goal=*/true, options.random_samples);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  return call.Finish(goal, std::move(best_s), best_hits,
+                     options.random_samples);
 }
 
 }  // namespace iq

@@ -15,14 +15,19 @@
 
 namespace iq {
 
+/// Relative slack enforcing the strict inequality of Eq. 6. A query q with
+/// threshold t is hit only when the improved score is below t, so the
+/// candidate solvers aim for t - kHitMargin * (1 + |t|): every step
+/// IqContext::SolveCandidate returns passes HitBy's strict < (a tested
+/// contract, tests/iq_test.cc), exact score ties included.
+inline constexpr double kHitMargin = 1e-7;
+
 /// Options shared by every IQ scheme.
 struct IqOptions {
   /// The query issuer's cost model (paper default: Eq. 30, L2).
   CostFunction cost = CostFunction::L2();
   /// Validity bounds on the strategy; unset = unbounded.
   std::optional<AdjustBox> box;
-  /// Relative slack enforcing the strict inequality of Eq. 6.
-  double hit_margin = 1e-7;
   /// 0 = automatic (4*tau + 16 for Min-Cost; unbounded-ish for Max-Hit).
   int max_iterations = 0;
   /// Per iteration, evaluate H(p'+s_j) only for the `candidate_eval_limit`
@@ -34,11 +39,6 @@ struct IqOptions {
   int candidate_eval_limit = 0;
   /// Sample budget of the Random baseline.
   int random_samples = 256;
-  /// Non-linear utilities only: when the fast sequential-linearization
-  /// candidate solver fails for a query, also try the (much slower) penalty
-  /// solver before declaring the query unreachable. The greedy searches have
-  /// plenty of other candidates, so this defaults to off.
-  bool thorough_candidates = false;
   /// Discrete attributes (paper §3.1: "each dimension can be continuous or
   /// discrete"): when non-empty, the returned strategy is snapped onto the
   /// per-attribute grid (component j a multiple of granularity[j];
@@ -55,11 +55,6 @@ struct IqOptions {
   /// callers driving MinCostIq/MaxHitIq directly may pass any pool whose
   /// lifetime covers the call.
   ThreadPool* pool = nullptr;
-  /// Chunking for the pooled candidate loops. Candidate solve/eval bodies
-  /// are heavy-tailed (PR 7 measured ~140× chunk imbalance on
-  /// greedy.candidate_eval), so work-stealing claims are the default;
-  /// results are bit-identical under either policy (see util/thread_pool.h).
-  ChunkPolicy chunk_policy = ChunkPolicy::kDynamic;
 };
 
 /// Explain-style per-call breakdown of where an IQ search spent its work.
@@ -120,10 +115,11 @@ class IqContext {
   bool HitBy(int q, const Vec& c) const;
 
   /// Cheapest step from `p_cur` (the target after the strategies applied so
-  /// far) that makes the object hit query q; bounds are enforced on the
-  /// cumulative strategy `s_total + step`. Closed-form for linear utilities,
-  /// sequential-linearization (+ penalty fallback) otherwise. Fails when q
-  /// cannot be hit within the bounds.
+  /// far) that makes the object hit query q, kHitMargin inside its
+  /// halfspace; bounds are enforced on the cumulative strategy
+  /// `s_total + step`. Closed-form for linear utilities, sequential
+  /// linearization otherwise. Fails when q cannot be hit within the bounds
+  /// (or, for a non-linear utility, when the linearization finds no step).
   Result<HitSolution> SolveCandidate(int q, const Vec& p_cur,
                                      const Vec& s_total,
                                      const IqOptions& options) const;

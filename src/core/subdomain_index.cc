@@ -545,8 +545,8 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   if (id < 0 || id >= static_cast<int>(sig_member_count_.size())) {
     return Status::OutOfRange("object id out of range");
   }
-  // The re-ranks below score against the object kernel, so it must drop
-  // (or, for OnObjectChanged, refresh) the object's row first.
+  // The re-ranks below score against the object kernel, so it must drop the
+  // (now inactive) object's row first.
   RepackObject(id);
   // Collect queries whose signature contains the object. The Bloom filter
   // over (object, subdomain) membership prunes subdomains that certainly do
@@ -584,12 +584,6 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   maintenance_affected_subdomains_ += affected_cells;
   IndexMetrics::Get().num_subdomains->Set(num_occupied_);
   return Status::Ok();
-}
-
-Status SubdomainIndex::OnObjectChanged(int id) {
-  // In-place attribute change = remove + add, on the signature level.
-  IQ_RETURN_IF_ERROR(OnObjectRemoved(id));
-  return OnObjectAdded(id);
 }
 
 namespace {

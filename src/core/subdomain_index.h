@@ -160,10 +160,10 @@ class SubdomainIndex {
   Status OnQueryRemoved(int q);
   /// Object `id` was appended (FunctionView row already appended).
   Status OnObjectAdded(int id);
-  /// Object `id` was tombstoned (dataset row inactive).
+  /// Object `id` was tombstoned (dataset row inactive). An in-place
+  /// attribute change is this hook, then the row's new values and its
+  /// reactivation, then OnObjectAdded (IqEngine::ApplyStrategy's order).
   Status OnObjectRemoved(int id);
-  /// Object `id`'s attributes changed in place (FunctionView row refreshed).
-  Status OnObjectChanged(int id);
 
   // ---- correctness tooling ----
 

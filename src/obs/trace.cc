@@ -261,17 +261,13 @@ uint64_t TraceCollector::DroppedCount() const {
 
 void TraceCollector::ConfigureTailCapture(const TraceTailConfig& config) {
   slow_trace_nanos_.store(config.slow_trace_nanos, std::memory_order_relaxed);
-  keep_first_n_.store(config.keep_first_n, std::memory_order_relaxed);
   max_retained_.store(std::max<size_t>(1, config.max_retained),
                       std::memory_order_relaxed);
-  // Restart the keep-first-N warmup under the new policy.
-  roots_finished_.store(0, std::memory_order_relaxed);
 }
 
 TraceTailConfig TraceCollector::tail_config() const {
   TraceTailConfig config;
   config.slow_trace_nanos = slow_trace_nanos_.load(std::memory_order_relaxed);
-  config.keep_first_n = keep_first_n_.load(std::memory_order_relaxed);
   config.max_retained = max_retained_.load(std::memory_order_relaxed);
   return config;
 }
@@ -287,13 +283,9 @@ void TraceCollector::FinishRoot(const char* op, uint64_t trace_id,
                                 uint64_t start_ns, uint64_t dur_ns,
                                 std::string error) {
   const bool erred = !error.empty();
-  const uint64_t seen = roots_finished_.fetch_add(1, std::memory_order_relaxed);
-  const int keep_first = keep_first_n_.load(std::memory_order_relaxed);
-  const bool warmup =
-      keep_first > 0 && seen < static_cast<uint64_t>(keep_first);
   const int64_t slow_ns = slow_trace_nanos_.load(std::memory_order_relaxed);
   const bool slow = slow_ns > 0 && dur_ns >= static_cast<uint64_t>(slow_ns);
-  if (!erred && !slow && !warmup) {
+  if (!erred && !slow) {
     // The fast path of tail-based capture: discarding costs nothing — the
     // trace's spans stay in the scratch rings until overwritten, and trace
     // ids are process-unique so stale entries can never alias a later solve.
@@ -308,7 +300,6 @@ void TraceCollector::FinishRoot(const char* op, uint64_t trace_id,
   trace.dur_ns = dur_ns;
   trace.erred = erred;
   trace.error = std::move(error);
-  trace.warmup = !erred && !slow;
   // Collect under the registry/buffer locks, insert under the store lock —
   // strictly after releasing the former (kTraceBuffer < kTraceStore).
   trace.spans = CollectSpans(
@@ -359,13 +350,12 @@ std::string TracezSummaryLine(const RetainedTrace& t) {
   return StrFormat(
       "{\"trace_summary\": {\"trace_id\": %llu, \"op\": \"%s\", "
       "\"start_ns\": %llu, \"dur_ns\": %llu, \"erred\": %s, "
-      "\"warmup\": %s, \"num_spans\": %zu, \"num_threads\": %d%s}}",
+      "\"num_spans\": %zu, \"num_threads\": %d%s}}",
       static_cast<unsigned long long>(t.trace_id),
       JsonEscape(t.op != nullptr ? t.op : "?").c_str(),
       static_cast<unsigned long long>(t.start_ns),
       static_cast<unsigned long long>(t.dur_ns), t.erred ? "true" : "false",
-      t.warmup ? "true" : "false", t.spans.size(), t.NumThreads(),
-      error.c_str());
+      t.spans.size(), t.NumThreads(), error.c_str());
 }
 
 }  // namespace
@@ -375,10 +365,8 @@ std::string TraceCollector::TracezJson() const {
   const std::vector<RetainedTrace> traces = RetainedTraces();
   std::string out = "{\"tracez\": {\n";
   out += StrFormat(
-      "\"config\": {\"slow_trace_nanos\": %lld, \"keep_first_n\": %d, "
-      "\"max_retained\": %zu},\n",
-      static_cast<long long>(config.slow_trace_nanos), config.keep_first_n,
-      config.max_retained);
+      "\"config\": {\"slow_trace_nanos\": %lld, \"max_retained\": %zu},\n",
+      static_cast<long long>(config.slow_trace_nanos), config.max_retained);
   out += StrFormat(
       "\"counters\": {\"dropped\": %llu, \"slow_retained\": %llu, "
       "\"discarded\": %llu},\n",

@@ -32,13 +32,13 @@
 //    *root* span at an engine entry point (every solve and every write). It
 //    allocates a fresh trace id, installs the context, and at destruction
 //    asks the collector to keep or discard the whole trace: retained iff
-//    the call erred, its latency cleared the configured slow-trace
-//    threshold, or it fell in the keep-first-N warmup — into a bounded
-//    last-K store served at /tracez. Discarding is free (the scratch
-//    rings are simply left to be overwritten), which is what makes always-on
-//    capture affordable in production. A TraceRoot constructed while a trace
-//    is already active joins it as a child span instead (per-item roots
-//    inside a SolveBatch root), so one batch is one trace.
+//    the call erred or its latency cleared the configured slow-trace
+//    threshold — into a bounded last-K store served at /tracez. Discarding
+//    is free (the scratch rings are simply left to be overwritten), which
+//    is what makes always-on capture affordable in production. A TraceRoot
+//    constructed while a trace is already active joins it as a child span
+//    instead (per-item roots inside a SolveBatch root), so one batch is one
+//    trace.
 //
 //  * Profile windows: ProfileSession (and /profilez) cuts a time window
 //    out of the rings — the ParallelFor call/chunk spans inside it plus the
@@ -87,14 +87,11 @@ struct TraceEvent {
   int64_t arg2 = kNoArg;
 };
 
-/// Tail-based retention policy (DESIGN.md §11). All three knobs combine
-/// with OR: a finished root trace is retained if it erred, OR ran at least
-/// `slow_trace_nanos` (when > 0), OR was one of the first `keep_first_n`
-/// roots since configuration (warmup — so a fresh process always has a few
-/// example traces even before anything is slow).
+/// Tail-based retention policy (DESIGN.md §11): a finished root trace is
+/// retained iff it erred or ran at least `slow_trace_nanos` (when > 0),
+/// into a store of the last `max_retained` such traces.
 struct TraceTailConfig {
   int64_t slow_trace_nanos = 0;
-  int keep_first_n = 0;
   size_t max_retained = 32;
 };
 
@@ -108,8 +105,6 @@ struct RetainedTrace {
   bool erred = false;
   /// Status::ToString() of the failed call; empty unless `erred`.
   std::string error;
-  /// Retained by the keep-first-N warmup rather than by latency/error.
-  bool warmup = false;
   std::vector<TraceEvent> spans;
 
   /// Distinct recording threads among `spans`.
@@ -161,7 +156,7 @@ class TraceCollector {
   // ---- tail-based capture (root spans; DESIGN.md §11) ----
 
   /// Installs the retention policy. Takes effect for roots finishing after
-  /// the call; resets the keep-first-N warmup counter.
+  /// the call.
   void ConfigureTailCapture(const TraceTailConfig& config);
   TraceTailConfig tail_config() const;
 
@@ -233,9 +228,7 @@ class TraceCollector {
   // Tail-capture state. Config knobs are relaxed atomics so the per-root
   // discard decision takes no lock.
   std::atomic<int64_t> slow_trace_nanos_{0};
-  std::atomic<int> keep_first_n_{0};
   std::atomic<size_t> max_retained_{32};
-  std::atomic<uint64_t> roots_finished_{0};
   std::atomic<uint64_t> retained_total_{0};
   std::atomic<uint64_t> discarded_total_{0};
 

@@ -133,8 +133,6 @@ TraceDump ParseTracezDump(const std::string& text) {
     if (kind == "config") {
       dump.has_config = true;
       dump.config.slow_trace_nanos = FindI64(line, "slow_trace_nanos", 0);
-      dump.config.keep_first_n =
-          static_cast<int>(FindI64(line, "keep_first_n", 0));
       dump.config.max_retained = FindU64(line, "max_retained");
     } else if (kind == "counters") {
       dump.has_counters = true;
@@ -148,7 +146,6 @@ TraceDump ParseTracezDump(const std::string& text) {
       t.start_ns = FindU64(line, "start_ns");
       t.dur_ns = FindU64(line, "dur_ns");
       t.erred = FindBool(line, "erred");
-      t.warmup = FindBool(line, "warmup");
       t.num_threads = static_cast<int>(FindU64(line, "num_threads"));
       t.declared_spans = FindU64(line, "num_spans");
       t.error = FindString(line, "error");
@@ -431,21 +428,21 @@ namespace {
 void AppendTraceReport(const TraceDump& dump, int top_n, std::string* out) {
   *out += StrFormat(
       "iq_trace: %zu retained trace(s); slow_trace_nanos=%lld "
-      "keep_first_n=%d max_retained=%zu\n"
+      "max_retained=%zu\n"
       "counters: dropped=%llu slow_retained=%llu discarded=%llu\n",
       dump.traces.size(),
       static_cast<long long>(dump.config.slow_trace_nanos),
-      dump.config.keep_first_n, dump.config.max_retained,
+      dump.config.max_retained,
       static_cast<unsigned long long>(dump.dropped),
       static_cast<unsigned long long>(dump.slow_retained),
       static_cast<unsigned long long>(dump.discarded));
   for (const ParsedTrace& t : dump.traces) {
     const TraceAnalysis a = AnalyzeTrace(t);
     *out += StrFormat(
-        "\ntrace %llu  %s  %s  spans=%zu threads=%d%s%s%s\n",
+        "\ntrace %llu  %s  %s  spans=%zu threads=%d%s%s\n",
         static_cast<unsigned long long>(a.trace_id), a.op.c_str(),
         FormatNanos(a.dur_ns).c_str(), a.num_spans, a.num_threads,
-        a.erred ? "  [erred]" : "", t.warmup ? "  [warmup]" : "",
+        a.erred ? "  [erred]" : "",
         a.declared_spans > a.num_spans
             ? StrFormat("  [TRUNCATED: %zu spans declared]", a.declared_spans)
                   .c_str()
@@ -573,10 +570,9 @@ std::string TraceReportJson(const TraceDump& dump) {
   out += StrFormat("\"num_traces\": %zu,\n", dump.traces.size());
   if (dump.has_config) {
     out += StrFormat(
-        "\"config\": {\"slow_trace_nanos\": %lld, \"keep_first_n\": %d, "
-        "\"max_retained\": %zu},\n",
+        "\"config\": {\"slow_trace_nanos\": %lld, \"max_retained\": %zu},\n",
         static_cast<long long>(dump.config.slow_trace_nanos),
-        dump.config.keep_first_n, dump.config.max_retained);
+        dump.config.max_retained);
   }
   if (dump.has_counters) {
     out += StrFormat(

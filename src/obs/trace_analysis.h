@@ -48,7 +48,6 @@ struct ParsedTrace {
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
   bool erred = false;
-  bool warmup = false;
   int num_threads = 0;
   /// The summary's num_spans; more than spans.size() = a truncated dump.
   size_t declared_spans = 0;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "core/iq_algorithms.h"
+#include "data/queries.h"
+#include "data/synthetic.h"
 #include "tests/test_world.h"
 #include "util/random.h"
 
@@ -253,6 +257,95 @@ TEST(RandomBaselineTest, DeterministicForSeed) {
   auto r2 = RandomMinCost(*ctx, &ese, 5, options);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1->strategy, r2->strategy);
+}
+
+/// A linear world in which every object appears twice, so every target has
+/// an exact twin and every threshold can equal its own score.
+TestWorld DuplicatedRows(int n_unique, int m, int dim, uint64_t seed) {
+  TestWorld w;
+  Dataset unique = MakeIndependent(n_unique, dim, seed);
+  w.data = std::make_unique<Dataset>(dim);
+  for (int i = 0; i < n_unique; ++i) {
+    w.data->Add(unique.attrs(i));
+    w.data->Add(unique.attrs(i));
+  }
+  w.queries = std::make_unique<QuerySet>(dim);
+  QueryGenOptions qopts;
+  qopts.k_max = 5;
+  for (TopKQuery& q : MakeQueries(m, dim, seed + 1, qopts)) {
+    IQ_CHECK(w.queries->Add(std::move(q)).ok());
+  }
+  w.view = std::make_unique<FunctionView>(w.data.get(),
+                                          LinearForm::Identity(dim));
+  w.RebuildIndex();
+  return w;
+}
+
+std::vector<CostFunction> BuiltInCosts(int dim) {
+  Vec unit(static_cast<size_t>(dim));
+  for (int j = 0; j < dim; ++j) unit[static_cast<size_t>(j)] = 0.5 + j;
+  return {CostFunction::L1(), CostFunction::L2(),
+          CostFunction::WeightedL1(unit), CostFunction::WeightedL2(unit),
+          CostFunction::Quadratic(unit)};
+}
+
+TEST(IqContextTest, EveryCandidateStepHitsUnderTheStrictInequality) {
+  // Eq. 6 is strict: q is hit only when the improved score is *below* the
+  // k-th competitor's. SolveCandidate aims kHitMargin inside the halfspace,
+  // so every step it returns must pass HitBy's strict < from the point it
+  // was solved at — the same check the greedy's next iteration makes. The
+  // second pass solves from a point one step in, with the box narrowed by
+  // that step, as the greedy does after its first iteration.
+  std::vector<TestWorld> worlds;
+  for (uint64_t seed : {41, 42, 43}) {
+    worlds.push_back(TestWorld::Linear(40, 30, 3, seed));
+  }
+  worlds.push_back(TestWorld::Polynomial(30, 20, 2, 3, 44));
+  worlds.push_back(DuplicatedRows(20, 30, 3, 45));
+  size_t checked = 0;
+  for (size_t wi = 0; wi < worlds.size(); ++wi) {
+    const TestWorld& w = worlds[wi];
+    const int dim = w.data->dim();
+    AdjustBox box = AdjustBox::Unbounded(dim);
+    for (int j = 0; j < dim; ++j) box.SetRange(j, -0.3, 0.5);
+    for (const CostFunction& cost : BuiltInCosts(dim)) {
+      for (bool boxed : {false, true}) {
+        IqOptions options;
+        options.cost = cost;
+        if (boxed) options.box = box;
+        for (int target : {0, 1, 9, 17}) {
+          SCOPED_TRACE(testing::Message()
+                       << "world " << wi << " cost " << cost.name()
+                       << (boxed ? " boxed" : "") << " target " << target);
+          auto ctx = IqContext::FromIndex(w.index.get(), target);
+          ASSERT_TRUE(ctx.ok());
+          Vec p_cur = w.data->attrs(target);
+          Vec s_total = Zeros(dim);
+          for (int pass = 0; pass < 2; ++pass) {
+            const Vec c_cur = w.view->CoefficientsFor(p_cur);
+            Vec first_step;
+            for (int q = 0; q < w.queries->size(); ++q) {
+              if (ctx->HitBy(q, c_cur)) continue;
+              auto sol = ctx->SolveCandidate(q, p_cur, s_total, options);
+              if (!sol.ok()) continue;  // unreachable inside the box
+              ++checked;
+              EXPECT_TRUE(
+                  ctx->HitBy(q, w.view->CoefficientsFor(Add(p_cur, sol->s))))
+                  << "pass " << pass << " query " << q;
+              if (boxed) {
+                EXPECT_TRUE(box.Contains(Add(s_total, sol->s)));
+              }
+              if (first_step.empty()) first_step = sol->s;
+            }
+            if (first_step.empty()) break;
+            p_cur = Add(p_cur, first_step);
+            AddInPlace(&s_total, first_step);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 5000u);
 }
 
 }  // namespace

@@ -466,15 +466,12 @@ TEST(KernelEquivTest, SearchesOverKernelIdenticalAcrossThreadCounts) {
 
     std::vector<IqResult> results;
     for (ThreadPool* pool : pools) {
-      for (ChunkPolicy policy : {ChunkPolicy::kStatic, ChunkPolicy::kDynamic}) {
-        IqOptions options;
-        options.pool = pool;
-        options.chunk_policy = policy;
-        EseEvaluator ese(w.index.get(), target);
-        auto mc = MinCostIq(*ctx, &ese, tau, options);
-        ASSERT_TRUE(mc.ok()) << mc.status().ToString();
-        results.push_back(*std::move(mc));
-      }
+      IqOptions options;
+      options.pool = pool;
+      EseEvaluator ese(w.index.get(), target);
+      auto mc = MinCostIq(*ctx, &ese, tau, options);
+      ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+      results.push_back(*std::move(mc));
     }
     for (size_t i = 1; i < results.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "variant " << i);

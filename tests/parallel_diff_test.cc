@@ -235,22 +235,18 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
 
     std::vector<IqResult> min_cost, max_hit;
     for (ThreadPool* pool : pools) {
-      // Both chunk policies per pool: work-stealing claims must reproduce
-      // the static-chunk (and serial) results byte for byte.
-      for (ChunkPolicy policy :
-           {ChunkPolicy::kStatic, ChunkPolicy::kDynamic}) {
-        IqOptions options;
-        options.pool = pool;
-        options.chunk_policy = policy;
-        EseEvaluator ese(w.index.get(), target);
-        auto mc = MinCostIq(*ctx, &ese, tau, options);
-        ASSERT_TRUE(mc.ok()) << mc.status().ToString();
-        min_cost.push_back(*std::move(mc));
-        EseEvaluator ese2(w.index.get(), target);
-        auto mh = MaxHitIq(*ctx, &ese2, beta, options);
-        ASSERT_TRUE(mh.ok()) << mh.status().ToString();
-        max_hit.push_back(*std::move(mh));
-      }
+      // Work-stealing claims over any pool must reproduce the serial
+      // results byte for byte.
+      IqOptions options;
+      options.pool = pool;
+      EseEvaluator ese(w.index.get(), target);
+      auto mc = MinCostIq(*ctx, &ese, tau, options);
+      ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+      min_cost.push_back(*std::move(mc));
+      EseEvaluator ese2(w.index.get(), target);
+      auto mh = MaxHitIq(*ctx, &ese2, beta, options);
+      ASSERT_TRUE(mh.ok()) << mh.status().ToString();
+      max_hit.push_back(*std::move(mh));
     }
     for (size_t i = 1; i < min_cost.size(); ++i) {
       SCOPED_TRACE(testing::Message()
@@ -435,14 +431,12 @@ TEST(ParallelDiffTest, ParallelMaintenanceMatchesSerialRebuild) {
 // ---------------------------------------------------------------------------
 
 Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed,
-                            int num_threads,
-                            ChunkPolicy chunk_policy = ChunkPolicy::kDynamic) {
+                            int num_threads) {
   Dataset data = MakeIndependent(n, dim, seed);
   QueryGenOptions qopts;
   qopts.k_max = 5;
   EngineOptions options;
   options.num_threads = num_threads;
-  options.chunk_policy = chunk_policy;
   return IqEngine::Create(std::move(data), LinearForm::Identity(dim),
                           MakeQueries(m, dim, seed + 1, qopts), options);
 }
@@ -485,24 +479,15 @@ TEST(ParallelDiffTest, SolveBatchIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDiffTest, SolveBatchIdenticalAcrossChunkPolicies) {
-  // engine.solve_batch under work-stealing claims vs static chunks vs
+  // engine.solve_batch under work-stealing claims at 4 and 8 threads vs
   // serial: every observable, including the EvalBreakdown work counters,
   // must be byte-identical — the per-index-slot results plus the serial
   // index-order reduction make the claim order invisible.
   constexpr int kN = 40, kM = 24;
   const std::vector<BatchItem> items = MakeBatch(kN, kM);
   std::vector<std::vector<IqResult>> per_config;
-  struct Config {
-    int num_threads;
-    ChunkPolicy policy;
-  };
-  const Config configs[] = {{0, ChunkPolicy::kStatic},
-                            {4, ChunkPolicy::kStatic},
-                            {4, ChunkPolicy::kDynamic},
-                            {8, ChunkPolicy::kDynamic}};
-  for (const Config& config : configs) {
-    auto engine = MakeEngine(kN, kM, 3, 8888, config.num_threads,
-                             config.policy);
+  for (int num_threads : {0, 4, 8}) {
+    auto engine = MakeEngine(kN, kM, 3, 8888, num_threads);
     ASSERT_TRUE(engine.ok());
     auto batch = engine->SolveBatch(items);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();

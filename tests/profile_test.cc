@@ -478,12 +478,12 @@ TEST(ProfileTest, ReportJsonEscapesHostileStrings) {
   // string iq_trace writes back must be escaped, so the machine report
   // stays valid JSON.
   const std::string dump_text = R"({"tracez": {
-"config": {"slow_trace_nanos": 1, "keep_first_n": 0, "max_retained": 8},
+"config": {"slow_trace_nanos": 1, "max_retained": 8},
 "counters": {"dropped": 0, "slow_retained": 2, "discarded": 0},
 "traces": [
-{"trace_summary": {"trace_id": 7, "op": "evil\\op\"x\\", "start_ns": 0, "dur_ns": 100, "erred": true, "warmup": false, "num_spans": 1, "num_threads": 1, "error": "Internal: \"q\" \\ done"}},
+{"trace_summary": {"trace_id": 7, "op": "evil\\op\"x\\", "start_ns": 0, "dur_ns": 100, "erred": true, "num_spans": 1, "num_threads": 1, "error": "Internal: \"q\" \\ done"}},
 {"span": {"trace_id": 7, "span_id": 7, "parent_span_id": 0, "name": "evil\\op\"x\\", "tid": 1, "start_ns": 0, "dur_ns": 100}},
-{"trace_summary": {"trace_id": 8, "op": "trailing\", "start_ns": 0, "dur_ns": 100, "erred": false, "warmup": false, "num_spans": 0, "num_threads": 0}}
+{"trace_summary": {"trace_id": 8, "op": "trailing\", "start_ns": 0, "dur_ns": 100, "erred": false, "num_spans": 0, "num_threads": 0}}
 ]
 }})";
   const TraceDump dump = ParseTracezDump(dump_text);

@@ -1,0 +1,355 @@
+// Answer and work fingerprints of every improvement scheme.
+//
+// Each case solves a fixed set of improvement queries through the engine and
+// folds the results into two 64-bit FNV-1a hashes:
+//   - the answer hash: strategy bits, cost bits, hits_before, hits_after,
+//     reached_goal and iterations — what the caller sees;
+//   - the work hash: evaluator_calls and the EvalBreakdown counters (never
+//     the times) — how much evaluation the search did to get there.
+// The constants below were recorded before the four greedy loops became one,
+// so they pin that refactor (and any later one) to the same answers bit for
+// bit. A change that prunes work without changing answers updates only work
+// hashes. Each case runs at 0 and 2 engine threads against the same
+// constants: the parallel layer's determinism contract (DESIGN.md §8).
+//
+// On a mismatch the failure prints the case's row as it now computes, ready
+// to paste into the table once the change in answers or work is intended.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/engine.h"
+#include "data/queries.h"
+#include "data/synthetic.h"
+
+namespace iq {
+namespace {
+
+/// FNV-1a over 64-bit words.
+class Fingerprint {
+ public:
+  void Add(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (v >> (8 * b)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(int v) { Add(static_cast<uint64_t>(static_cast<int64_t>(v))); }
+  void Add(bool v) { Add(static_cast<uint64_t>(v ? 1 : 0)); }
+  void Add(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const Vec& v) {
+    Add(static_cast<uint64_t>(v.size()));
+    for (double x : v) Add(x);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct Hashes {
+  Fingerprint answer;
+  Fingerprint work;
+};
+
+void AddResult(const IqResult& r, Hashes* h) {
+  h->answer.Add(r.strategy);
+  h->answer.Add(r.cost);
+  h->answer.Add(r.hits_before);
+  h->answer.Add(r.hits_after);
+  h->answer.Add(r.reached_goal);
+  h->answer.Add(r.iterations);
+  const EvalBreakdown& b = r.breakdown;
+  h->work.Add(static_cast<uint64_t>(r.evaluator_calls));
+  h->work.Add(b.iterations);
+  h->work.Add(static_cast<uint64_t>(b.candidates_generated));
+  h->work.Add(static_cast<uint64_t>(b.candidates_evaluated));
+  h->work.Add(static_cast<uint64_t>(b.evaluator_calls));
+  h->work.Add(static_cast<uint64_t>(b.queries_rescored));
+  h->work.Add(static_cast<uint64_t>(b.queries_reused));
+}
+
+void AddMultiResult(const MultiIqResult& r, Hashes* h) {
+  h->answer.Add(static_cast<uint64_t>(r.targets.size()));
+  for (int t : r.targets) h->answer.Add(t);
+  for (const Vec& s : r.strategies) h->answer.Add(s);
+  for (double c : r.costs) h->answer.Add(c);
+  h->answer.Add(r.total_cost);
+  h->answer.Add(r.hits_before);
+  h->answer.Add(r.hits_after);
+  h->answer.Add(r.reached_goal);
+  h->answer.Add(r.iterations);
+}
+
+struct Recorded {
+  uint64_t answer;
+  uint64_t work;
+};
+
+using Table = std::map<std::string, Recorded>;
+
+/// Compares every computed case against `expected`, naming the row to paste
+/// for each case that differs or is missing.
+void ExpectMatches(const std::map<std::string, Hashes>& computed,
+                   const Table& expected, int threads) {
+  EXPECT_EQ(computed.size(), expected.size()) << "threads=" << threads;
+  for (const auto& [name, h] : computed) {
+    char row[160];
+    std::snprintf(row, sizeof(row),
+                  "{\"%s\", {0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL}},",
+                  name.c_str(), h.answer.value(), h.work.value());
+    auto it = expected.find(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "unrecorded case at threads=" << threads << ": " << row;
+      continue;
+    }
+    EXPECT_EQ(h.answer.value(), it->second.answer)
+        << "answer changed at threads=" << threads << "; now " << row;
+    EXPECT_EQ(h.work.value(), it->second.work)
+        << "work changed at threads=" << threads << "; now " << row;
+  }
+}
+
+/// One world: its data, utility and queries, plus the IqOptions every solve
+/// on it uses.
+struct WorldSpec {
+  const char* name;
+  int n;
+  int m;
+  int dim;
+  uint64_t seed;
+  int poly_terms;  // 0 = the linear (identity) utility
+  IqOptions options;
+};
+
+Result<IqEngine> MakeEngine(const WorldSpec& spec, int threads) {
+  Dataset data = MakeIndependent(spec.n, spec.dim, spec.seed);
+  LinearForm form = LinearForm::Identity(spec.dim);
+  int num_weights = spec.dim;
+  if (spec.poly_terms > 0) {
+    auto util =
+        MakePolynomialUtility(spec.dim, spec.poly_terms, 3, spec.seed + 2);
+    if (!util.ok()) return util.status();
+    form = std::move(util->form);
+    num_weights = util->num_weights;
+  }
+  QueryGenOptions qopts;
+  qopts.k_max = 5;
+  EngineOptions options;
+  options.num_threads = threads;
+  return IqEngine::Create(std::move(data), std::move(form),
+                          MakeQueries(spec.m, num_weights, spec.seed + 1,
+                                      qopts),
+                          options);
+}
+
+/// L1 cost, a box on every attribute, a grid on the first and last, and a
+/// candidate evaluation limit: every optional path of the greedy at once.
+IqOptions ConstrainedOptions(int dim) {
+  IqOptions options;
+  options.cost = CostFunction::L1();
+  AdjustBox box = AdjustBox::Unbounded(dim);
+  for (int j = 0; j < dim; ++j) box.SetRange(j, -0.35, 0.4);
+  options.box = box;
+  options.granularity = Zeros(dim);
+  options.granularity[0] = 0.05;
+  options.granularity[static_cast<size_t>(dim - 1)] = 0.02;
+  options.candidate_eval_limit = 4;
+  return options;
+}
+
+std::vector<WorldSpec> GreedyWorlds() {
+  return {{"l2", 48, 24, 3, 11, 0, IqOptions{}},
+          {"l1_box_grid_limit", 48, 24, 3, 12, 0, ConstrainedOptions(3)},
+          {"linearized", 40, 16, 2, 13, 3, IqOptions{}}};
+}
+
+constexpr int kTargets[] = {0, 7, 19, 33};
+
+int TauFor(int i, int m) { return 1 + (5 * i) % (m / 2); }
+double BetaFor(int i) { return 0.05 + 0.1 * i; }
+
+const Table& GreedySchemeTable() {
+  static const Table table = {
+      {"l1_box_grid_limit/Efficient-IQ/max_hit",
+       {0x61d5732f9f1c34efULL, 0xc7d2f74c646ba203ULL}},
+      {"l1_box_grid_limit/Efficient-IQ/min_cost",
+       {0x188b5cede8e3a997ULL, 0x03c5b96bb4e37906ULL}},
+      {"l1_box_grid_limit/Greedy/max_hit",
+       {0xd03a5b8687156e12ULL, 0xd248f00b6c7bc073ULL}},
+      {"l1_box_grid_limit/Greedy/min_cost",
+       {0xaedff017bd513333ULL, 0xe1ecead7c6a4e8ceULL}},
+      {"l1_box_grid_limit/RTA-IQ/max_hit",
+       {0x61d5732f9f1c34efULL, 0xc7d2f74c646ba203ULL}},
+      {"l1_box_grid_limit/RTA-IQ/min_cost",
+       {0x188b5cede8e3a997ULL, 0x03c5b96bb4e37906ULL}},
+      {"l1_box_grid_limit/Random/max_hit",
+       {0x1331391fe626840dULL, 0xcef1de818eb9725dULL}},
+      {"l1_box_grid_limit/Random/min_cost",
+       {0x7170d71d5365a264ULL, 0xc69f52b112086553ULL}},
+      {"l2/Efficient-IQ/max_hit",
+       {0xfea18d82137837d3ULL, 0x5ae0c24748f5b4e4ULL}},
+      {"l2/Efficient-IQ/min_cost",
+       {0x8a738b8e84800c79ULL, 0xaab9cbbdc81d1a51ULL}},
+      {"l2/Greedy/max_hit",
+       {0xfea18d82137837d3ULL, 0x2dfd3f9412feca71ULL}},
+      {"l2/Greedy/min_cost",
+       {0x82e890b0faf627b2ULL, 0x7f1f25b0d35763acULL}},
+      {"l2/RTA-IQ/max_hit",
+       {0xfea18d82137837d3ULL, 0x5ae0c24748f5b4e4ULL}},
+      {"l2/RTA-IQ/min_cost",
+       {0x8a738b8e84800c79ULL, 0xaab9cbbdc81d1a51ULL}},
+      {"l2/Random/max_hit",
+       {0xc641cadb6a76a3e1ULL, 0x13be22ac6d720b65ULL}},
+      {"l2/Random/min_cost",
+       {0x1b758a27d8c856f2ULL, 0x8cfc14a5bf83d91bULL}},
+      {"linearized/Efficient-IQ/max_hit",
+       {0x207ae4ccd8024d76ULL, 0x37cef9e295a16f26ULL}},
+      {"linearized/Efficient-IQ/min_cost",
+       {0x267bded11f655e54ULL, 0x0e42c30c026b9f0dULL}},
+      {"linearized/Greedy/max_hit",
+       {0x207ae4ccd8024d76ULL, 0x88a4f0f81a9484dbULL}},
+      {"linearized/Greedy/min_cost",
+       {0x497e8f26d4eb5c46ULL, 0xc42227fcfcf00aa4ULL}},
+      {"linearized/RTA-IQ/max_hit",
+       {0x207ae4ccd8024d76ULL, 0x37cef9e295a16f26ULL}},
+      {"linearized/RTA-IQ/min_cost",
+       {0x267bded11f655e54ULL, 0x0e42c30c026b9f0dULL}},
+      {"linearized/Random/max_hit",
+       {0x4fa27ecd89465195ULL, 0x1c685300fbc7e565ULL}},
+      {"linearized/Random/min_cost",
+       {0x3bd3c71882ba2d52ULL, 0x178345629706d244ULL}},
+  };
+  return table;
+}
+
+const Table& ExhaustiveTable() {
+  static const Table table = {
+      {"tiny_l1_box/Exhaustive/max_hit",
+       {0x64e6bb3b1bda3826ULL, 0x35da762063936645ULL}},
+      {"tiny_l1_box/Exhaustive/min_cost",
+       {0x2dc25097720dcf94ULL, 0x35da762063936645ULL}},
+      {"tiny_l2/Exhaustive/max_hit",
+       {0x4f52572438dfcb17ULL, 0x35da762063936645ULL}},
+      {"tiny_l2/Exhaustive/min_cost",
+       {0x84e65feb952a1cd9ULL, 0x35da762063936645ULL}},
+  };
+  return table;
+}
+
+/// MultiIqResult carries no evaluator counters, so these work hashes are the
+/// empty one.
+const Table& CombinatorialTable() {
+  static const Table table = {
+      {"l1_box_grid_limit/Combinatorial/max_hit",
+       {0xff2e50e52db9ad6aULL, 0xcbf29ce484222325ULL}},
+      {"l1_box_grid_limit/Combinatorial/min_cost",
+       {0xc81c90d5f1f48a7dULL, 0xcbf29ce484222325ULL}},
+      {"l2/Combinatorial/max_hit",
+       {0x3958c064fe2d4311ULL, 0xcbf29ce484222325ULL}},
+      {"l2/Combinatorial/min_cost",
+       {0x0657f7d993b553d2ULL, 0xcbf29ce484222325ULL}},
+      {"linearized/Combinatorial/max_hit",
+       {0x029ca7ceba580473ULL, 0xcbf29ce484222325ULL}},
+      {"linearized/Combinatorial/min_cost",
+       {0x434a10141c2c4040ULL, 0xcbf29ce484222325ULL}},
+  };
+  return table;
+}
+
+TEST(SchemeFingerprintTest, GreedyAndRandomSchemesMatchRecordedHashes) {
+  const IqScheme schemes[] = {IqScheme::kEfficient, IqScheme::kRta,
+                              IqScheme::kGreedy, IqScheme::kRandom};
+  for (int threads : {0, 2}) {
+    std::map<std::string, Hashes> computed;
+    for (const WorldSpec& spec : GreedyWorlds()) {
+      auto engine = MakeEngine(spec, threads);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      for (IqScheme scheme : schemes) {
+        const std::string prefix =
+            std::string(spec.name) + "/" + IqSchemeName(scheme);
+        Hashes& min_cost = computed[prefix + "/min_cost"];
+        Hashes& max_hit = computed[prefix + "/max_hit"];
+        for (int i = 0; i < 4; ++i) {
+          const int target = kTargets[i];
+          auto mc = engine->MinCost(target, TauFor(i, spec.m), spec.options,
+                                    scheme);
+          ASSERT_TRUE(mc.ok()) << prefix << ": " << mc.status().ToString();
+          AddResult(*mc, &min_cost);
+          auto mh = engine->MaxHit(target, BetaFor(i), spec.options, scheme);
+          ASSERT_TRUE(mh.ok()) << prefix << ": " << mh.status().ToString();
+          AddResult(*mh, &max_hit);
+        }
+      }
+    }
+    ExpectMatches(computed, GreedySchemeTable(), threads);
+  }
+}
+
+TEST(SchemeFingerprintTest, ExhaustiveMatchesRecordedHashes) {
+  const WorldSpec tiny[] = {{"tiny_l2", 12, 6, 2, 21, 0, IqOptions{}},
+                            {"tiny_l1_box", 12, 6, 2, 22, 0, [] {
+                               IqOptions options;
+                               options.cost = CostFunction::L1();
+                               AdjustBox box = AdjustBox::Unbounded(2);
+                               box.SetRange(0, -0.6, 0.6);
+                               box.SetRange(1, -0.5, 0.7);
+                               options.box = box;
+                               return options;
+                             }()}};
+  for (int threads : {0, 2}) {
+    std::map<std::string, Hashes> computed;
+    for (const WorldSpec& spec : tiny) {
+      auto engine = MakeEngine(spec, threads);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      const std::string prefix = std::string(spec.name) + "/Exhaustive";
+      Hashes& min_cost = computed[prefix + "/min_cost"];
+      Hashes& max_hit = computed[prefix + "/max_hit"];
+      for (int i = 0; i < 3; ++i) {
+        const int target = 1 + 4 * i;
+        auto mc = engine->MinCost(target, 1 + i, spec.options,
+                                  IqScheme::kExhaustive);
+        ASSERT_TRUE(mc.ok()) << prefix << ": " << mc.status().ToString();
+        AddResult(*mc, &min_cost);
+        auto mh = engine->MaxHit(target, BetaFor(i), spec.options,
+                                 IqScheme::kExhaustive);
+        ASSERT_TRUE(mh.ok()) << prefix << ": " << mh.status().ToString();
+        AddResult(*mh, &max_hit);
+      }
+    }
+    ExpectMatches(computed, ExhaustiveTable(), threads);
+  }
+}
+
+TEST(SchemeFingerprintTest, CombinatorialMatchesRecordedHashes) {
+  for (int threads : {0, 2}) {
+    std::map<std::string, Hashes> computed;
+    for (const WorldSpec& spec : GreedyWorlds()) {
+      auto engine = MakeEngine(spec, threads);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      const std::string prefix = std::string(spec.name) + "/Combinatorial";
+      const std::vector<int> targets = {kTargets[1], kTargets[2]};
+      auto mc = engine->MultiMinCost(targets, spec.m / 2, {spec.options});
+      ASSERT_TRUE(mc.ok()) << prefix << ": " << mc.status().ToString();
+      AddMultiResult(*mc, &computed[prefix + "/min_cost"]);
+      auto mh = engine->MultiMaxHit(targets, 0.3, {spec.options});
+      ASSERT_TRUE(mh.ok()) << prefix << ": " << mh.status().ToString();
+      AddMultiResult(*mh, &computed[prefix + "/max_hit"]);
+    }
+    ExpectMatches(computed, CombinatorialTable(), threads);
+  }
+}
+
+}  // namespace
+}  // namespace iq

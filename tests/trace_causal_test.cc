@@ -6,7 +6,7 @@
 // every span carries the root trace id, parent links resolve into a tree
 // rooted at the batch root, span intervals nest inside their parents, and a
 // multi-threaded batch shows spans from at least two recording threads.
-// Tail-capture policy (error retention, keep-first-N warmup, bounded store)
+// Tail-capture policy (error retention, slow retention, bounded store)
 // and the iq_trace analysis layer are covered on the same traces.
 
 #include <gtest/gtest.h>
@@ -381,7 +381,6 @@ TEST(TraceCausalTest, ErredSolveIsRetainedRegardlessOfLatency) {
   std::vector<RetainedTrace> retained = tc.RetainedTraces();
   ASSERT_EQ(retained.size(), 1u);
   EXPECT_TRUE(retained[0].erred);
-  EXPECT_FALSE(retained[0].warmup);
   EXPECT_STREQ(retained[0].op, "IqEngine::MinCost");
 }
 
@@ -449,37 +448,18 @@ TEST(TraceCausalTest, FailedWritesDumpTheirOwnRootSpans) {
             1);
 }
 
-TEST(TraceCausalTest, KeepFirstNWarmupAndBoundedStore) {
-  TraceTailConfig config;
-  config.slow_trace_nanos = INT64_MAX;
-  config.keep_first_n = 2;
-  config.max_retained = 2;
-  ScopedTracing tracing(config);
-  TraceCollector& tc = TraceCollector::Global();
-  const uint64_t discarded_before = tc.discarded_total();
-
-  for (int i = 0; i < 3; ++i) {
-    IQ_TRACE_ROOT_SCOPE(root, "test.warmup");
-    static_cast<void>(root);
-  }
-  // First two kept as warmup examples, third discarded (fast, no error).
-  std::vector<RetainedTrace> retained = tc.RetainedTraces();
-  ASSERT_EQ(retained.size(), 2u);
-  EXPECT_TRUE(retained[0].warmup);
-  EXPECT_TRUE(retained[1].warmup);
-  EXPECT_EQ(tc.discarded_total(), discarded_before + 1);
-
-  // The bounded store drops oldest first.
+TEST(TraceCausalTest, BoundedStoreDropsOldestFirst) {
   TraceTailConfig two = RetainAll();
   two.max_retained = 2;
-  tc.ConfigureTailCapture(two);
+  ScopedTracing tracing(two);
+  TraceCollector& tc = TraceCollector::Global();
   uint64_t first_id = 0, last_id = 0;
   for (int i = 0; i < 4; ++i) {
     IQ_TRACE_ROOT_SCOPE(root, "test.rolling");
     if (i == 0) first_id = root.trace_id();
     last_id = root.trace_id();
   }
-  retained = tc.RetainedTraces();
+  std::vector<RetainedTrace> retained = tc.RetainedTraces();
   ASSERT_EQ(retained.size(), 2u);
   EXPECT_EQ(retained.back().trace_id, last_id);
   for (const RetainedTrace& rt : retained) {

@@ -35,7 +35,7 @@ MIN_TIME="${IQ_BENCH_MIN_TIME:-0.05}"
 REPS="${IQ_BENCH_REPETITIONS:-3}"
 THRESHOLD="${IQ_BENCH_THRESHOLD:-0.20}"
 OUT="BENCH_5.json"
-PAR_ARGS=(--n=2000 --m=400 --reps=2 --chunk-policy=both)
+PAR_ARGS=(--n=2000 --m=400 --reps=2)
 CHURN_ARGS=(--n=1000 --m=300 --readers=4 --applies=100 --reads=100)
 
 if [[ "${1:-}" == "--compare" ]]; then
@@ -99,7 +99,7 @@ for arg in "$@"; do
     --out=*) OUT="${arg#--out=}" ;;
     --quick)
       MIN_TIME=0.01
-      PAR_ARGS=(--n=800 --m=200 --reps=1 --chunk-policy=both)
+      PAR_ARGS=(--n=800 --m=200 --reps=1)
       CHURN_ARGS=(--n=400 --m=120 --readers=2 --applies=30 --reads=30)
       ;;
     *) echo "unknown flag: $arg (known: --out= --quick --compare)" >&2; exit 2 ;;
@@ -163,19 +163,8 @@ for name in ("micro_ese", "micro_solver", "micro_rtree"):
 
 par = json.load(open(os.path.join(tmp, "micro_parallel.json")))
 for path in par.get("paths", []):
-    cells = path.get("cells", [])
-    # Chunk-policy A/B cells: dynamic is the production default, so its keys
-    # stay the historical "path/threads=N" (old baselines keep comparing);
-    # the static variant gets a "/policy=static" suffix — but only when a
-    # dynamic twin exists (index_build runs static-only under its old key).
-    twinned = {
-        (c.get("policy"), c["threads"]) for c in cells
-    }
-    for cell in cells:
+    for cell in path.get("cells", []):
         key = f"micro_parallel/{path['path']}/threads={cell['threads']}"
-        if (cell.get("policy") == "static"
-                and ("dynamic", cell["threads"]) in twinned):
-            key += "/policy=static"
         merged["tracked"][key] = {
             "p50": cell["seconds"],
             "unit": "s",
