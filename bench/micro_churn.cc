@@ -8,11 +8,12 @@
 //   churn        M reader threads solving MinCost on pinned snapshots
 //                while one writer applies strategies as fast as it can
 //                (every apply publishes a new epoch).
-//   reader_only  the same readers with the writer silent. Mutex capture
-//                (util/prof.h) runs over this window and the binary
-//                *aborts* unless the engine-rank lock recorded exactly
-//                zero acquisitions — the lock-free-reader claim is
-//                enforced, not just reported.
+//   reader_only  the same readers with the writer silent. Mutex hold
+//                capture (util/prof.h) runs over both windows, and the
+//                binary *aborts* unless this one's spans hold exactly zero
+//                IqEngine::mu_ acquisitions (the churn window must hold
+//                one per apply) and the rings dropped no span — the
+//                lock-free-reader claim is enforced, not just reported.
 //
 // The tracked regression keys (tools/bench_regress.sh → BENCH_5.json) are
 // the churn-window p50s: micro_churn/solve_p50_nanos (reader latency under
@@ -45,6 +46,8 @@
 #include "data/synthetic.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "obs/trace_analysis.h"
 #include "util/check.h"
 #include "util/prof.h"
 #include "util/random.h"
@@ -63,12 +66,6 @@ struct Config {
   int reads = 150;
 };
 
-struct LockSite {
-  uint64_t acquisitions = 0;
-  uint64_t contended = 0;
-  uint64_t wait_nanos = 0;
-};
-
 struct WindowStats {
   std::string window;
   uint64_t solve_p50_nanos = 0;
@@ -77,7 +74,7 @@ struct WindowStats {
   uint64_t applies = 0;
   uint64_t first_epoch = 0;
   uint64_t last_epoch = 0;
-  LockSite engine_lock;
+  MutexSiteReport engine_lock;  // IqEngine::mu_ over the window's holds
 };
 
 uint64_t P50(std::vector<uint64_t>* nanos) {
@@ -87,32 +84,40 @@ uint64_t P50(std::vector<uint64_t>* nanos) {
   return (*nanos)[mid];
 }
 
-/// Engine-rank totals from the mutex capture of the window just closed.
-LockSite EngineLockSite() {
-  LockSite site;
-  for (const prof::MutexSiteStats& m : prof::SnapshotMutexSites()) {
-    if (m.rank == LockRank::kEngine) {
-      site.acquisitions += m.acquisitions;
-      site.contended += m.contended;
-      site.wait_nanos += m.wait_nanos;
-    }
+/// The IqEngine::mu_ row of the profile analysis over [start_ns, end_ns]:
+/// the hold spans the window left in the rings, read the way iq_trace
+/// reads them. Aborts when a ring overwrote a span of the window, since a
+/// truncated window undercounts.
+MutexSiteReport EngineLockSite(uint64_t start_ns, uint64_t end_ns) {
+  const TraceCollector& tc = TraceCollector::Global();
+  IQ_CHECK(tc.DroppedCount() == 0);
+  ParsedProfileWindow window;
+  window.start_ns = start_ns;
+  window.dur_ns = end_ns - start_ns;
+  for (const TraceEvent& e : tc.SpansInWindow(start_ns, end_ns)) {
+    window.spans.push_back({e.trace_id, e.span_id, e.parent_span_id, e.name,
+                            e.tid, e.start_ns, e.dur_ns, e.arg0, e.arg1,
+                            e.arg2});
   }
-  return site;
+  for (const MutexSiteReport& m : AnalyzeProfileWindow(window).mutexes) {
+    if (m.label == "IqEngine::mu_") return m;
+  }
+  return MutexSiteReport{};
 }
 
 /// One measured window: `cfg.readers` threads each solving `cfg.reads`
 /// MinCosts on their own pinned snapshots, plus (churn window only) a
-/// writer publishing `applies` epochs. Mutex capture wraps the whole window
-/// so the engine-rank lock stats cover exactly this traffic.
+/// writer publishing `applies` epochs. Hold capture wraps the whole window
+/// on emptied rings, so the engine lock's holds are exactly this traffic.
 WindowStats RunWindow(const Config& cfg, IqEngine* engine,
                       const std::string& window, int applies) {
   WindowStats stats;
   stats.window = window;
   stats.first_epoch = engine->Snapshot().epoch();
 
-  prof::SetEnabled(false);
-  prof::Reset();
+  TraceCollector::Global().Clear();
   prof::SetEnabled(true);
+  const uint64_t start_ns = prof::EnabledSinceNanos();
 
   std::vector<std::vector<uint64_t>> solve_nanos(
       static_cast<size_t>(cfg.readers));
@@ -150,8 +155,9 @@ WindowStats RunWindow(const Config& cfg, IqEngine* engine,
   }
   for (std::thread& t : readers) t.join();
 
+  const uint64_t end_ns = TraceNowNanos();
   prof::SetEnabled(false);
-  stats.engine_lock = EngineLockSite();
+  stats.engine_lock = EngineLockSite(start_ns, end_ns);
 
   std::vector<uint64_t> all_solves;
   for (std::vector<uint64_t>& v : solve_nanos) {
@@ -163,12 +169,11 @@ WindowStats RunWindow(const Config& cfg, IqEngine* engine,
   stats.apply_p50_nanos = P50(&apply_nanos);
   stats.last_epoch = engine->Snapshot().epoch();
 
-  if (applies == 0) {
-    // The acceptance gate: with the writer silent, readers must not have
-    // taken the engine lock at all. A nonzero count means some reader path
-    // regressed to locking instead of pinning.
-    IQ_CHECK(stats.engine_lock.acquisitions == 0);
-  }
+  // The acceptance gate: each apply takes the engine lock once, and with
+  // the writer silent readers must not take it at all. A nonzero
+  // reader-only count means some reader path regressed to locking instead
+  // of pinning.
+  IQ_CHECK(stats.engine_lock.acquisitions == static_cast<uint64_t>(applies));
   return stats;
 }
 

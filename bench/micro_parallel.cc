@@ -24,7 +24,7 @@
 //                          so speedups have a baseline)
 //   --profile=PATH         after the timed reps of each cell, run one extra
 //                          rep inside a profile window (obs/trace.h
-//                          ProfileSession: mutex slots + ParallelFor chunk
+//                          ProfileSession: mutex hold + ParallelFor chunk
 //                          spans) and write every window — labeled
 //                          "<path>/threads=N" — to PATH as a span dump that
 //                          tools/iq_trace renders as the serialization

@@ -87,8 +87,8 @@ BENCHMARK(BM_PenaltySolver);
 
 // Overhead guard for the contention profiler (DESIGN.md §11): the
 // profiling-off uncontended Lock/Unlock pair must stay within noise of a
-// plain std::mutex — the only addition is one relaxed atomic load and a
-// predictable branch on each side. Tracked by tools/bench_regress.sh, so a
+// plain std::mutex — the only additions are one relaxed atomic load and a
+// predictable branch in Lock, and one test of the hold's clock in Unlock. Tracked by tools/bench_regress.sh, so a
 // regression on this path (which sits under every engine call) fails the
 // bench gate even when the engine micros hide it in their noise.
 void BM_MutexProfileOverhead(benchmark::State& state) {
@@ -103,8 +103,9 @@ void BM_MutexProfileOverhead(benchmark::State& state) {
 BENCHMARK(BM_MutexProfileOverhead);
 
 // The same pair with profiling *on*: documents the uncontended slow-path
-// cost (try_lock + per-thread slot update) rather than gating it. Restores
-// the global off state so later benchmarks in the binary are unaffected.
+// cost (try_lock, two clock reads and a hold span written to the ring)
+// rather than gating it. Restores the global off state and empties the
+// rings so later benchmarks in the binary are unaffected.
 void BM_MutexProfileOverheadEnabled(benchmark::State& state) {
   prof::SetEnabled(true);
   Mutex mu(LockRank::kLeaf, "BM_MutexProfileOverheadEnabled");
@@ -114,7 +115,7 @@ void BM_MutexProfileOverheadEnabled(benchmark::State& state) {
     benchmark::DoNotOptimize(++x);
   }
   prof::SetEnabled(false);
-  prof::Reset();
+  TraceCollector::Global().Clear();
 }
 BENCHMARK(BM_MutexProfileOverheadEnabled);
 

@@ -33,6 +33,9 @@ class Dataset {
 
   const Vec& attrs(int id) const { return rows_[static_cast<size_t>(id)]; }
   bool is_active(int id) const { return active_[static_cast<size_t>(id)]; }
+  /// One flag per slot, true while the object is active: the mask every
+  /// ranking and top-k scan takes.
+  const std::vector<bool>& active_mask() const { return active_; }
 
   /// Appends an object; returns its id.
   int Add(Vec attrs);

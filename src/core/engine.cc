@@ -329,11 +329,8 @@ Result<std::vector<ScoredObject>> IqEngine::TopK(const Vec& weights,
   if (static_cast<int>(weights.size()) != view.form().num_weights()) {
     return Status::InvalidArgument("weight vector length mismatch");
   }
-  std::vector<bool> mask(static_cast<size_t>(dataset.size()));
-  for (int i = 0; i < dataset.size(); ++i) {
-    mask[static_cast<size_t>(i)] = dataset.is_active(i);
-  }
-  return TopKScan(view.rows(), &mask, view.form().AugmentWeights(weights), k);
+  return TopKScan(view.rows(), &dataset.active_mask(),
+                  view.form().AugmentWeights(weights), k);
 }
 
 Result<int> IqEngine::RankUnderQuery(int object, int q) const {

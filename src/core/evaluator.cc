@@ -122,22 +122,9 @@ int EseEvaluator::HitsViaWedges(const Vec& c) {
   return hits;
 }
 
-namespace {
-
-std::vector<bool> BuildActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
-}  // namespace
-
 BruteForceEvaluator::BruteForceEvaluator(const FunctionView* view,
                                          const QuerySet* queries, int target)
     : view_(view), queries_(queries), target_(target) {
-  active_mask_ = BuildActiveMask(view_->dataset());
   aug_w_.resize(static_cast<size_t>(queries_->size()));
   for (int q = 0; q < queries_->size(); ++q) {
     if (!queries_->is_active(q)) continue;
@@ -156,8 +143,8 @@ int BruteForceEvaluator::HitsForCoeffs(const Vec& c) {
   for (int q = 0; q < queries_->size(); ++q) {
     if (!queries_->is_active(q)) continue;
     const Vec& w = aug_w_[static_cast<size_t>(q)];
-    double kth = KthBestScore(view_->rows(), &active_mask_, w,
-                              queries_->query(q).k, target_);
+    double kth = KthBestScore(view_->rows(), &view_->dataset().active_mask(),
+                              w, queries_->query(q).k, target_);
     // Reference evaluator: deliberately naive.
     // iq-lint: allow(raw-scoring-loop)
     if (HitByThreshold(Dot(c, w), kth)) ++hits;
@@ -169,7 +156,6 @@ RtaStrategyEvaluator::RtaStrategyEvaluator(const FunctionView* view,
                                            const QuerySet* queries,
                                            int target)
     : view_(view), queries_(queries), target_(target) {
-  active_mask_ = BuildActiveMask(view_->dataset());
   for (int q = 0; q < queries_->size(); ++q) {
     if (!queries_->is_active(q)) continue;
     aug_w_dense_.push_back(
@@ -177,7 +163,8 @@ RtaStrategyEvaluator::RtaStrategyEvaluator(const FunctionView* view,
     ks_dense_.push_back(queries_->query(q).k);
   }
   order_ = Rta::LocalityOrder(aug_w_dense_);
-  rta_ = std::make_unique<Rta>(&view_->rows(), &active_mask_, target_);
+  rta_ = std::make_unique<Rta>(&view_->rows(), &view_->dataset().active_mask(),
+                               target_);
   base_hits_ = HitsForCoeffs(view_->coeffs(target));
   calls_ = 0;
   queries_rescored_ = 0;

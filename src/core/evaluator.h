@@ -146,7 +146,6 @@ class BruteForceEvaluator : public StrategyEvaluator {
   int target_;
   int base_hits_ = 0;
   std::vector<Vec> aug_w_;
-  std::vector<bool> active_mask_;
 };
 
 /// RTA-IQ's evaluator: the reverse top-k Threshold Algorithm decides, per
@@ -171,7 +170,6 @@ class RtaStrategyEvaluator : public StrategyEvaluator {
   std::vector<Vec> aug_w_dense_;   // active queries only
   std::vector<int> ks_dense_;
   std::vector<int> order_;
-  std::vector<bool> active_mask_;
   /// Rta keeps per-call scratch state, and the counter below is a plain
   /// size_t bumped on every evaluation — both are why this evaluator reports
   /// SupportsConcurrentEval() == false and must stay caller-serialized.

@@ -17,14 +17,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::vector<bool> BuildActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
 AdjustBox EffectiveBox(const IqOptions& options, int dim) {
   return options.box.has_value() ? *options.box : AdjustBox::Unbounded(dim);
 }
@@ -122,7 +114,6 @@ Result<IqContext> IqContext::FromView(const FunctionView* view,
   ctx.view_ = view;
   ctx.queries_ = queries;
   ctx.target_ = target;
-  std::vector<bool> mask = BuildActiveMask(data);
   ctx.thresholds_.assign(static_cast<size_t>(queries->size()),
                          std::numeric_limits<double>::quiet_NaN());
   ctx.aug_w_.resize(static_cast<size_t>(queries->size()));
@@ -130,7 +121,8 @@ Result<IqContext> IqContext::FromView(const FunctionView* view,
     if (!queries->is_active(q)) continue;
     Vec w = view->form().AugmentWeights(queries->query(q).weights);
     ctx.thresholds_[static_cast<size_t>(q)] =
-        KthBestScore(view->rows(), &mask, w, queries->query(q).k, target);
+        KthBestScore(view->rows(), &data.active_mask(), w,
+                     queries->query(q).k, target);
     ctx.aug_w_[static_cast<size_t>(q)] = std::move(w);
   }
   return ctx;

@@ -8,28 +8,16 @@
 #include "topk/topk.h"
 
 namespace iq {
-namespace {
-
-std::vector<bool> ActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
-}  // namespace
 
 Status CrossCheckEse(const SubdomainIndex& index, int target) {
   const FunctionView& view = index.view();
   const QuerySet& queries = index.queries();
-  std::vector<bool> mask = ActiveMask(view.dataset());
   for (int q = 0; q < queries.size(); ++q) {
     if (!queries.is_active(q)) continue;
     const Vec& w = index.aug_weights(q);
     double cached_t = index.KthScoreExcluding(q, target);
-    double naive_t =
-        KthBestScore(view.rows(), &mask, w, queries.query(q).k, target);
+    double naive_t = KthBestScore(view.rows(), &view.dataset().active_mask(),
+                                  w, queries.query(q).k, target);
     // Both thresholds pick the k-th smallest of the same dot products, so
     // they must agree bit-for-bit, not just approximately.
     if (cached_t != naive_t && !(std::isinf(cached_t) && std::isinf(naive_t))) {
@@ -71,9 +59,9 @@ Status CrossCheckSampledSubdomain(const SubdomainIndex& index,
   int rep = index.subdomain_queries(sd).front();
 
   const FunctionView& view = index.view();
-  std::vector<bool> mask = ActiveMask(view.dataset());
   std::vector<ScoredObject> top =
-      TopKScan(view.rows(), &mask, index.aug_weights(rep), index.kappa());
+      TopKScan(view.rows(), &view.dataset().active_mask(),
+               index.aug_weights(rep), index.kappa());
   std::vector<int> fresh;
   fresh.reserve(top.size());
   for (const ScoredObject& so : top) fresh.push_back(so.id);

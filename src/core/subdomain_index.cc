@@ -62,12 +62,6 @@ std::string SignatureKey(const std::vector<int>& sig) {
   return key;
 }
 
-std::vector<bool> ActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) mask[static_cast<size_t>(i)] = data.is_active(i);
-  return mask;
-}
-
 }  // namespace
 
 Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
@@ -108,11 +102,8 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
 
   // SoA object kernel first (DESIGN.md §13): the ranking scores against it,
   // shared read-only across the pool workers.
-  {
-    std::vector<bool> mask = ActiveMask(view->dataset());
-    index.object_kernel_ =
-        ScoreKernel::Build(view->rows(), &mask, view->form().num_slots());
-  }
+  index.object_kernel_ = ScoreKernel::Build(
+      view->rows(), &view->dataset().active_mask(), view->form().num_slots());
   const std::vector<int> active = index.GroupQueries();
 
   std::vector<Vec> points;
@@ -262,9 +253,9 @@ void SubdomainIndex::RepackQuery(int q) {
 }
 
 void SubdomainIndex::RebuildScoreKernels() {
-  std::vector<bool> mask = ActiveMask(view_->dataset());
-  object_kernel_ =
-      ScoreKernel::Build(view_->rows(), &mask, view_->form().num_slots());
+  object_kernel_ = ScoreKernel::Build(view_->rows(),
+                                      &view_->dataset().active_mask(),
+                                      view_->form().num_slots());
   std::vector<bool> qmask(aug_w_.size(), false);
   for (int q = 0; q < queries_->size(); ++q) {
     if (queries_->is_active(q)) qmask[static_cast<size_t>(q)] = true;

@@ -95,12 +95,6 @@ double Mbr::Enlargement(const Vec& point) const {
   return enlarged - Area();
 }
 
-Vec Mbr::Center() const {
-  Vec c(lo_.size());
-  for (size_t i = 0; i < lo_.size(); ++i) c[i] = 0.5 * (lo_[i] + hi_[i]);
-  return c;
-}
-
 double Mbr::MinDistanceSquared(const Vec& point) const {
   IQ_DCHECK(point.size() == lo_.size());
   double s = 0.0;

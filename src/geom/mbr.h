@@ -51,8 +51,6 @@ class Mbr {
   /// Area increase required to also cover `point`.
   double Enlargement(const Vec& point) const;
 
-  Vec Center() const;
-
   /// Minimum squared Euclidean distance from `point` to the box (0 inside).
   double MinDistanceSquared(const Vec& point) const;
 

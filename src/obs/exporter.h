@@ -22,10 +22,10 @@ namespace iq {
 ///   /healthz   "ok" — liveness probe.
 ///   /statusz   JSON snapshot: uptime and metrics (MetricsSnapshot::ToJson,
 ///              which carries the iq.trace.* capture counters).
-///   /profilez  live profile window (obs/trace.h ProfilezJson): mutex
-///              wait/held slots plus the ParallelFor chunk spans since
-///              profiling was enabled, as a line-oriented span dump; an
-///              `"enabled": false` placeholder window when profiling is off.
+///   /profilez  live profile window (obs/trace.h ProfilezJson): the mutex
+///              hold spans and ParallelFor chunk spans since hold capture
+///              was enabled, as a line-oriented span dump; an
+///              `"enabled": false` placeholder window when it is off.
 ///   /tracez    retained slow traces (TraceCollector::TracezJson): tail
 ///              config, capture counters, every retained trace's spans.
 ///   /tracez?trace=ID

@@ -30,6 +30,28 @@ void ClosePoolSpan(const OpenSpan& span, const char* name, int64_t arg0,
 [[maybe_unused]] constexpr ThreadPool::SpanRecorder kPoolSpanRecorder{
     &OpenPoolSpan, &ClosePoolSpan};
 
+/// A finished mutex hold (util/prof.h) as a flat span: named by the
+/// mutex's label, args (rank, acquisition wait, carried held time), and
+/// trace, span and parent ids 0 — never the current span, never part of a
+/// retained trace.
+void RecordHoldSpan(const prof::Hold& hold) {
+  TraceEvent e;
+  e.name = hold.label;
+  e.start_ns = hold.clock.start_ns;
+  e.dur_ns = hold.end_ns - hold.clock.start_ns;
+  e.arg0 = static_cast<int64_t>(hold.rank);
+  e.arg1 = hold.clock.wait_ns;
+  e.arg2 = static_cast<int64_t>(hold.clock.carried_ns);
+  TraceCollector::Global().Record(e);
+}
+
+/// Installs the hold seam at static initialization, the way obs/metrics.cc
+/// installs the pool's task observer: util may not include obs.
+[[maybe_unused]] const bool g_hold_recorder_installed = [] {
+  prof::SetHoldRecorder(&RecordHoldSpan);
+  return true;
+}();
+
 }  // namespace
 
 OpenSpan OpenTraceSpan(bool new_trace) {
@@ -73,7 +95,10 @@ TraceCollector::TraceCollector() {
   // MetricsRegistry::mu_ ranks *below* the trace locks (kMetricsRegistry <
   // kTraceRegistry), so a lazy GetCounter inside Record/FinishRoot would
   // invert the order. Counter::Increment itself is a relaxed atomic add —
-  // legal under any lock.
+  // legal under any lock. The registry's lock is taken unprofiled: its
+  // hold span would be recorded into this collector, still under
+  // construction.
+  const prof::Unprofiled unprofiled;
   MetricsRegistry& metrics = MetricsRegistry::Global();
   dropped_counter_ = metrics.GetCounter("iq.trace.dropped");
   slow_retained_counter_ = metrics.GetCounter("iq.trace.slow_retained");
@@ -109,6 +134,7 @@ TraceCollector::ThreadBuffer* TraceCollector::BufferForThisThread() {
 }
 
 void TraceCollector::Record(TraceEvent e) {
+  const prof::Unprofiled unprofiled;
   ThreadBuffer* buf = BufferForThisThread();
   e.tid = buf->tid;
   MutexLock lock(&buf->mu);
@@ -127,6 +153,7 @@ template <typename Keep>
 std::vector<TraceEvent> TraceCollector::CollectSpans(Keep keep) const {
   std::vector<TraceEvent> spans;
   {
+    const prof::Unprofiled unprofiled;
     MutexLock lock(&mu_);
     for (const auto& buf : buffers_) {
       MutexLock buf_lock(&buf->mu);
@@ -229,6 +256,7 @@ Status TraceCollector::WriteJson(const std::string& path) const {
 }
 
 void TraceCollector::Clear() {
+  const prof::Unprofiled unprofiled;
   MutexLock lock(&mu_);
   for (const auto& buf : buffers_) {
     MutexLock buf_lock(&buf->mu);
@@ -238,6 +266,7 @@ void TraceCollector::Clear() {
 }
 
 size_t TraceCollector::EventCount() const {
+  const prof::Unprofiled unprofiled;
   MutexLock lock(&mu_);
   size_t n = 0;
   for (const auto& buf : buffers_) {
@@ -248,6 +277,7 @@ size_t TraceCollector::EventCount() const {
 }
 
 uint64_t TraceCollector::DroppedCount() const {
+  const prof::Unprofiled unprofiled;
   MutexLock lock(&mu_);
   uint64_t dropped = 0;
   for (const auto& buf : buffers_) {
@@ -409,21 +439,7 @@ std::string ProfileWindowRecords(const std::string& label, bool enabled,
       static_cast<unsigned long long>(start_ns),
       static_cast<unsigned long long>(end_ns > start_ns ? end_ns - start_ns
                                                          : 0),
-      static_cast<unsigned long long>(
-          enabled ? tc.DroppedCount() + prof::DroppedRecords() : 0));
-  if (!enabled) return out;
-  for (const prof::MutexSiteStats& m : prof::SnapshotMutexSites()) {
-    out += StrFormat(
-        ",\n{\"mutex\": {\"label\": \"%s\", \"rank\": \"%s\", "
-        "\"acquisitions\": %llu, \"contended\": %llu, \"wait_nanos\": %llu, "
-        "\"max_wait_nanos\": %llu, \"held_nanos\": %llu}}",
-        JsonEscape(m.label).c_str(), LockRankName(m.rank),
-        static_cast<unsigned long long>(m.acquisitions),
-        static_cast<unsigned long long>(m.contended),
-        static_cast<unsigned long long>(m.wait_nanos),
-        static_cast<unsigned long long>(m.max_wait_nanos),
-        static_cast<unsigned long long>(m.held_nanos));
-  }
+      static_cast<unsigned long long>(enabled ? tc.DroppedCount() : 0));
   for (const TraceEvent& e : spans) out += ",\n" + SpanLine(e);
   return out;
 }
@@ -435,8 +451,6 @@ void ProfileSession::Start() {
   was_tracing_ = tc.enabled();
   tc.Clear();
   tc.SetEnabled(true);
-  prof::SetEnabled(false);
-  prof::Reset();
   prof::SetEnabled(true);
   start_ns_ = prof::EnabledSinceNanos();
 }

@@ -41,8 +41,8 @@
 //    trace.
 //
 //  * Profile windows: ProfileSession (and /profilez) cuts a time window
-//    out of the rings — the ParallelFor call/chunk spans inside it plus the
-//    util/prof.h mutex wait/held slots — as a span dump that
+//    out of the rings — the ParallelFor call/chunk spans inside it and the
+//    mutex hold spans util/prof.h records — as a span dump that
 //    obs/trace_analysis.h turns into the serialization report.
 //
 // Construction of TraceScope / TraceRoot outside this header is banned by
@@ -67,7 +67,8 @@ uint64_t TraceNowNanos();
 
 /// One completed span. `name` must have static storage duration (the macros
 /// pass string literals); the collector stores the pointer, not a copy.
-/// trace/span/parent ids are 0 for flat spans recorded outside any root.
+/// trace/parent ids are 0 for flat spans recorded outside any root. A mutex
+/// hold (util/prof.h) is the one span whose span id is 0 too.
 struct TraceEvent {
   /// "unset" sentinel for the fixed arg payload (args are small facts like
   /// a candidate index or an epoch id, rendered only when set).
@@ -83,7 +84,8 @@ struct TraceEvent {
   int tid = 0;
   int64_t arg0 = kNoArg;
   int64_t arg1 = kNoArg;
-  /// Set only by ParallelFor chunk spans: (items, claims, steals).
+  /// Set by ParallelFor chunk spans, as (items, claims, steals), and by
+  /// mutex holds, as (rank, acquisition wait or -1, carried held time).
   int64_t arg2 = kNoArg;
 };
 
@@ -149,7 +151,7 @@ class TraceCollector {
   uint64_t DroppedCount() const;
 
   /// Every buffered span that ran inside [start_ns, end_ns], sorted by
-  /// start time — the span half of a profile window.
+  /// start time — a profile window's spans, mutex holds included.
   std::vector<TraceEvent> SpansInWindow(uint64_t start_ns,
                                         uint64_t end_ns) const;
 
@@ -343,17 +345,16 @@ class TraceRoot {
   std::string error_;  // set by NoteError; empty = the call succeeded
 };
 
-/// One profile window (DESIGN.md §11). Start() resets and enables mutex
-/// capture (util/prof.h), clears the span rings — so every ring overwrite
-/// from then on is a lost window span — and turns tracing on, which makes
-/// ParallelFor chunks spans. Stop(label) restores the previous tracing
-/// state and returns the window as span-dump records, one JSON object per
-/// line joined by ",\n" for the caller to wrap in an array: a
-/// "profile_window" line (label, enabled, start_ns, dur_ns,
-/// dropped_records), a "mutex" line per captured mutex site, and a "span"
-/// line per span recorded inside the window. Not thread-safe — one session
-/// at a time, owned by the bench's main thread; a root trace in flight
-/// across Start() loses its earlier spans.
+/// One profile window (DESIGN.md §11). Start() clears the span rings — so
+/// every ring overwrite from then on is a lost window span — turns tracing
+/// on, which makes ParallelFor chunks spans, and enables mutex hold capture
+/// (util/prof.h), which makes every hold a span. Stop(label) restores the
+/// previous tracing state and returns the window as span-dump records, one
+/// JSON object per line joined by ",\n" for the caller to wrap in an array:
+/// a "profile_window" line (label, enabled, start_ns, dur_ns,
+/// dropped_records) and a "span" line per span recorded inside the window.
+/// Not thread-safe — one session at a time, owned by the bench's main
+/// thread; a root trace in flight across Start() loses its earlier spans.
 class ProfileSession {
  public:
   void Start();
@@ -365,7 +366,7 @@ class ProfileSession {
 };
 
 /// The /profilez payload: the live window [prof::EnabledSinceNanos(), now]
-/// while mutex profiling is on, an `"enabled": false` placeholder window
+/// while mutex hold capture is on, an `"enabled": false` placeholder window
 /// otherwise. Chunk spans appear only while tracing is on too.
 std::string ProfilezJson();
 

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <utility>
 
+#include "util/lock_rank.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -64,7 +65,7 @@ bool FindBool(std::string_view line, const char* key) {
 }
 
 /// The first key on `line` — the record kind ("span", "trace_summary",
-/// "profile_window", "mutex", "config", ...); empty when there is none.
+/// "profile_window", "config", ...); empty when there is none.
 std::string_view RecordKind(std::string_view line) {
   size_t b = line.find_first_not_of(" \t,{[");
   if (b == std::string_view::npos || line[b] != '"') return {};
@@ -124,10 +125,9 @@ ParsedSpan ParseSpanLine(std::string_view line) {
 
 TraceDump ParseTracezDump(const std::string& text) {
   TraceDump dump;
-  // Where "span" / "mutex" lines go: the most recently opened trace or
-  // window (null before the first one).
+  // Where "span" lines go: the most recently opened trace or window (null
+  // before the first one).
   std::vector<ParsedSpan>* spans = nullptr;
-  ParsedProfileWindow* window = nullptr;
   for (std::string_view line : StrSplit(text, '\n')) {
     const std::string_view kind = RecordKind(line);
     if (kind == "config") {
@@ -150,7 +150,6 @@ TraceDump ParseTracezDump(const std::string& text) {
       t.declared_spans = FindU64(line, "num_spans");
       t.error = FindString(line, "error");
       spans = &t.spans;
-      window = nullptr;
     } else if (kind == "profile_window") {
       ParsedProfileWindow& w = dump.windows.emplace_back();
       w.label = FindString(line, "label");
@@ -159,18 +158,8 @@ TraceDump ParseTracezDump(const std::string& text) {
       w.dur_ns = FindU64(line, "dur_ns");
       w.dropped_records = FindU64(line, "dropped_records");
       spans = &w.spans;
-      window = &w;
     } else if (kind == "span" && spans != nullptr) {
       spans->push_back(ParseSpanLine(line));
-    } else if (kind == "mutex" && window != nullptr) {
-      MutexSiteReport& m = window->mutexes.emplace_back();
-      m.label = FindString(line, "label");
-      m.rank = FindString(line, "rank");
-      m.acquisitions = FindU64(line, "acquisitions");
-      m.contended = FindU64(line, "contended");
-      m.wait_nanos = FindU64(line, "wait_nanos");
-      m.max_wait_nanos = FindU64(line, "max_wait_nanos");
-      m.held_nanos = FindU64(line, "held_nanos");
     }
   }
   return dump;
@@ -299,8 +288,27 @@ ProfileAnalysis AnalyzeProfileWindow(const ParsedProfileWindow& window) {
   r.enabled = window.enabled;
   r.window_nanos = window.dur_ns;
   r.dropped_records = window.dropped_records;
-  r.mutexes = window.mutexes;
-  for (const MutexSiteReport& m : r.mutexes) r.total_wait_nanos += m.wait_nanos;
+
+  // Mutex holds (util/prof.h) are the spans with span id 0, args (rank,
+  // acquisition wait, held time carried over a CondVar wait). A wait of -1
+  // marks a hold picked up at a wake-up: held time, but no acquisition.
+  std::map<std::pair<std::string, int64_t>, MutexSiteReport> holds;
+  for (const ParsedSpan& s : window.spans) {
+    if (s.span_id != 0) continue;
+    MutexSiteReport& m = holds[{s.name, s.arg0}];
+    m.label = s.name;
+    m.rank = LockRankName(static_cast<LockRank>(static_cast<int>(s.arg0)));
+    m.held_nanos +=
+        s.dur_ns + static_cast<uint64_t>(std::max<int64_t>(0, s.arg2));
+    if (s.arg1 < 0) continue;
+    const uint64_t wait = static_cast<uint64_t>(s.arg1);
+    ++m.acquisitions;
+    m.contended += wait > 0 ? 1 : 0;
+    m.wait_nanos += wait;
+    m.max_wait_nanos = std::max(m.max_wait_nanos, wait);
+    r.total_wait_nanos += wait;
+  }
+  for (auto& [site, m] : holds) r.mutexes.push_back(std::move(m));
   std::sort(r.mutexes.begin(), r.mutexes.end(),
             [](const MutexSiteReport& a, const MutexSiteReport& b) {
               return a.wait_nanos != b.wait_nanos ? a.wait_nanos > b.wait_nanos

@@ -19,8 +19,8 @@
 //    time along it, and rolls up per-name self time across the trace;
 //  * profile windows (/profilez, micro_parallel --profile=) answer *where
 //    does the wall-clock go when threads are added?* From the ParallelFor
-//    chunk spans and mutex slots of each window it computes per-site chunk
-//    imbalance (max / median chunk duration), the serial fraction
+//    chunk spans and mutex hold spans of each window it computes per-site
+//    chunk imbalance (max / median chunk duration), the serial fraction
 //    (1 - union of chunk spans / window) with its Amdahl projections,
 //    per-thread busy/idle, lock wait by site, and a tiered verdict.
 
@@ -55,7 +55,8 @@ struct ParsedTrace {
   std::vector<ParsedSpan> spans;
 };
 
-/// One mutex construction site over a profile window (a "mutex" line).
+/// One mutex construction site over a profile window, summed from its hold
+/// spans.
 struct MutexSiteReport {
   std::string label;  // construction-site label ("IqEngine::mu_")
   std::string rank;   // LockRankName(rank)
@@ -67,17 +68,17 @@ struct MutexSiteReport {
 };
 
 /// One profile window parsed back from a dump: its "profile_window" line
-/// plus the "mutex" and "span" lines that follow it.
+/// plus the "span" lines that follow it.
 struct ParsedProfileWindow {
   std::string label;  // caller-chosen window name ("solve_batch/threads=4")
   bool enabled = true;  // false: placeholder from a process not profiling
   uint64_t start_ns = 0;
   uint64_t dur_ns = 0;
-  /// Ring overwrites plus mutex-slot overflow: nonzero means the window is
+  /// Ring overwrites since the window opened: nonzero means the window is
   /// truncated and its numbers undercount.
   uint64_t dropped_records = 0;
-  std::vector<MutexSiteReport> mutexes;
-  std::vector<ParsedSpan> spans;  // ParallelFor call + chunk spans
+  /// ParallelFor call + chunk spans and mutex hold spans (span id 0).
+  std::vector<ParsedSpan> spans;
 };
 
 /// A whole dump: a /tracez payload (retention config, loss/retain counters,
@@ -99,8 +100,8 @@ struct TraceDump {
 /// any concatenation of them. Tolerant line scanner: a
 /// line's first key names its record, unknown lines are skipped, a
 /// "trace_summary" or "profile_window" line opens a trace or window, and
-/// "span" / "mutex" lines attach to the most recently opened one — no JSON
-/// library in the tree.
+/// "span" lines attach to the most recently opened one — no JSON library in
+/// the tree.
 TraceDump ParseTracezDump(const std::string& text);
 
 /// One hop of a trace's critical path.
@@ -195,7 +196,7 @@ struct ProfileAnalysis {
   double serial_fraction = 1.0;   // 1 - coverage/window
   uint64_t total_wait_nanos = 0;  // mutex wait over all sites
   uint64_t dropped_records = 0;
-  std::vector<MutexSiteReport> mutexes;            // by wait desc
+  std::vector<MutexSiteReport> mutexes;            // by wait desc, from holds
   std::vector<ParallelSiteReport> parallel_sites;  // by busy desc
   std::vector<ThreadBusyReport> threads;           // by tid
 

@@ -40,9 +40,6 @@ class CostFunction {
   const Vec& unit_costs() const { return unit_costs_; }
   const std::string& name() const { return name_; }
 
-  /// True for kinds with a known closed-form single-halfspace minimizer.
-  bool HasClosedFormHit() const { return kind_ != Kind::kCustom; }
-
  private:
   CostFunction(Kind kind, Vec unit_costs, std::string name)
       : kind_(kind), unit_costs_(std::move(unit_costs)),

@@ -57,13 +57,15 @@
 namespace iq {
 
 /// std::mutex with thread-safety-analysis annotations, a deadlock-detecting
-/// lock rank (util/lock_rank.h) and optional contention profiling
-/// (util/prof.h). In Debug builds every Lock() checks the calling thread's
-/// held-rank stack *before* blocking and aborts on any non-increasing
-/// acquisition. With profiling off (the default) the only addition over
-/// std::mutex::lock() is one relaxed atomic load and a predictable branch;
-/// with profiling on, an uncontended Lock() is a try_lock plus a slot
-/// update, and only a genuinely contended Lock() pays for wait timing.
+/// lock rank (util/lock_rank.h) and optional hold profiling (util/prof.h).
+/// In Debug builds every Lock() checks the calling thread's held-rank stack
+/// *before* blocking and aborts on any non-increasing acquisition. Every
+/// build carries the current hold's clock (prof::HoldClock): with profiling
+/// off (the default) Lock() adds one relaxed atomic load and a predictable
+/// branch over std::mutex::lock(), and Unlock() one test of the clock; with
+/// profiling on, an uncontended Lock() is a try_lock plus a clock read, only
+/// a genuinely contended Lock() pays for wait timing, and the release
+/// records the hold as one span.
 class IQ_CAPABILITY("mutex") Mutex {
  public:
   /// Mutexes outside the engine's documented acquisition order default to
@@ -88,14 +90,21 @@ class IQ_CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
   void Unlock() IQ_RELEASE() {
-    if (prof::Enabled()) {
-      UnlockProfiled();
-    } else {
+    // Only a hold whose acquisition was profiled is recorded, so this tests
+    // the hold's clock, not the global switch.
+    if (hold_.start_ns == 0) {
       mu_.unlock();
+      PopRank();
+      return;
     }
-#ifndef NDEBUG
-    lock_rank_internal::OnRelease(this);
-#endif
+    // The span's fields are copied before the native unlock: once released,
+    // the mutex may be gone (a woken ParallelFor dispatcher frees its stack
+    // done_mu). The rank pops before recording, which takes the trace ring
+    // lock — ranked below a kLeaf mutex.
+    const prof::Hold hold = EndHold();
+    mu_.unlock();
+    PopRank();
+    prof::RecordHold(hold);
   }
   bool TryLock() IQ_TRY_ACQUIRE(true) {
     // TryLock cannot deadlock, but a try-acquisition against rank order is
@@ -105,16 +114,11 @@ class IQ_CAPABILITY("mutex") Mutex {
 #ifndef NDEBUG
     if (ok) lock_rank_internal::OnAcquire(this, rank_);
 #endif
-    if (ok && prof::Enabled()) {
-      prof::internal::OnAcquired(this, rank_, label_, /*wait_nanos=*/0);
-    }
+    if (ok && prof::Enabled()) StartHold(/*wait_ns=*/0);
     return ok;
   }
 
   LockRank rank() const { return rank_; }
-  /// Construction-site profile label; null when defaulted (profiling then
-  /// falls back to the rank name).
-  const char* label() const { return label_; }
 
  private:
   friend class CondVar;
@@ -125,14 +129,30 @@ class IQ_CAPABILITY("mutex") Mutex {
   /// owns the slot) and MutexLockPair's ordered double acquisition.
   std::mutex& native() { return mu_; }
 
-  /// Cold profiled paths, out-of-line in util/prof.cc: contended Lock()
-  /// timing and held-time close-out.
+  void PopRank() {
+#ifndef NDEBUG
+    lock_rank_internal::OnRelease(this);
+#endif
+  }
+
+  // Cold profiled paths, out-of-line in util/prof.cc. Each runs with the
+  // native mutex held.
+  /// Lock() with profiling on: try_lock, else a timed wait; starts the hold.
   void LockProfiled();
-  void UnlockProfiled();
+  /// Starts the clock of a profiled hold (no-op under prof::Unprofiled).
+  void StartHold(int64_t wait_ns);
+  /// Stops the clock: the finished hold, with label and rank copied out.
+  prof::Hold EndHold();
+  /// CondVar::Wait's bracket: the clock parks with the waiter — another
+  /// thread may hold the mutex meanwhile — and resumes at wake-up, or starts
+  /// there as a picked-up hold when profiling came on during the wait.
+  prof::HoldClock ParkHold();
+  void ResumeHold(prof::HoldClock parked);
 
   std::mutex mu_;
   LockRank rank_ = LockRank::kLeaf;
   const char* label_ = nullptr;
+  prof::HoldClock hold_;  // guarded by mu_ itself: only the holder touches it
 };
 
 /// RAII lock; the scoped capability makes lock scope visible to the
@@ -210,17 +230,17 @@ class CondVar {
 
   /// Atomically releases `mu` and blocks; re-acquires before returning.
   /// Spurious wake-ups happen — always re-test the condition in a loop.
-  /// When contention profiling is on, the blocked interval is excluded from
-  /// `mu`'s held-time accounting (the waiter does not hold the lock while
-  /// parked, and an idle pool worker must not read as a lock hog).
+  /// A profiled hold excludes the blocked interval from its held time (the
+  /// waiter does not hold the lock while parked, and an idle pool worker
+  /// must not read as a lock hog). Wait records nothing: it holds `mu` at
+  /// both ends, and a ring lock taken under a kLeaf `mu` would invert rank
+  /// order.
   void Wait(Mutex& mu) IQ_REQUIRES(mu) {
-    if (prof::Enabled()) prof::internal::OnCondWaitBegin(&mu);
+    const prof::HoldClock parked = mu.ParkHold();
     std::unique_lock<std::mutex> native(mu.native(), std::adopt_lock);
     cv_.wait(native);
     native.release();
-    if (prof::Enabled()) {
-      prof::internal::OnCondWaitEnd(&mu, mu.rank(), mu.label());
-    }
+    mu.ResumeHold(parked);
   }
 
   void NotifyOne() { cv_.notify_one(); }

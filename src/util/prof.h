@@ -3,29 +3,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "util/lock_rank.h"
 
-// Mutex-contention capture (DESIGN.md §11): lock-free per-thread recording
-// of mutex acquisition outcomes — wait time on contended Lock() calls and
-// held time, keyed by (LockRank, construction-site label). This is the one
-// thing trace spans cannot see; ParallelFor chunks are ordinary trace spans
-// (util/thread_pool.h's span seam), and a profile window (obs/trace.h
-// ProfileSession) joins both.
-//
-// It lives in util because iq::Mutex (util) is the instrumented object and
-// util may not depend on obs.
-//
-// Cost discipline: everything here is behind one process-global flag.
-// With profiling off (the default) the only residue on the hot path is a
-// single relaxed atomic load + predictable branch in Mutex::Lock/Unlock
-// (bench/micro_solver.cc BM_MutexProfileOverhead gates the regression at
-// <2%). With profiling on, an *uncontended* Lock() is a try_lock plus one
-// slot update; only a contended Lock() pays for a timer. Capture storage is
-// fixed-size and lock-free (claimed with atomic counters), so recording
-// never takes a lock and never allocates — a profiler that serializes the
-// paths it measures would be useless here.
+// Mutex-hold profiling (DESIGN.md §11.1). While the switch is on, every
+// iq::Mutex hold becomes one flat trace span named by the mutex's label.
+// A hold has one owner, so the holder keeps its clock in the mutex itself,
+// and the release hands the finished hold to the recorder src/obs/trace.cc
+// installs (util may not include obs: the ThreadPool::SetSpanRecorder
+// seam pattern). With profiling off, Lock() pays one relaxed load and a
+// branch, Unlock() one test of the hold's clock (bench/micro_solver.cc
+// BM_MutexProfileOverhead gates both); on, an uncontended Lock() is a
+// try_lock plus a clock read, and the release is one ring write.
 
 namespace iq {
 namespace prof {
@@ -37,56 +26,53 @@ extern std::atomic<bool> g_enabled;
 
 inline bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-/// Turns capture on/off. Enabling bumps the capture epoch (stale per-thread
-/// hold records from a previous window are discarded lazily) and stamps the
-/// window start readable via EnabledSinceNanos().
+/// Turns capture on/off; on stamps EnabledSinceNanos(). A hold is recorded
+/// only if its acquisition, or its wake-up from a CondVar wait, saw it on.
 void SetEnabled(bool on);
 
 /// MonotonicNanos() of the most recent SetEnabled(true); 0 when profiling
 /// was never enabled.
 uint64_t EnabledSinceNanos();
 
-/// Drops all captured mutex slots. Callers must ensure no capture is
-/// concurrently active (disable first, or own every recording thread) — the
-/// benches and ProfileSession do.
-void Reset();
-
-/// Accumulated outcomes for one mutex construction site, merged across
-/// threads (safe to snapshot while capture is running).
-struct MutexSiteStats {
-  LockRank rank = LockRank::kLeaf;
-  const char* label = nullptr;  // static string; never null in a snapshot
-  uint64_t acquisitions = 0;    // profiled Lock()/TryLock() successes
-  uint64_t contended = 0;       // of which blocked on another holder
-  uint64_t wait_nanos = 0;      // total time blocked acquiring
-  uint64_t max_wait_nanos = 0;  // worst single wait
-  uint64_t held_nanos = 0;      // total time held (CondVar waits excluded)
+/// The clock of the current hold, written only by the mutex's holder:
+/// `start_ns` is its acquisition or its wake-up from the last CondVar wait
+/// (0: the hold is not profiled), `wait_ns` the time blocked acquiring (-1:
+/// picked up at a wake-up, which counts no acquisition), and `carried_ns`
+/// the time held before the last CondVar wait (parked time excluded).
+struct HoldClock {
+  uint64_t start_ns = 0;
+  int64_t wait_ns = 0;
+  uint64_t carried_ns = 0;
 };
-std::vector<MutexSiteStats> SnapshotMutexSites();
 
-/// Acquisitions that did not fit the fixed slot tables since the last Reset
-/// (reported so a truncated profile cannot read as a complete one).
-uint64_t DroppedRecords();
+/// One finished hold, as the release hands it to the recorder.
+struct Hold {
+  const char* label;  // construction-site label, or the rank name
+  LockRank rank;
+  uint64_t end_ns;
+  HoldClock clock;
+};
 
-// ---- capture hooks (called by iq::Mutex / CondVar; not user API) ----
+/// Installs the hold recorder (nullptr detaches). RecordHold hands it a
+/// finished hold; Mutex::Unlock calls it last, after the native unlock and
+/// the Debug rank-stack pop.
+using HoldRecorder = void (*)(const Hold& hold);
+void SetHoldRecorder(HoldRecorder recorder);
+void RecordHold(const Hold& hold);
 
-namespace internal {
+/// While one is alive, the calling thread's iq::Mutex acquisitions are not
+/// profiled. The trace collector takes its own locks under one: a hold is
+/// recorded under those very locks.
+class Unprofiled {
+ public:
+  Unprofiled() { ++depth_; }
+  ~Unprofiled() { --depth_; }
+  static bool active() { return depth_ > 0; }
 
-/// Records a profiled acquisition: wait_nanos == 0 means the fast
-/// uncontended try_lock path. Pushes a hold record for held-time tracking.
-void OnAcquired(const void* mu, LockRank rank, const char* label,
-                uint64_t wait_nanos);
+ private:
+  static inline thread_local int depth_ = 0;
+};
 
-/// Ends the hold record pushed by OnAcquired (no-op when the acquisition
-/// was not profiled, e.g. profiling toggled on mid-hold).
-void OnReleased(const void* mu);
-
-/// CondVar::Wait bracket: the waiter releases the mutex for the duration,
-/// so held-time accounting pauses at Begin and resumes at End.
-void OnCondWaitBegin(const void* mu);
-void OnCondWaitEnd(const void* mu, LockRank rank, const char* label);
-
-}  // namespace internal
 }  // namespace prof
 }  // namespace iq
 

@@ -7,8 +7,8 @@
 namespace iq {
 
 /// Nanoseconds on the process-wide monotonic clock. The one timestamp base
-/// that trace spans (obs/trace.h) and mutex-profile windows (util/prof.h)
-/// share, so a profile window can be clipped against span timestamps.
+/// of every trace span (obs/trace.h), mutex holds (util/prof.h) included,
+/// so a profile window can be clipped against span timestamps.
 inline uint64_t MonotonicNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

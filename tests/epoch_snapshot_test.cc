@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,6 +34,8 @@
 #include "data/queries.h"
 #include "data/synthetic.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "obs/trace_analysis.h"
 #include "topk/topk.h"
 #include "util/check.h"
 #include "util/cow_chunks.h"
@@ -522,6 +526,71 @@ TEST(EpochSnapshotTest, CowSharesUntouchedCellsAcrossEpochs) {
         << "query " << q;
   }
   EXPECT_TRUE(third.index().CheckInvariants().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Lock-free readers (DESIGN.md §12.1), read from mutex hold spans
+// ---------------------------------------------------------------------------
+
+/// The window `records` (ProfileSession::Stop) analyzed the way iq_trace
+/// reads it.
+ProfileAnalysis AnalyzeWindow(const std::string& records) {
+  const TraceDump dump = ParseTracezDump(records);
+  EXPECT_EQ(dump.windows.size(), 1u);
+  return dump.windows.empty() ? ProfileAnalysis{}
+                              : AnalyzeProfileWindow(dump.windows[0]);
+}
+
+/// IqEngine::mu_'s row of `window`; null when no hold of it was recorded.
+const MutexSiteReport* EngineLock(const ProfileAnalysis& window) {
+  for (const MutexSiteReport& m : window.mutexes) {
+    if (m.label == "IqEngine::mu_") return &m;
+  }
+  return nullptr;
+}
+
+TEST(EpochSnapshotTest, ReadersNeverTakeTheEngineLock) {
+  // Every reader entry point pins an epoch and never takes IqEngine::mu_:
+  // four threads call each of them on a two-worker engine inside a profile
+  // window, which records every mutex hold. A window holding one write
+  // shows exactly one acquisition, so the capture does see the lock.
+  Shadow shadow = MakeInitialShadow(12);
+  auto engine = MakeEngine(shadow, 2);
+  ASSERT_TRUE(engine.ok());
+  std::vector<BatchItem> items(2);
+  items[0].target = 1;
+  items[1].kind = BatchItem::Kind::kMaxHit;
+  items[1].target = 2;
+  items[1].beta = 0.1;
+
+  ProfileSession session;
+  session.Start();
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&engine, &items, r] {
+      EXPECT_TRUE(engine->MinCost(r, 2).ok());
+      EXPECT_TRUE(engine->MaxHit(r, 0.1).ok());
+      EXPECT_GE(engine->HitCount(r), 0);
+      EXPECT_TRUE(engine->TopK(Vec(kDim, 0.5), 3).ok());
+      EXPECT_TRUE(engine->RankUnderQuery(r, r).ok());
+      EXPECT_TRUE(engine->SolveBatch(items).ok());
+      EXPECT_TRUE(engine->CheckInvariants().ok());
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  const ProfileAnalysis reads = AnalyzeWindow(session.Stop("readers"));
+  EXPECT_EQ(reads.dropped_records, 0u);
+  EXPECT_FALSE(reads.mutexes.empty());  // the pool's locks were captured
+  EXPECT_EQ(EngineLock(reads), nullptr);
+
+  session.Start();
+  ASSERT_TRUE(engine->ApplyStrategy(0, Vec(kDim, 0.02)).ok());
+  const ProfileAnalysis write = AnalyzeWindow(session.Stop("write"));
+  TraceCollector::Global().Clear();
+  EXPECT_EQ(write.dropped_records, 0u);
+  const MutexSiteReport* lock = EngineLock(write);
+  ASSERT_NE(lock, nullptr);
+  EXPECT_EQ(lock->acquisitions, 1u);
 }
 
 }  // namespace

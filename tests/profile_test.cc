@@ -1,14 +1,15 @@
 // Tests for the contention / critical-path profiler over the one span
-// model: mutex wait attribution by rank under injected contention
-// (util/prof.h), ParallelFor chunks captured as trace spans through the pool
-// and the serial fallback, the profile-window dump round-trip through the
-// tools/iq_trace scanner, the /profilez endpoint shape, and escaping of
+// model: mutex wait attribution by rank under injected contention, with
+// every hold recorded as a span (util/prof.h) and CondVar waits excluded
+// from held time, ParallelFor chunks captured as trace spans through the
+// pool and the serial fallback, the profile-window dump round-trip through
+// the tools/iq_trace scanner, the /profilez endpoint shape, and escaping of
 // every string in the iq_trace JSON report. Chunk spans exist only when
 // tracing is compiled in, so their assertions are guarded; mutex
 // attribution is not.
 // This suite also runs under the TSan CI lane ("Prof" is in the lane's test
-// regex) — the capture layer's whole point is recording from many threads
-// without locks.
+// regex): holds are recorded from many threads, and a released mutex may
+// be destroyed by the thread it wakes.
 
 #include <gtest/gtest.h>
 
@@ -38,14 +39,22 @@ void SpinFor(uint64_t nanos) {
   }
 }
 
-/// RAII guard: every test that profiles must leave mutex capture and
-/// tracing off and the buffers empty, whatever its assertions do.
+/// Re-notifies `cv` until the waiter reports its wake-up: a notification
+/// sent before the waiter parks would otherwise be lost.
+void NotifyUntilWoken(CondVar& cv, const std::atomic<bool>& woke) {
+  while (!woke.load()) {
+    cv.NotifyAll();
+    std::this_thread::yield();
+  }
+}
+
+/// RAII guard: every test that profiles must leave hold capture and
+/// tracing off and the rings empty, whatever its assertions do.
 struct ProfilingScope {
   ProfilingScope() { Off(); }
   ~ProfilingScope() { Off(); }
   static void Off() {
     prof::SetEnabled(false);
-    prof::Reset();
     TraceCollector::Global().SetEnabled(false);
     TraceCollector::Global().Clear();
   }
@@ -74,8 +83,9 @@ const MutexSiteReport* FindMutex(const ProfileAnalysis& r,
   return nullptr;
 }
 
-const ParallelSiteReport* FindSite(const ProfileAnalysis& r,
-                                   const std::string& site) {
+// Unused when tracing is compiled out: chunk spans then never exist.
+[[maybe_unused]] const ParallelSiteReport* FindSite(const ProfileAnalysis& r,
+                                                    const std::string& site) {
   for (const ParallelSiteReport& p : r.parallel_sites) {
     if (p.site == site) return &p;
   }
@@ -145,6 +155,137 @@ TEST(ProfileTest, ContentionAttributionByRank) {
   ASSERT_GT(report.total_wait_nanos, 0u);
   EXPECT_GE(static_cast<double>(hot_site->wait_nanos),
             0.9 * static_cast<double>(report.total_wait_nanos));
+}
+
+TEST(ProfileTest, CondVarWaitExcludesParkedTimeFromOneAcquisition) {
+  // One hold that parks in CondVar::Wait for ~100 ms: it counts one
+  // acquisition, and its held time covers only the time around the wait.
+  // The notifier never takes the mutex — it re-notifies until the waiter
+  // reports the wake-up — so the waiter's hold is the mutex's only one.
+  ProfilingScope scope;
+  Mutex mu(LockRank::kLeaf, "ProfileTest::parked");
+  CondVar cv;
+  std::atomic<bool> ready{false};
+  std::atomic<bool> woke{false};
+  constexpr uint64_t kParkNanos = 100'000'000;
+  ProfileSession session;
+  session.Start();
+  std::thread notifier([&] {
+    SpinFor(kParkNanos);
+    ready.store(true);
+    NotifyUntilWoken(cv, woke);
+  });
+  {
+    MutexLock lock(&mu);
+    while (!ready.load()) cv.Wait(mu);
+    woke.store(true);
+  }
+  notifier.join();
+
+  const ProfileAnalysis report = AnalyzeOnlyWindow(session.Stop("parked"));
+  const MutexSiteReport* site = FindMutex(report, "ProfileTest::parked");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->acquisitions, 1u);
+  EXPECT_EQ(site->contended, 0u);
+  EXPECT_LT(site->held_nanos, kParkNanos / 2);
+}
+
+TEST(ProfileTest, HoldPickedUpAtWakeUpAddsHeldTimeButNoAcquisition) {
+  // A waiter parks before the window opens, so its acquisition is not
+  // profiled. Woken inside the window, it picks the hold up: the window
+  // gains the held time after the wake-up, but no acquisition and no wait.
+  ProfilingScope scope;
+  Mutex mu(LockRank::kLeaf, "ProfileTest::pickup");
+  CondVar cv;
+  bool parked = false;  // written holding mu
+  std::atomic<bool> ready{false};
+  std::atomic<bool> woke{false};
+  constexpr uint64_t kHoldNanos = 1'000'000;
+  std::thread waiter([&] {
+    MutexLock lock(&mu);
+    parked = true;
+    while (!ready.load()) cv.Wait(mu);
+    woke.store(true);
+    SpinFor(kHoldNanos);
+  });
+  // The waiter set `parked` holding mu, and only its wait releases mu.
+  for (bool seen = false; !seen;) {
+    MutexLock lock(&mu);
+    seen = parked;
+  }
+  ProfileSession session;
+  session.Start();
+  ready.store(true);
+  NotifyUntilWoken(cv, woke);
+  waiter.join();
+
+  const ProfileAnalysis report = AnalyzeOnlyWindow(session.Stop("pickup"));
+  const MutexSiteReport* site = FindMutex(report, "ProfileTest::pickup");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->acquisitions, 0u);
+  EXPECT_EQ(site->wait_nanos, 0u);
+  EXPECT_GE(site->held_nanos, kHoldNanos);
+}
+
+TEST(ProfileTest, OnlyProfiledAcquisitionsAreRecorded) {
+  // The waiter acquires with capture on, parks, and capture goes off. This
+  // thread then locks and unlocks the mutex unprofiled: the parked hold's
+  // clock went with the waiter, so those releases record nothing. The
+  // waiter's own hold, profiled at acquisition, is still recorded.
+  ProfilingScope scope;
+  Mutex mu(LockRank::kLeaf, "ProfileTest::profiled_only");
+  CondVar cv;
+  bool parked = false;  // written holding mu
+  std::atomic<bool> acquired{false};
+  std::atomic<bool> ready{false};
+  std::atomic<bool> woke{false};
+  ProfileSession session;
+  session.Start();
+  std::thread waiter([&] {
+    MutexLock lock(&mu);
+    acquired.store(true);
+    parked = true;
+    while (!ready.load()) cv.Wait(mu);
+    woke.store(true);
+  });
+  while (!acquired.load()) std::this_thread::yield();
+  prof::SetEnabled(false);
+  for (bool seen = false; !seen;) {
+    MutexLock lock(&mu);
+    seen = parked;
+  }
+  ready.store(true);
+  NotifyUntilWoken(cv, woke);
+  waiter.join();
+
+  const ProfileAnalysis report =
+      AnalyzeOnlyWindow(session.Stop("profiled_only"));
+  const MutexSiteReport* site = FindMutex(report, "ProfileTest::profiled_only");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->acquisitions, 1u);
+}
+
+TEST(ProfileTest, ClearedRingsLeaveNoMutexRows) {
+  // Holds live only in the rings: once a window's spans are cleared, no
+  // later dump reports its acquisitions.
+  ProfilingScope scope;
+  Mutex mu(LockRank::kLeaf, "ProfileTest::cleared");
+  ProfileSession session;
+  session.Start();
+  for (int i = 0; i < 7; ++i) {
+    MutexLock lock(&mu);
+  }
+  const ProfileAnalysis window = AnalyzeOnlyWindow(session.Stop("cleared"));
+  const MutexSiteReport* site = FindMutex(window, "ProfileTest::cleared");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->acquisitions, 7u);
+
+  TraceCollector::Global().Clear();
+  const TraceDump dump = ParseTracezDump(ErrorDumpJson());
+  ASSERT_EQ(dump.windows.size(), 1u);
+  EXPECT_EQ(FindMutex(AnalyzeProfileWindow(dump.windows[0]),
+                      "ProfileTest::cleared"),
+            nullptr);
 }
 
 #if defined(IQ_TRACING_ENABLED)
@@ -322,16 +463,21 @@ TEST(ProfileTest, WorkerTimelineRecordsPoolActivity) {
 
 TEST(ProfileTest, ReportJsonRoundTrip) {
   // A hand-written window: two ParallelFor calls at one site (chunks of
-  // 100/100/400 us), one mutex line, and a stray span that is not a chunk.
+  // 100/100/400 us), a stray span that is not a chunk, three holds of one
+  // mutex (one carrying 10 us held before a CondVar wait) and a hold picked
+  // up at a wake-up (wait -1).
   const std::string window = R"(
 {"profile_window": {"label": "threads=4", "enabled": true, "start_ns": 1000, "dur_ns": 1000000, "dropped_records": 7}},
-{"mutex": {"label": "IqEngine::mu_", "rank": "kEngine", "acquisitions": 42, "contended": 5, "wait_nanos": 12000, "max_wait_nanos": 900, "held_nanos": 88000}},
 {"span": {"trace_id": 0, "span_id": 1, "parent_span_id": 0, "name": "ParallelFor", "tid": 1, "start_ns": 1000, "dur_ns": 300000, "arg0": 40}},
 {"span": {"trace_id": 0, "span_id": 2, "parent_span_id": 1, "name": "engine.solve_batch", "tid": 1, "start_ns": 1000, "dur_ns": 100000, "arg0": 20, "arg1": 20, "arg2": 0}},
 {"span": {"trace_id": 0, "span_id": 3, "parent_span_id": 1, "name": "engine.solve_batch", "tid": 2, "start_ns": 1000, "dur_ns": 100000, "arg0": 20, "arg1": 20, "arg2": 3}},
 {"span": {"trace_id": 0, "span_id": 4, "parent_span_id": 0, "name": "ParallelFor", "tid": 1, "start_ns": 501000, "dur_ns": 400000, "arg0": 1}},
 {"span": {"trace_id": 0, "span_id": 5, "parent_span_id": 4, "name": "engine.solve_batch", "tid": 1, "start_ns": 501000, "dur_ns": 400000, "arg0": 1, "arg1": 1, "arg2": 0}},
-{"span": {"trace_id": 0, "span_id": 6, "parent_span_id": 5, "name": "MinCostIq", "tid": 1, "start_ns": 502000, "dur_ns": 1000}})";
+{"span": {"trace_id": 0, "span_id": 6, "parent_span_id": 5, "name": "MinCostIq", "tid": 1, "start_ns": 502000, "dur_ns": 1000}},
+{"span": {"trace_id": 0, "span_id": 0, "parent_span_id": 0, "name": "IqEngine::mu_", "tid": 1, "start_ns": 2000, "dur_ns": 40000, "arg0": 100, "arg1": 0, "arg2": 0}},
+{"span": {"trace_id": 0, "span_id": 0, "parent_span_id": 0, "name": "IqEngine::mu_", "tid": 2, "start_ns": 50000, "dur_ns": 30000, "arg0": 100, "arg1": 900, "arg2": 0}},
+{"span": {"trace_id": 0, "span_id": 0, "parent_span_id": 0, "name": "IqEngine::mu_", "tid": 2, "start_ns": 90000, "dur_ns": 8000, "arg0": 100, "arg1": 600, "arg2": 10000}},
+{"span": {"trace_id": 0, "span_id": 0, "parent_span_id": 0, "name": "ThreadPool::mu_", "tid": 3, "start_ns": 95000, "dur_ns": 5000, "arg0": 200, "arg1": -1, "arg2": 0}})";
   const TraceDump dump = ParseTracezDump(window);
   ASSERT_EQ(dump.windows.size(), 1u);
   EXPECT_FALSE(dump.tracez());
@@ -341,19 +487,28 @@ TEST(ProfileTest, ReportJsonRoundTrip) {
   EXPECT_EQ(w.start_ns, 1000u);
   EXPECT_EQ(w.dur_ns, 1000000u);
   EXPECT_EQ(w.dropped_records, 7u);
-  ASSERT_EQ(w.mutexes.size(), 1u);
-  EXPECT_EQ(w.mutexes[0].label, "IqEngine::mu_");
-  EXPECT_EQ(w.mutexes[0].rank, "kEngine");
-  EXPECT_EQ(w.mutexes[0].acquisitions, 42u);
-  EXPECT_EQ(w.mutexes[0].contended, 5u);
-  EXPECT_EQ(w.mutexes[0].wait_nanos, 12000u);
-  EXPECT_EQ(w.mutexes[0].max_wait_nanos, 900u);
-  EXPECT_EQ(w.mutexes[0].held_nanos, 88000u);
-  ASSERT_EQ(w.spans.size(), 6u);
+  ASSERT_EQ(w.spans.size(), 10u);
   EXPECT_EQ(w.spans[2].arg2, 3);
+  EXPECT_EQ(w.spans[9].arg1, -1);
 
   const ProfileAnalysis a = AnalyzeProfileWindow(w);
-  EXPECT_EQ(a.total_wait_nanos, 12000u);
+  // The holds sum into one row per mutex, ranked by wait.
+  ASSERT_EQ(a.mutexes.size(), 2u);
+  const MutexSiteReport& engine = a.mutexes[0];
+  EXPECT_EQ(engine.label, "IqEngine::mu_");
+  EXPECT_EQ(engine.rank, "kEngine");
+  EXPECT_EQ(engine.acquisitions, 3u);
+  EXPECT_EQ(engine.contended, 2u);
+  EXPECT_EQ(engine.wait_nanos, 1500u);
+  EXPECT_EQ(engine.max_wait_nanos, 900u);
+  EXPECT_EQ(engine.held_nanos, 88000u);  // 40 + 30 + 8 + 10 carried us
+  const MutexSiteReport& pool = a.mutexes[1];
+  EXPECT_EQ(pool.label, "ThreadPool::mu_");
+  EXPECT_EQ(pool.rank, "kPoolQueue");
+  EXPECT_EQ(pool.acquisitions, 0u);  // picked up at a wake-up
+  EXPECT_EQ(pool.wait_nanos, 0u);
+  EXPECT_EQ(pool.held_nanos, 5000u);
+  EXPECT_EQ(a.total_wait_nanos, 1500u);
   ASSERT_EQ(a.parallel_sites.size(), 1u);
   const ParallelSiteReport& p = a.parallel_sites[0];
   EXPECT_EQ(p.site, "engine.solve_batch");
@@ -400,8 +555,8 @@ TEST(ProfileTest, ProfilezEndpointShape) {
                 .find("no profile data"),
             std::string::npos);
 
-  // Enabled: the live window carries the mutex capture and — with tracing
-  // on — the serial fallback's chunk span.
+  // Enabled: the live window carries the mutex's hold span and — with
+  // tracing on — the serial fallback's chunk span.
   prof::SetEnabled(true);
   TraceCollector::Global().SetEnabled(true);
   Mutex mu(LockRank::kLeaf, "ProfileTest::profilez");
@@ -427,7 +582,7 @@ TEST(ProfileTest, SerializationReportShape) {
   // and negligible lock wait -> the serial-fraction ceiling verdict.
   const TraceDump dump = ParseTracezDump(R"(
 {"profile_window": {"label": "threads=8", "enabled": true, "start_ns": 0, "dur_ns": 1000000, "dropped_records": 0}},
-{"mutex": {"label": "IqEngine::mu_", "rank": "kEngine", "acquisitions": 10, "contended": 2, "wait_nanos": 1000, "max_wait_nanos": 600, "held_nanos": 5000}},
+{"span": {"trace_id": 0, "span_id": 0, "parent_span_id": 0, "name": "IqEngine::mu_", "tid": 1, "start_ns": 0, "dur_ns": 5000, "arg0": 100, "arg1": 1000, "arg2": 0}},
 {"span": {"trace_id": 0, "span_id": 1, "parent_span_id": 0, "name": "ParallelFor", "tid": 1, "start_ns": 0, "dur_ns": 300000, "arg0": 64}},
 {"span": {"trace_id": 0, "span_id": 2, "parent_span_id": 1, "name": "engine.solve_batch", "tid": 1, "start_ns": 0, "dur_ns": 300000, "arg0": 64, "arg1": 1, "arg2": 0}})");
 

@@ -15,10 +15,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -28,6 +30,7 @@
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
 #include "tests/json_check.h"
+#include "util/prof.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -600,6 +603,116 @@ TEST(TraceCausalTest, PerfettoExportCarriesTidsAndFlows) {
   tc.SetEnabled(false);
   tc.Clear();
   tc.ClearRetained();
+}
+
+// ---------------------------------------------------------------------------
+// Mutex hold capture (util/prof.h) stays out of retained traces
+// ---------------------------------------------------------------------------
+
+using TraceShape = std::map<std::pair<std::string, std::string>, int>;
+
+/// How many spans of each name sit under each parent name: a retained
+/// trace's structure, free of ids and timing. A hold span (span id 0) must
+/// never be in a retained trace.
+TraceShape ShapeOf(const RetainedTrace& rt) {
+  std::map<uint64_t, std::string> names;
+  for (const TraceEvent& s : rt.spans) {
+    EXPECT_NE(s.span_id, 0u) << "hold span " << s.name << " was retained";
+    names[s.span_id] = s.name;
+  }
+  TraceShape shape;
+  for (const TraceEvent& s : rt.spans) {
+    auto parent = names.find(s.parent_span_id);
+    ++shape[{s.name, parent == names.end() ? "" : parent->second}];
+  }
+  return shape;
+}
+
+/// Runs `call` once with hold capture off and once on, each time into fresh
+/// rings and an empty store, and returns the shape of the one trace each
+/// run retained. The on run must have recorded holds into the rings.
+template <typename Call>
+std::vector<TraceShape> ShapesWithHoldCaptureOffAndOn(const Call& call) {
+  TraceCollector& tc = TraceCollector::Global();
+  std::vector<TraceShape> shapes;
+  for (bool capture : {false, true}) {
+    tc.ClearRetained();
+    tc.Clear();
+    prof::SetEnabled(capture);
+    call();
+    prof::SetEnabled(false);
+    const std::vector<TraceEvent> ring = tc.SpansInWindow(0, TraceNowNanos());
+    const bool held = std::any_of(ring.begin(), ring.end(),
+                                  [](const TraceEvent& e) {
+                                    return e.span_id == 0;
+                                  });
+    EXPECT_EQ(held, capture);
+    const std::vector<RetainedTrace> retained = tc.RetainedTraces();
+    EXPECT_EQ(retained.size(), 1u);
+    if (retained.empty()) return {};
+    ExpectWellFormedTree(retained[0]);
+    shapes.push_back(ShapeOf(retained[0]));
+  }
+  return shapes;
+}
+
+TEST(TraceCausalTest, HoldCaptureLeavesSolveBatchTraceUnchanged) {
+  // A hold is a flat span with ids 0: never the current span, so it cannot
+  // parent anything, and never part of a trace. A forced-slow SolveBatch
+  // retains the same span names under the same parents with capture on.
+  // On a pool, how many chunk spans a site records depends on scheduling,
+  // so only the serial engine compares counts too.
+  constexpr int kN = 24, kM = 12;
+  const std::vector<BatchItem> items = MakeBatch(kN, kM);
+  for (int num_threads : {0, 2}) {
+    SCOPED_TRACE(testing::Message() << "num_threads=" << num_threads);
+    auto engine = MakeTracedEngine(kN, kM, 3, 77, num_threads);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const std::vector<TraceShape> shapes = ShapesWithHoldCaptureOffAndOn(
+        [&engine, &items] { ASSERT_TRUE(engine->SolveBatch(items).ok()); });
+    ASSERT_EQ(shapes.size(), 2u);
+    EXPECT_EQ(shapes[0].at({"SolveBatch.item", "engine.solve_batch"}),
+              static_cast<int>(items.size()));
+    if (num_threads == 0) {
+      EXPECT_EQ(shapes[0], shapes[1]);
+      continue;
+    }
+    for (const TraceShape& shape : shapes) {
+      EXPECT_EQ(shape.at({"SolveBatch.item", "engine.solve_batch"}),
+                static_cast<int>(items.size()));
+    }
+    std::set<std::pair<std::string, std::string>> off, on;
+    for (const auto& [edge, count] : shapes[0]) off.insert(edge);
+    for (const auto& [edge, count] : shapes[1]) on.insert(edge);
+    EXPECT_EQ(off, on);
+  }
+  TraceCollector::Global().SetEnabled(false);
+  TraceCollector::Global().Clear();
+  TraceCollector::Global().ClearRetained();
+}
+
+TEST(TraceCausalTest, HoldCaptureLeavesFailedWriteTraceUnchanged) {
+  // A write that fails after taking IqEngine::mu_ (a NaN strategy is
+  // rejected on the delta) is retained as erred, with the same span names
+  // under the same parents whether its holds are captured or not.
+  auto engine = MakeTracedEngine(16, 8, 3, 78, 2);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Vec nan_step(3, std::numeric_limits<double>::quiet_NaN());
+  const std::vector<TraceShape> shapes =
+      ShapesWithHoldCaptureOffAndOn([&engine, &nan_step] {
+        EXPECT_FALSE(engine->ApplyStrategy(0, nan_step).ok());
+        const std::vector<RetainedTrace> retained =
+            TraceCollector::Global().RetainedTraces();
+        ASSERT_EQ(retained.size(), 1u);
+        EXPECT_TRUE(retained[0].erred);
+        EXPECT_STREQ(retained[0].op, "IqEngine::ApplyStrategy");
+      });
+  ASSERT_EQ(shapes.size(), 2u);
+  EXPECT_EQ(shapes[0], shapes[1]);
+  EXPECT_EQ(shapes[0].at({"IqEngine::ApplyStrategy", ""}), 1);
+  TraceCollector::Global().SetEnabled(false);
+  TraceCollector::Global().Clear();
+  TraceCollector::Global().ClearRetained();
 }
 
 }  // namespace

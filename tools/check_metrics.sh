@@ -191,8 +191,8 @@ if [ "$check_profile" -eq 1 ]; then
     fi
   done
   failures=$((failures + bad_fraction))
-  # A truncated window (ring overwrites, mutex-slot overflow) undercounts:
-  # it must not pass as a complete profile.
+  # A truncated window (ring overwrites) undercounts: it must not pass as
+  # a complete profile.
   dropped="$(grep -oE '"dropped_records": [0-9]+' "$json" \
              | grep -oE '[0-9]+$' | awk '{s += $1} END {print s + 0}')"
   if [ "$dropped" -gt 0 ]; then

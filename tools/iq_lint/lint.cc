@@ -69,7 +69,11 @@ std::vector<std::string> SanitizeLines(const std::vector<std::string>& raw) {
               ++i;  // malformed; treat as code
               break;
             }
-            raw_delim = ")" + line.substr(i + 2, paren - (i + 2)) + "\"";
+            // assign/append: gcc 12 flags the operator+ chain with a false
+            // -Wrestrict.
+            raw_delim.assign(")")
+                .append(line, i + 2, paren - (i + 2))
+                .append("\"");
             for (size_t j = i; j <= paren; ++j) line[j] = ' ';
             i = paren + 1;
             state = State::kRawString;
