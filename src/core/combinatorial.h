@@ -26,13 +26,21 @@ struct MultiIqResult {
 /// Combinatorial Min-Cost Improvement Strategy (Definition 5): the greedy
 /// of §5.1 — per iteration, the (target, query) candidate with the best
 /// cost-per-hit ratio is applied, until the union hit count reaches tau.
+/// It runs the one greedy loop of MinCostIq (core/iq_algorithms.cc) with one
+/// track per target, so a one-target search equals MinCostIq with an
+/// EseEvaluator bit for bit.
+///
 /// `options` holds one entry per target, or a single entry shared by all.
+/// Cost, box and granularity are per target; each target is snapped onto
+/// its own grid after the loop. The loop-level settings — max_iterations,
+/// candidate_eval_limit and pool — come from options[0].
 Result<MultiIqResult> CombinatorialMinCostIq(
     const SubdomainIndex& index, const std::vector<int>& targets, int tau,
     const std::vector<IqOptions>& options);
 
 /// Combinatorial Max-Hit Improvement Strategy (Definition 6): same loop,
-/// candidates filtered by the remaining shared budget beta.
+/// candidates filtered by the remaining shared budget beta; a target's grid
+/// snap may spend beta less the other targets' costs.
 Result<MultiIqResult> CombinatorialMaxHitIq(
     const SubdomainIndex& index, const std::vector<int>& targets, double beta,
     const std::vector<IqOptions>& options);

@@ -422,8 +422,12 @@ Result<MultiIqResult> IqEngine::MultiMinCost(
   return RootCall("IqEngine::MultiMinCost",
                   static_cast<int64_t>(targets.size()), tau, [&] {
                     EpochHandle snap = Snapshot();
+                    // Like MinCost/MaxHit: the search runs on the engine
+                    // pool (options[0] carries the loop-level settings).
+                    std::vector<IqOptions> opts = options;
+                    if (!opts.empty()) opts[0].pool = pool_.get();
                     return CombinatorialMinCostIq(snap.index(), targets, tau,
-                                                  options);
+                                                  opts);
                   });
 }
 
@@ -433,8 +437,12 @@ Result<MultiIqResult> IqEngine::MultiMaxHit(
   return RootCall("IqEngine::MultiMaxHit",
                   static_cast<int64_t>(targets.size()), kNoArg, [&] {
                     EpochHandle snap = Snapshot();
+                    // Like MinCost/MaxHit: the search runs on the engine
+                    // pool (options[0] carries the loop-level settings).
+                    std::vector<IqOptions> opts = options;
+                    if (!opts.empty()) opts[0].pool = pool_.get();
                     return CombinatorialMaxHitIq(snap.index(), targets, beta,
-                                                 options);
+                                                 opts);
                   });
 }
 

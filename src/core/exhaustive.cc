@@ -29,6 +29,18 @@ uint64_t BinomialCapped(uint64_t m, uint64_t h, uint64_t cap) {
   return r;
 }
 
+/// CheckIqOptions, plus: the exhaustive searches return continuous optima,
+/// so a grid is refused rather than silently ignored.
+Status CheckExhaustiveOptions(const IqContext& ctx,
+                              const ExhaustiveOptions& options) {
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options.iq, ctx.view().dataset().dim()));
+  if (!options.iq.granularity.empty()) {
+    return Status::InvalidArgument(
+        "exhaustive search does not snap onto a granularity grid");
+  }
+  return Status::Ok();
+}
+
 /// The hittable queries with their hit halfspaces a.s <= b.
 struct HalfspaceSet {
   std::vector<int> query_ids;
@@ -61,41 +73,6 @@ Result<HalfspaceSet> BuildHalfspaces(const IqContext& ctx) {
   return hs;
 }
 
-/// Minimal cost of hitting every query in `pick` (indices into hs).
-/// Returns infinity when infeasible.
-double SubsetCost(const HalfspaceSet& hs, const std::vector<int>& pick,
-                  const IqOptions& options, const AdjustBox& box,
-                  Vec* strategy) {
-  std::vector<Vec> A;
-  Vec b;
-  for (int i : pick) {
-    A.push_back(hs.a[static_cast<size_t>(i)]);
-    b.push_back(hs.b[static_cast<size_t>(i)]);
-  }
-  const int dim = box.dim();
-  using Kind = CostFunction::Kind;
-  Kind kind = options.cost.kind();
-  if (kind == Kind::kL2 || kind == Kind::kQuadratic) {
-    auto s = DykstraProject(A, b, box, Zeros(dim));
-    if (!s.ok()) return kInf;
-    *strategy = std::move(*s);
-    return options.cost.Cost(*strategy);
-  }
-  // General costs: penalty solver on the max violation.
-  auto g = [&A, &b](const Vec& s) {
-    double worst = -kInf;
-    for (size_t i = 0; i < A.size(); ++i) {
-      // iq-lint: allow(raw-scoring-loop): constraint rows, not an object set
-      worst = std::max(worst, Dot(A[i], s) - b[i]);
-    }
-    return worst;
-  };
-  auto sol = MinCostNonlinear(g, nullptr, options.cost, box);
-  if (!sol.ok()) return kInf;
-  *strategy = std::move(sol->s);
-  return sol->cost;
-}
-
 /// Iterates all h-subsets of {0..m-1}; visit returns false to stop early.
 template <typename Visit>
 void ForEachSubset(int m, int h, const Visit& visit) {
@@ -115,11 +92,138 @@ void ForEachSubset(int m, int h, const Visit& visit) {
   }
 }
 
+/// Solves the dim x dim system M s = r by Gaussian elimination with partial
+/// pivoting (M row-major). False when M is singular.
+bool SolveSquare(std::vector<double> M, Vec r, Vec* s) {
+  const size_t n = r.size();
+  for (size_t col = 0; col < n; ++col) {
+    size_t piv = col;
+    for (size_t row = col + 1; row < n; ++row) {
+      if (std::fabs(M[row * n + col]) > std::fabs(M[piv * n + col])) {
+        piv = row;
+      }
+    }
+    if (std::fabs(M[piv * n + col]) < 1e-12) return false;
+    if (piv != col) {
+      for (size_t k = 0; k < n; ++k) std::swap(M[col * n + k], M[piv * n + k]);
+      std::swap(r[col], r[piv]);
+    }
+    for (size_t row = col + 1; row < n; ++row) {
+      const double f = M[row * n + col] / M[col * n + col];
+      for (size_t k = col; k < n; ++k) M[row * n + k] -= f * M[col * n + k];
+      r[row] -= f * r[col];
+    }
+  }
+  s->assign(n, 0.0);
+  for (size_t col = n; col-- > 0;) {
+    double v = r[col];
+    for (size_t k = col + 1; k < n; ++k) v -= M[col * n + k] * (*s)[k];
+    (*s)[col] = v / M[col * n + col];
+  }
+  return true;
+}
+
+/// Minimal cost of hitting every query in `pick` (indices into hs).
+/// Returns infinity when infeasible. Exact for every built-in cost:
+/// - L2, WeightedL2, Quadratic: min sum c_j s_j^2 is the Euclidean
+///   projection of the origin in u = sqrt(c) * s space (rows divided by
+///   sqrt(c), box multiplied by it), mapped back; L2 projects s directly.
+/// - L1, WeightedL1: the cost is linear on each orthant, so an optimum lies
+///   on a vertex of the arrangement of the picked planes, the finite box
+///   faces and the planes s_j = 0. Every dim-subset of them is solved and
+///   the cheapest feasible vertex kept.
+/// Custom costs use the penalty solver, which is approximate.
+double SubsetCost(const HalfspaceSet& hs, const std::vector<int>& pick,
+                  const IqOptions& options, const AdjustBox& box,
+                  Vec* strategy) {
+  std::vector<Vec> A;
+  Vec b;
+  for (int i : pick) {
+    A.push_back(hs.a[static_cast<size_t>(i)]);
+    b.push_back(hs.b[static_cast<size_t>(i)]);
+  }
+  const int dim = box.dim();
+  const size_t d = static_cast<size_t>(dim);
+  using Kind = CostFunction::Kind;
+  const Kind kind = options.cost.kind();
+  const Vec& units = options.cost.unit_costs();
+  if (kind == Kind::kL2 || kind == Kind::kWeightedL2 ||
+      kind == Kind::kQuadratic) {
+    AdjustBox ubox = box;
+    for (size_t j = 0; j < units.size(); ++j) {
+      const double root = std::sqrt(units[j]);
+      for (Vec& row : A) row[j] /= root;
+      ubox.SetRange(static_cast<int>(j), box.lower()[j] * root,
+                    box.upper()[j] * root);
+    }
+    auto s = DykstraProject(A, b, ubox, Zeros(dim));
+    if (!s.ok()) return kInf;
+    *strategy = std::move(*s);
+    for (size_t j = 0; j < units.size(); ++j) {
+      (*strategy)[j] /= std::sqrt(units[j]);
+    }
+    return options.cost.Cost(*strategy);
+  }
+  // Largest violation of the picked constraints.
+  auto g = [&A, &b](const Vec& s) {
+    double worst = -kInf;
+    for (size_t i = 0; i < A.size(); ++i) {
+      // iq-lint: allow(raw-scoring-loop): constraint rows, not an object set
+      worst = std::max(worst, Dot(A[i], s) - b[i]);
+    }
+    return worst;
+  };
+  if (kind == Kind::kL1 || kind == Kind::kWeightedL1) {
+    std::vector<Vec> normals = A;
+    Vec rhs = b;
+    auto add_face = [&](size_t j, double at) {
+      Vec e(d, 0.0);
+      e[j] = 1.0;
+      normals.push_back(std::move(e));
+      rhs.push_back(at);
+    };
+    for (size_t j = 0; j < d; ++j) {
+      const double lo = box.lower()[j], hi = box.upper()[j];
+      if (std::isfinite(lo)) add_face(j, lo);
+      if (std::isfinite(hi) && hi != lo) add_face(j, hi);
+      if (lo != 0.0 && hi != 0.0) add_face(j, 0.0);
+    }
+    double best = kInf;
+    ForEachSubset(static_cast<int>(normals.size()), dim,
+                  [&](const std::vector<int>& planes) {
+                    std::vector<double> M;
+                    Vec r;
+                    for (int p : planes) {
+                      const Vec& n = normals[static_cast<size_t>(p)];
+                      M.insert(M.end(), n.begin(), n.end());
+                      r.push_back(rhs[static_cast<size_t>(p)]);
+                    }
+                    Vec s;
+                    if (!SolveSquare(std::move(M), std::move(r), &s) ||
+                        g(s) > 1e-9 || !box.Contains(s, 1e-9)) {
+                      return true;
+                    }
+                    const double c = options.cost.Cost(s);
+                    if (c < best) {
+                      best = c;
+                      *strategy = std::move(s);
+                    }
+                    return true;
+                  });
+    return best;
+  }
+  auto sol = MinCostNonlinear(g, nullptr, options.cost, box);
+  if (!sol.ok()) return kInf;
+  *strategy = std::move(sol->s);
+  return sol->cost;
+}
+
 }  // namespace
 
 Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
                                    const ExhaustiveOptions& options) {
   if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
+  IQ_RETURN_IF_ERROR(CheckExhaustiveOptions(ctx, options));
   WallTimer timer;
   IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx));
 
@@ -186,6 +290,7 @@ Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
 Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
                                   const ExhaustiveOptions& options) {
   if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  IQ_RETURN_IF_ERROR(CheckExhaustiveOptions(ctx, options));
   WallTimer timer;
   IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx));
 

@@ -17,11 +17,15 @@ struct ExhaustiveOptions {
 };
 
 /// Optimal Min-Cost improvement strategy (Eq. 7-10) by enumerating every
-/// tau-subset of queries and solving the resulting convex program:
-/// for the L2/quadratic costs the optimum for a subset is the Dykstra
-/// projection of the origin onto the intersection of the subset's hit
-/// halfspaces; other costs use the penalty solver. Linear utilities only
-/// (Unimplemented otherwise).
+/// tau-subset of queries and solving the resulting convex program exactly
+/// for every built-in cost: for L2, WeightedL2 and Quadratic the optimum
+/// for a subset is the Dykstra projection of the origin onto the
+/// intersection of the subset's hit halfspaces (in sqrt(c)-scaled space);
+/// for L1 and WeightedL1 it is the cheapest feasible vertex of those
+/// planes, the box faces and the coordinate planes. Custom costs use the
+/// penalty solver, which is approximate. Linear utilities only
+/// (Unimplemented otherwise); the options are checked by CheckIqOptions,
+/// and a granularity grid is refused (the optima are continuous).
 Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
                                    const ExhaustiveOptions& options = {});
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
+#include <span>
 
+#include "core/combinatorial.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "topk/topk.h"
@@ -34,14 +37,6 @@ AdjustBox StepBox(const AdjustBox& total_box, const Vec& s_total) {
   }
   return step;
 }
-
-/// One candidate: the step that hits query q, plus its evaluation.
-struct Candidate {
-  int q = -1;
-  Vec step;
-  double step_cost = 0.0;
-  int hits = 0;  // H(p_cur + step)
-};
 
 /// Cached pointers into the global registry; all increments are lock-free.
 struct SearchMetrics {
@@ -201,36 +196,141 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
 
 namespace {
 
-/// Generates the candidates of one iteration, in ascending query id, and
-/// evaluates H(p'+s) for each of them when `evaluate_hits` is set.
+/// Track t's evaluator in a §5.1 search, where a query counts once however
+/// many targets hit it: the queries another track hits, plus one CountHits
+/// pass over t's dense thresholds with those queries masked to NaN (a NaN
+/// threshold never hits). CountHits is bit-identical to HitBy (DESIGN.md
+/// §13.2), so this is a scalar union recount. MaskUnion rewrites the mask
+/// between evaluation rounds only, so a round may evaluate concurrently.
+struct UnionEvaluator final : StrategyEvaluator {
+  explicit UnionEvaluator(const ScoreKernel* k)
+      : kernel(k), masked(static_cast<size_t>(k->num_rows())) {}
+  int HitsForCoeffs(const Vec& c) override {
+    ++calls_;
+    return others + kernel->CountHits(c, masked);
+  }
+  int base_hits() const override { return union_hits; }
+  const char* name() const override { return "Union"; }
+  bool SupportsConcurrentEval() const override { return true; }
+
+  const ScoreKernel* kernel;
+  std::vector<double> masked;  // in kernel (dense) order
+  int others = 0;              // queries another track hits
+  int union_hits = 0;          // at the last MaskUnion
+};
+
+/// One target of a greedy search: its context, evaluator and per-target
+/// options (cost, box, granularity), and where the search has moved it.
+/// A single-target search runs one track with the caller's evaluator; a
+/// §5.1 search runs one per target, each with a UnionEvaluator.
+struct Track {
+  Track(const IqContext& context, StrategyEvaluator* eval,
+        const IqOptions& opts)
+      : ctx(&context),
+        evaluator(eval),
+        options(&opts),
+        s_total(Zeros(context.view().dataset().dim())),
+        p_cur(context.view().dataset().attrs(context.target())),
+        c_cur(context.view().coeffs(context.target())),
+        spent(opts.cost.Cost(s_total)) {}
+
+  const IqContext* ctx;
+  StrategyEvaluator* evaluator;
+  const IqOptions* options;
+  Vec s_total;
+  Vec p_cur;
+  Vec c_cur;
+  double spent;                      // options->cost.Cost(s_total)
+  UnionEvaluator* unions = nullptr;  // == evaluator in a §5.1 search
+};
+
+double TotalSpent(std::span<const Track> tracks) {
+  double total = 0.0;
+  for (const Track& t : tracks) total += t.spent;
+  return total;
+}
+
+/// Masks every track's UnionEvaluator against the other tracks' current
+/// coefficients. Returns the union hit count.
+int MaskUnion(std::span<const Track> tracks) {
+  for (const Track& t : tracks) t.unions->others = 0;
+  int union_hits = 0;
+  size_t d = 0;
+  for (const auto& block : tracks[0].unions->kernel->blocks()) {
+    for (int q : block->ids) {
+      int hitters = 0;
+      size_t hitter = 0;
+      for (size_t t = 0; t < tracks.size(); ++t) {
+        if (tracks[t].ctx->HitBy(q, tracks[t].c_cur)) {
+          ++hitters;
+          hitter = t;
+        }
+      }
+      union_hits += hitters > 0 ? 1 : 0;
+      for (size_t t = 0; t < tracks.size(); ++t) {
+        // Another track hits q unless t is its only hitter.
+        const bool other = hitters > 1 || (hitters == 1 && hitter != t);
+        tracks[t].unions->masked[d] =
+            other ? std::numeric_limits<double>::quiet_NaN()
+                  : tracks[t].ctx->thresholds()[static_cast<size_t>(q)];
+        tracks[t].unions->others += other ? 1 : 0;
+      }
+      ++d;
+    }
+  }
+  for (const Track& t : tracks) t.unions->union_hits = union_hits;
+  return union_hits;
+}
+
+/// One candidate: the step that makes a track hit query q, plus its
+/// evaluation.
+struct Candidate {
+  int q = -1;
+  int track = 0;
+  Vec step;
+  double step_cost = 0.0;
+  int hits = 0;  // H(p_cur + step) under the track's evaluator
+};
+
+/// H for the improved coefficients `c`, timed as evaluation.
+int TimedHits(StrategyEvaluator* evaluator, const Vec& c, EvalBreakdown* bd) {
+  WallTimer eval_timer;
+  const int hits = evaluator->HitsForCoeffs(c);
+  bd->eval_seconds += eval_timer.ElapsedSeconds();
+  return hits;
+}
+
+/// Generates the candidates of one iteration, one per (pending query,
+/// track) pair in (query, track) order, and evaluates H(p'+s) for each of
+/// them when `evaluate_hits` is set. A query is pending while it is active
+/// and no track hits it.
 ///
 /// Parallel execution (DESIGN.md §8): when options.pool is set, the
-/// per-query candidate solves — and, for thread-safe evaluators, the
-/// per-candidate H evaluations — fan out over the pool. Each unit writes
-/// into its own pre-assigned slot and the slots are compacted in query-id
-/// order afterwards, so the returned vector is bit-identical to the serial
-/// path for every thread count (the deterministic reduction the
-/// differential tests pin down).
-std::vector<Candidate> BuildCandidates(const IqContext& ctx,
-                                       StrategyEvaluator* evaluator,
-                                       const Vec& p_cur, const Vec& s_total,
-                                       const Vec& c_cur,
+/// candidate solves — and, for thread-safe evaluators, the per-candidate
+/// H evaluations — fan out over the pool. Each unit writes into its own
+/// pre-assigned slot and the slots are compacted in (query, track) order
+/// afterwards, so the returned vector is bit-identical to the serial path
+/// for every thread count (the deterministic reduction the differential
+/// tests pin down).
+std::vector<Candidate> BuildCandidates(std::span<const Track> tracks,
                                        const IqOptions& options,
                                        bool evaluate_hits,
                                        EvalBreakdown* bd) {
-  IQ_TRACE_SCOPE_ARG("BuildCandidates", ctx.target());
+  IQ_TRACE_SCOPE_ARG("BuildCandidates", tracks[0].ctx->target());
   std::vector<Candidate> out;
-  const QuerySet& queries = ctx.queries();
+  const QuerySet& queries = tracks[0].ctx->queries();
   WallTimer solver_timer;
   // Queries still worth hitting, in ascending id order (the slot order the
   // deterministic compaction below preserves).
   std::vector<int> pending;
   for (int q = 0; q < queries.size(); ++q) {
     if (!queries.is_active(q)) continue;
-    if (ctx.HitBy(q, c_cur)) continue;  // already hit
-    pending.push_back(q);
+    const bool hit = std::any_of(
+        tracks.begin(), tracks.end(),
+        [q](const Track& t) { return t.ctx->HitBy(q, t.c_cur); });
+    if (!hit) pending.push_back(q);
   }
-  std::vector<Candidate> slots(pending.size());
+  std::vector<Candidate> slots(pending.size() * tracks.size());
   if (options.pool != nullptr && pending.size() > 1) {
     SearchMetrics::Get().parallel_solve_batches->Increment();
   }
@@ -241,12 +341,18 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
       [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           const int q = pending[static_cast<size_t>(i)];
-          auto sol = ctx.SolveCandidate(q, p_cur, s_total, options);
-          if (!sol.ok()) continue;  // slot stays q == -1
-          Candidate& cand = slots[static_cast<size_t>(i)];
-          cand.q = q;
-          cand.step = std::move(sol->s);
-          cand.step_cost = sol->cost;
+          for (size_t t = 0; t < tracks.size(); ++t) {
+            const Track& track = tracks[t];
+            auto sol = track.ctx->SolveCandidate(q, track.p_cur,
+                                                 track.s_total, *track.options);
+            if (!sol.ok()) continue;  // slot stays q == -1
+            Candidate& cand =
+                slots[static_cast<size_t>(i) * tracks.size() + t];
+            cand.q = q;
+            cand.track = static_cast<int>(t);
+            cand.step = std::move(sol->s);
+            cand.step_cost = sol->cost;
+          }
         }
       },
       "greedy.candidate_solve", ChunkPolicy::kDynamic);
@@ -285,21 +391,24 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
   }
   if (evaluate_hits) {
     WallTimer eval_timer;
+    // The tracks of one search share one evaluator kind.
     ThreadPool* eval_pool =
-        evaluator->SupportsConcurrentEval() ? options.pool : nullptr;
+        tracks[0].evaluator->SupportsConcurrentEval() ? options.pool : nullptr;
     if (eval_pool != nullptr && out.size() > 1) {
       SearchMetrics::Get().parallel_eval_batches->Increment();
     }
-    ParallelForOrSerial(eval_pool, static_cast<int64_t>(out.size()),
-                        [&](int64_t begin, int64_t end) {
-                          for (int64_t i = begin; i < end; ++i) {
-                            Candidate& cand = out[static_cast<size_t>(i)];
-                            Vec c_cand = ctx.view().CoefficientsFor(
-                                Add(p_cur, cand.step));
-                            cand.hits = evaluator->HitsForCoeffs(c_cand);
-                          }
-                        },
-                        "greedy.candidate_eval", ChunkPolicy::kDynamic);
+    ParallelForOrSerial(
+        eval_pool, static_cast<int64_t>(out.size()),
+        [&](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            Candidate& cand = out[static_cast<size_t>(i)];
+            const Track& track = tracks[static_cast<size_t>(cand.track)];
+            Vec c_cand =
+                track.ctx->view().CoefficientsFor(Add(track.p_cur, cand.step));
+            cand.hits = track.evaluator->HitsForCoeffs(c_cand);
+          }
+        },
+        "greedy.candidate_eval", ChunkPolicy::kDynamic);
     bd->eval_seconds += eval_timer.ElapsedSeconds();
     bd->candidates_evaluated += out.size();
     SearchMetrics::Get().eval_nanos->Record(eval_timer.ElapsedNanos());
@@ -317,7 +426,7 @@ double Ratio(const Candidate& c) {
 struct Goal {
   bool min_cost = true;
   int tau = 0;         // Min-Cost: hits to reach
-  double beta = kInf;  // Max-Hit: budget on the cumulative strategy
+  double beta = kInf;  // Max-Hit: budget on the targets' total cost
 
   static Result<Goal> MinCost(int tau) {
     if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
@@ -333,12 +442,8 @@ struct Goal {
   bool Reached(int hits) const { return min_cost && hits >= tau; }
   /// IqResult::reached_goal: Max-Hit always meets its goal (the budget).
   bool Met(int hits) const { return !min_cost || hits >= tau; }
-  bool Affordable(const CostFunction& cost, const Vec& s_total,
-                  const Vec& step) const {
-    return min_cost || cost.Cost(Add(s_total, step)) <= beta;
-  }
-  int DefaultIterations(const IqContext& ctx) const {
-    return min_cost ? 4 * tau + 16 : ctx.queries().size() + 16;
+  int DefaultIterations(int num_queries) const {
+    return min_cost ? 4 * tau + 16 : num_queries + 16;
   }
 };
 
@@ -353,16 +458,24 @@ enum class PickRule {
 };
 
 /// The candidate this iteration takes, or null when none is admissible.
-/// Ties go to the first candidate in query-id order.
+/// Ties go to the first candidate in (query, track) order. Max-Hit admits a
+/// step only while the targets' total cost stays within beta:
+/// total - cost_t(s_t) + cost_t(s_t + step) <= beta, which for one track
+/// is exactly cost(s + step) <= beta (c - c is 0).
 const Candidate* PickStep(const std::vector<Candidate>& candidates,
                           const Goal& goal, PickRule rule, int cur_hits,
-                          const Vec& s_total, const CostFunction& cost) {
+                          std::span<const Track> tracks) {
   const bool by_ratio = rule == PickRule::kBestRatio;
+  const double total = TotalSpent(tracks);
   const Candidate* best = nullptr;
   for (const Candidate& c : candidates) {
     // Algorithm 4 takes only steps that raise the hit count.
     if (by_ratio && !goal.min_cost && c.hits <= cur_hits) continue;
-    if (!goal.Affordable(cost, s_total, c.step)) continue;
+    if (!goal.min_cost) {
+      const Track& t = tracks[static_cast<size_t>(c.track)];
+      const double after = t.options->cost.Cost(Add(t.s_total, c.step));
+      if (!(total - t.spent + after <= goal.beta)) continue;
+    }
     if (best == nullptr || (by_ratio ? Ratio(c) < Ratio(*best)
                                      : c.step_cost < best->step_cost)) {
       best = &c;
@@ -435,17 +548,64 @@ void ApplyGranularity(const IqContext& ctx, StrategyEvaluator* evaluator,
   *s_total = std::move(snapped);
 }
 
-/// The per-call accounting every scheme shares. Construction snapshots the
-/// evaluator's counters and starts the clock; Finish snaps the strategy onto
-/// the granularity grid, stamps the IqResult with its EvalBreakdown, and
-/// folds the iteration count into the global registry.
+/// Algorithms 3 and 4 and the Greedy baseline, for one target or for the
+/// several of §5.1: the one greedy iteration loop. Each iteration solves a
+/// single-constraint step per (pending query, track) pair (Eq. 13-14) and
+/// takes the one the pick rule chooses, until the goal is reached, no step
+/// is admissible, or the iteration cap. Then each track is snapped onto its
+/// grid in target order, Max-Hit capping it at beta less the other targets'
+/// costs. `options` gives the loop-level settings: max_iterations,
+/// candidate_eval_limit and pool. Takes *hits from the starting count to
+/// the final one; returns the iterations run.
+int GreedySearch(std::span<Track> tracks, const Goal& goal, PickRule rule,
+                 const IqOptions& options, int* hits, EvalBreakdown* bd) {
+  const int max_iters =
+      options.max_iterations > 0
+          ? options.max_iterations
+          : goal.DefaultIterations(tracks[0].ctx->queries().size());
+  const bool by_ratio = rule == PickRule::kBestRatio;
+  const bool multi = tracks[0].unions != nullptr;
+  int iter = 0;
+  while (!goal.Reached(*hits) && iter < max_iters) {
+    ++iter;
+    if (multi) MaskUnion(tracks);
+    std::vector<Candidate> candidates =
+        BuildCandidates(tracks, options, /*evaluate_hits=*/by_ratio, bd);
+    const Candidate* best = PickStep(candidates, goal, rule, *hits, tracks);
+    if (best == nullptr) break;
+    Track& track = tracks[static_cast<size_t>(best->track)];
+    AddInPlace(&track.s_total, best->step);
+    track.p_cur = Add(track.p_cur, best->step);
+    track.c_cur = track.ctx->view().CoefficientsFor(track.p_cur);
+    track.spent = track.options->cost.Cost(track.s_total);
+    // The ratio pick already evaluated the step it took.
+    const int new_hits =
+        by_ratio ? best->hits : TimedHits(track.evaluator, track.c_cur, bd);
+    if (new_hits <= *hits && NormL2(best->step) < 1e-15) break;  // stuck
+    *hits = new_hits;
+  }
+  for (Track& track : tracks) {
+    if (track.options->granularity.empty()) continue;
+    if (multi) MaskUnion(tracks);
+    ApplyGranularity(*track.ctx, track.evaluator, *track.options,
+                     goal.beta - (TotalSpent(tracks) - track.spent),
+                     &track.s_total, hits);
+    track.spent = track.options->cost.Cost(track.s_total);
+    track.c_cur = track.ctx->view().CoefficientsFor(
+        Add(track.ctx->view().dataset().attrs(track.ctx->target()),
+            track.s_total));
+  }
+  return iter;
+}
+
+/// The per-call accounting of every single-target scheme. Construction
+/// snapshots the evaluator's counters and starts the clock; Finish stamps
+/// the IqResult with its EvalBreakdown and folds the iteration count into
+/// the global registry.
 class SearchCall {
  public:
-  SearchCall(const IqContext& ctx, StrategyEvaluator* evaluator,
-             const IqOptions& options)
-      : ctx_(ctx),
-        evaluator_(evaluator),
-        options_(options),
+  explicit SearchCall(StrategyEvaluator* evaluator)
+      : evaluator_(evaluator),
         calls_before_(evaluator->calls()),
         rescored_before_(evaluator->queries_rescored()),
         reused_before_(evaluator->queries_reused()),
@@ -454,19 +614,11 @@ class SearchCall {
   int hits_before() const { return hits_before_; }
   EvalBreakdown* breakdown() { return &bd_; }
 
-  /// H for the improved coefficients `c`, timed as evaluation.
-  int EvalHits(const Vec& c) {
-    WallTimer eval_timer;
-    const int hits = evaluator_->HitsForCoeffs(c);
-    bd_.eval_seconds += eval_timer.ElapsedSeconds();
-    return hits;
-  }
-
-  IqResult Finish(const Goal& goal, Vec strategy, int hits, int iterations) {
-    ApplyGranularity(ctx_, evaluator_, options_, goal.beta, &strategy, &hits);
+  IqResult Finish(const Goal& goal, const CostFunction& cost, Vec strategy,
+                  int hits, int iterations) {
     IqResult r;
     r.strategy = std::move(strategy);
-    r.cost = options_.cost.Cost(r.strategy);
+    r.cost = cost.Cost(r.strategy);
     r.hits_before = hits_before_;
     r.hits_after = hits;
     r.reached_goal = goal.Met(hits);
@@ -485,9 +637,7 @@ class SearchCall {
   }
 
  private:
-  const IqContext& ctx_;
   StrategyEvaluator* evaluator_;
-  const IqOptions& options_;
   WallTimer timer_;
   const size_t calls_before_;
   const size_t rescored_before_;
@@ -496,40 +646,69 @@ class SearchCall {
   EvalBreakdown bd_;
 };
 
-/// Algorithms 3 and 4 and the Greedy baseline, which differ only in the goal
-/// and the pick rule. Each iteration solves a single-constraint step per
-/// unhit query (Eq. 13-14) and takes the one the pick rule chooses, until
-/// the goal is reached, no step is admissible, or the iteration cap.
-IqResult GreedySearch(const IqContext& ctx, StrategyEvaluator* evaluator,
-                      const Goal& goal, PickRule rule,
-                      const IqOptions& options) {
-  SearchCall call(ctx, evaluator, options);
-  const int max_iters = options.max_iterations > 0
-                            ? options.max_iterations
-                            : goal.DefaultIterations(ctx);
-  const bool by_ratio = rule == PickRule::kBestRatio;
-  Vec s_total = Zeros(ctx.view().dataset().dim());
-  Vec p_cur = ctx.view().dataset().attrs(ctx.target());
-  Vec c_cur = ctx.view().coeffs(ctx.target());
-  int cur_hits = call.hits_before();
-  int iter = 0;
-  while (!goal.Reached(cur_hits) && iter < max_iters) {
-    ++iter;
-    std::vector<Candidate> candidates =
-        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
-                        /*evaluate_hits=*/by_ratio, call.breakdown());
-    const Candidate* best =
-        PickStep(candidates, goal, rule, cur_hits, s_total, options.cost);
-    if (best == nullptr) break;
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    // The ratio pick already evaluated the step it took.
-    const int new_hits = by_ratio ? best->hits : call.EvalHits(c_cur);
-    if (new_hits <= cur_hits && NormL2(best->step) < 1e-15) break;  // stuck
-    cur_hits = new_hits;
+/// A single-target greedy: one track with the caller's evaluator.
+Result<IqResult> SingleGreedy(const IqContext& ctx,
+                              StrategyEvaluator* evaluator, const Goal& goal,
+                              PickRule rule, const IqOptions& options) {
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(evaluator);
+  Track track(ctx, evaluator, options);
+  int hits = call.hits_before();
+  const int iterations = GreedySearch(std::span<Track>(&track, 1), goal,
+                                      rule, options, &hits, call.breakdown());
+  return call.Finish(goal, options.cost, std::move(track.s_total), hits,
+                     iterations);
+}
+
+/// The §5.1 searches: one track per target, hits counted over the union.
+Result<MultiIqResult> MultiGreedy(const SubdomainIndex& index,
+                                  const std::vector<int>& targets,
+                                  const Goal& goal,
+                                  const std::vector<IqOptions>& options) {
+  if (targets.empty()) {
+    return Status::InvalidArgument("no target objects given");
   }
-  return call.Finish(goal, std::move(s_total), cur_hits, iter);
+  if (options.size() != 1 && options.size() != targets.size()) {
+    return Status::InvalidArgument(
+        "options must have one entry or one per target");
+  }
+  const size_t n = targets.size();
+  auto options_of = [&options](size_t t) -> const IqOptions& {
+    return options[options.size() == 1 ? 0 : t];
+  };
+  for (size_t t = 0; t < n; ++t) {
+    IQ_RETURN_IF_ERROR(
+        CheckIqOptions(options_of(t), index.view().dataset().dim()));
+  }
+  WallTimer timer;
+  std::vector<IqContext> contexts;
+  contexts.reserve(n);  // the tracks point into it
+  std::deque<UnionEvaluator> evaluators;
+  std::vector<Track> tracks;
+  for (size_t t = 0; t < n; ++t) {
+    IQ_ASSIGN_OR_RETURN(IqContext ctx, IqContext::FromIndex(&index, targets[t]));
+    contexts.push_back(std::move(ctx));
+    UnionEvaluator* unions = &evaluators.emplace_back(&index.query_kernel());
+    tracks.emplace_back(contexts.back(), unions, options_of(t)).unions = unions;
+  }
+  MultiIqResult r;
+  r.targets = targets;
+  r.hits_before = MaskUnion(tracks);
+  int hits = r.hits_before;
+  EvalBreakdown bd;
+  r.iterations = GreedySearch(tracks, goal, PickRule::kBestRatio, options[0],
+                              &hits, &bd);
+  SearchMetrics::Get().iterations->Increment(
+      static_cast<uint64_t>(r.iterations));
+  for (const Track& track : tracks) {
+    r.strategies.push_back(track.s_total);
+    r.costs.push_back(track.spent);
+    r.total_cost += track.spent;
+  }
+  r.hits_after = hits;
+  r.reached_goal = goal.Met(hits);
+  r.seconds = timer.ElapsedSeconds();
+  return r;
 }
 
 /// Attribute span of the active dataset (for the Random baseline's radius
@@ -560,40 +739,94 @@ Vec RandomDirection(Rng* rng, int dim) {
 
 }  // namespace
 
+Status CheckIqOptions(const IqOptions& options, int dim) {
+  if (options.box.has_value() && options.box->dim() != dim) {
+    return Status::InvalidArgument("box dimension does not match the data");
+  }
+  if (!options.granularity.empty()) {
+    if (static_cast<int>(options.granularity.size()) != dim) {
+      return Status::InvalidArgument(
+          "granularity needs one entry per attribute");
+    }
+    for (double g : options.granularity) {
+      if (!std::isfinite(g) || g < 0) {
+        return Status::InvalidArgument(
+            "granularity entries must be finite and >= 0");
+      }
+    }
+  }
+  using Kind = CostFunction::Kind;
+  const Kind kind = options.cost.kind();
+  if (kind == Kind::kWeightedL1 || kind == Kind::kWeightedL2 ||
+      kind == Kind::kQuadratic) {
+    const Vec& units = options.cost.unit_costs();
+    if (static_cast<int>(units.size()) != dim) {
+      return Status::InvalidArgument(
+          "cost needs one unit cost per attribute");
+    }
+    // Weighted L1 may leave an attribute free; the quadratic solvers
+    // divide by every unit cost.
+    const bool zero_ok = kind == Kind::kWeightedL1;
+    for (double c : units) {
+      if (!std::isfinite(c) || c < 0 || (c == 0 && !zero_ok)) {
+        return Status::InvalidArgument(
+            zero_ok ? "unit costs must be finite and >= 0"
+                    : "unit costs must be finite and > 0");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                            int tau, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG2("MinCostIq", ctx.target(), tau);
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
-  return GreedySearch(ctx, evaluator, goal, PickRule::kBestRatio, options);
+  return SingleGreedy(ctx, evaluator, goal, PickRule::kBestRatio, options);
 }
 
 Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                           double beta, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG("MaxHitIq", ctx.target());
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
-  return GreedySearch(ctx, evaluator, goal, PickRule::kBestRatio, options);
+  return SingleGreedy(ctx, evaluator, goal, PickRule::kBestRatio, options);
 }
 
 Result<IqResult> GreedyMinCost(const IqContext& ctx,
                                StrategyEvaluator* evaluator, int tau,
                                const IqOptions& options) {
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
-  return GreedySearch(ctx, evaluator, goal, PickRule::kCheapest, options);
+  return SingleGreedy(ctx, evaluator, goal, PickRule::kCheapest, options);
 }
 
 Result<IqResult> GreedyMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
-  return GreedySearch(ctx, evaluator, goal, PickRule::kCheapest, options);
+  return SingleGreedy(ctx, evaluator, goal, PickRule::kCheapest, options);
+}
+
+Result<MultiIqResult> CombinatorialMinCostIq(
+    const SubdomainIndex& index, const std::vector<int>& targets, int tau,
+    const std::vector<IqOptions>& options) {
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
+  return MultiGreedy(index, targets, goal, options);
+}
+
+Result<MultiIqResult> CombinatorialMaxHitIq(
+    const SubdomainIndex& index, const std::vector<int>& targets, double beta,
+    const std::vector<IqOptions>& options) {
+  IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
+  return MultiGreedy(index, targets, goal, options);
 }
 
 Result<IqResult> RandomMinCost(const IqContext& ctx,
                                StrategyEvaluator* evaluator, int tau,
                                const IqOptions& options) {
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
-  SearchCall call(ctx, evaluator, options);
   const int dim = ctx.view().dataset().dim();
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, dim));
+  SearchCall call(evaluator);
   const Vec& p = ctx.view().dataset().attrs(ctx.target());
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
@@ -606,22 +839,26 @@ Result<IqResult> RandomMinCost(const IqContext& ctx,
     ++samples;
     Vec s = box.Clamp(Scale(RandomDirection(&rng, dim),
                             radius * rng.UniformDouble(0.2, 1.0)));
-    int hits = call.EvalHits(ctx.view().CoefficientsFor(Add(p, s)));
+    int hits = TimedHits(evaluator, ctx.view().CoefficientsFor(Add(p, s)),
+                         call.breakdown());
     if (hits > best_hits) {
       best_hits = hits;
       best_s = std::move(s);
     }
     if (samples % 16 == 0) radius *= 1.5;  // widen the search
   }
-  return call.Finish(goal, std::move(best_s), best_hits, samples);
+  ApplyGranularity(ctx, evaluator, options, goal.beta, &best_s, &best_hits);
+  return call.Finish(goal, options.cost, std::move(best_s), best_hits,
+                     samples);
 }
 
 Result<IqResult> RandomMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
-  SearchCall call(ctx, evaluator, options);
   const int dim = ctx.view().dataset().dim();
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, dim));
+  SearchCall call(evaluator);
   const Vec& p = ctx.view().dataset().attrs(ctx.target());
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
@@ -646,13 +883,15 @@ Result<IqResult> RandomMaxHit(const IqContext& ctx,
     }
     Vec s = box.Clamp(Scale(dir, lo * rng.UniformDouble(0.3, 1.0)));
     if (options.cost.Cost(s) > beta) continue;
-    int hits = call.EvalHits(ctx.view().CoefficientsFor(Add(p, s)));
+    int hits = TimedHits(evaluator, ctx.view().CoefficientsFor(Add(p, s)),
+                         call.breakdown());
     if (hits > best_hits) {
       best_hits = hits;
       best_s = std::move(s);
     }
   }
-  return call.Finish(goal, std::move(best_s), best_hits,
+  ApplyGranularity(ctx, evaluator, options, goal.beta, &best_s, &best_hits);
+  return call.Finish(goal, options.cost, std::move(best_s), best_hits,
                      options.random_samples);
 }
 

@@ -134,6 +134,13 @@ class IqContext {
   std::vector<Vec> aug_w_;
 };
 
+/// InvalidArgument unless `options` fits data of `dim` attributes: the box
+/// has `dim` dimensions; a non-empty granularity has `dim` finite entries
+/// >= 0; a weighted or quadratic cost has `dim` finite unit costs, > 0 for
+/// WeightedL2/Quadratic and >= 0 for WeightedL1. Every scheme runs it
+/// before any work.
+Status CheckIqOptions(const IqOptions& options, int dim);
+
 /// Algorithm 3: greedy best cost-per-hit search for the Min-Cost IQ.
 Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                            int tau, const IqOptions& options = {});

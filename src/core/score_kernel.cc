@@ -5,23 +5,6 @@
 
 #include "topk/topk.h"
 
-// Explicit vectorization pragmas for the row-parallel inner loops. The
-// loops are written so each iteration owns an independent accumulator
-// (one dense row's partial sum), so asking the compiler to vectorize
-// across iterations cannot reassociate any single row's sum — the
-// bit-identity contract in score_kernel.h survives IQ_SIMD.
-#if defined(IQ_SIMD)
-#if defined(__clang__)
-#define IQ_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define IQ_SIMD_LOOP _Pragma("GCC ivdep")
-#else
-#define IQ_SIMD_LOOP
-#endif
-#else
-#define IQ_SIMD_LOOP
-#endif
-
 namespace iq {
 namespace {
 
@@ -35,7 +18,6 @@ void ScoreBlock(const ScoreKernel::Block& b, int num_slots, const Vec& w,
     const double* col =
         b.data.data() + static_cast<size_t>(s) * static_cast<size_t>(len);
     const double ws = w[static_cast<size_t>(s)];
-    IQ_SIMD_LOOP
     for (int d = 0; d < len; ++d) acc[d] += col[d] * ws;
   }
 }
@@ -90,7 +72,6 @@ std::vector<std::vector<int>> ScoreKernel::TopKappaSignatures(
       // score is strictly lower (an equal score loses the id tie-break).
       const double bound = heap.front().score;
       int beats = 0;
-      IQ_SIMD_LOOP
       for (int e = d; e < len; ++e) beats += acc[e] < bound ? 1 : 0;
       if (beats == 0) continue;
       for (; d < len; ++d) {
@@ -118,7 +99,6 @@ int ScoreKernel::CountHits(const Vec& w,
     const int len = static_cast<int>(b->ids.size());
     ScoreBlock(*b, num_slots_, w, acc);
     int block_hits = 0;
-    IQ_SIMD_LOOP
     for (int d = 0; d < len; ++d) {
       block_hits += HitByThreshold(acc[d], th[d]) ? 1 : 0;
     }

@@ -17,8 +17,9 @@ namespace iq {
 /// row in the hot scoring loops (f_p(q) dot products in ESE evaluation,
 /// top-κ signature ranking). ScoreKernel mirrors the *active* rows of such a
 /// table into contiguous per-slot (per-dimension) columns, so batch scoring
-/// becomes plain indexed tight loops the compiler can vectorize (and, with
-/// -DIQ_SIMD=ON, is explicitly asked to).
+/// becomes plain indexed tight loops the compiler can vectorize on its own
+/// (explicit vectorization pragmas measured no steadier gain; DESIGN.md
+/// §13.2).
 ///
 /// Layout: one slot-major Block per kCowChunkRows-id chunk of the row table
 /// (the CowChunks chunk span), holding that chunk's active rows in ascending

@@ -5,10 +5,15 @@
 #include "util/check.h"
 
 namespace iq {
+namespace {
+
+constexpr int kMaxSweeps = 4000;  // passes over all sets
+constexpr double kTol = 1e-9;     // stop once no set moves the iterate more
+
+}  // namespace
 
 Result<Vec> DykstraProject(const std::vector<Vec>& A, const Vec& b,
-                           const AdjustBox& box, const Vec& target,
-                           int max_iters, double tol) {
+                           const AdjustBox& box, const Vec& target) {
   IQ_CHECK(A.size() == b.size());
   const size_t m = A.size();
   const size_t num_sets = m + 1;  // halfspaces + the box
@@ -19,7 +24,7 @@ Result<Vec> DykstraProject(const std::vector<Vec>& A, const Vec& b,
   std::vector<double> norms2(m);
   for (size_t i = 0; i < m; ++i) norms2[i] = NormL2Squared(A[i]);
 
-  for (int iter = 0; iter < max_iters; ++iter) {
+  for (int iter = 0; iter < kMaxSweeps; ++iter) {
     double max_shift = 0.0;
     for (size_t set = 0; set < num_sets; ++set) {
       Vec y = Add(x, corrections[set]);
@@ -38,7 +43,7 @@ Result<Vec> DykstraProject(const std::vector<Vec>& A, const Vec& b,
       max_shift = std::max(max_shift, Distance(x, projected));
       x = std::move(projected);
     }
-    if (max_shift < tol) break;
+    if (max_shift < kTol) break;
   }
 
   // Verify feasibility of the final iterate.

@@ -19,8 +19,7 @@ namespace iq {
 /// Returns FailedPrecondition when the iterate does not reach feasibility
 /// (empty intersection or insufficient iterations).
 Result<Vec> DykstraProject(const std::vector<Vec>& A, const Vec& b,
-                           const AdjustBox& box, const Vec& target,
-                           int max_iters = 4000, double tol = 1e-9);
+                           const AdjustBox& box, const Vec& target);
 
 }  // namespace iq
 

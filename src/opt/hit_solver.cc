@@ -12,6 +12,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The penalty solver's schedule (MinCostNonlinear).
+constexpr int kPenaltyRounds = 12;      // penalty escalations (mu *= 10)
+constexpr int kPenaltyInnerIters = 300;  // gradient steps per round
+constexpr double kPenaltyInitialMu = 10.0;
+constexpr double kPenaltyFeasibilityTol = 1e-8;
+constexpr double kPenaltyStepTol = 1e-12;
+
 /// Active-set solve of: min Σ c_j s_j^2  s.t.  a.s <= r, s in box.
 /// (Also optimal for sqrt(Σ c_j s_j^2) — monotone transform.)
 Result<Vec> SolveQuadratic(const Vec& a, double r, const Vec& unit_costs,
@@ -143,8 +150,7 @@ Result<HitSolution> MinCostForHalfspace(const Vec& a, double r,
 Result<HitSolution> MinCostNonlinear(
     const std::function<double(const Vec&)>& constraint,
     const std::function<Vec(const Vec&)>& constraint_grad,
-    const CostFunction& cost, const AdjustBox& box,
-    const PenaltySolverOptions& options) {
+    const CostFunction& cost, const AdjustBox& box) {
   const int d = box.dim();
   auto grad_of_constraint = [&](const Vec& s) -> Vec {
     if (constraint_grad) return constraint_grad(s);
@@ -165,12 +171,12 @@ Result<HitSolution> MinCostNonlinear(
   Vec s = box.Clamp(Zeros(d));
   if (constraint(s) <= 0) return HitSolution{s, cost.Cost(s)};
 
-  double mu = options.initial_mu;
+  double mu = kPenaltyInitialMu;
   Vec best;
   bool have_feasible = false;
   double best_cost = kInf;
 
-  for (int round = 0; round < options.max_outer_rounds; ++round, mu *= 10) {
+  for (int round = 0; round < kPenaltyRounds; ++round, mu *= 10) {
     auto objective = [&](const Vec& v) {
       double g = std::max(0.0, constraint(v));
       return cost.Cost(v) + mu * g * g;
@@ -187,7 +193,7 @@ Result<HitSolution> MinCostNonlinear(
 
     double step = 1.0;
     double fv = objective(s);
-    for (int it = 0; it < options.max_inner_iters; ++it) {
+    for (int it = 0; it < kPenaltyInnerIters; ++it) {
       Vec g = gradient(s);
       double gnorm = NormL2(g);
       if (gnorm < 1e-14) break;
@@ -204,11 +210,11 @@ Result<HitSolution> MinCostNonlinear(
           break;
         }
         step *= 0.5;
-        if (step < options.step_tol) break;
+        if (step < kPenaltyStepTol) break;
       }
-      if (!moved || step < options.step_tol) break;
+      if (!moved || step < kPenaltyStepTol) break;
     }
-    if (constraint(s) <= options.feasibility_tol) {
+    if (constraint(s) <= kPenaltyFeasibilityTol) {
       double c = cost.Cost(s);
       if (c < best_cost) {
         best_cost = c;

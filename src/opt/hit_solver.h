@@ -30,16 +30,6 @@ Result<HitSolution> MinCostForHalfspace(const Vec& a, double r,
                                         const CostFunction& cost,
                                         const AdjustBox& box);
 
-/// Options for the penalty-based solver used with non-linear constraints or
-/// custom costs.
-struct PenaltySolverOptions {
-  int max_outer_rounds = 12;       // penalty escalations (mu *= 10)
-  int max_inner_iters = 300;       // gradient steps per round
-  double initial_mu = 10.0;
-  double feasibility_tol = 1e-8;
-  double step_tol = 1e-12;
-};
-
 /// Minimizes cost(s) subject to constraint(s) <= 0 and s inside `box`,
 /// via an exterior quadratic-penalty method with projected backtracking
 /// gradient descent. `constraint_grad` may be empty (numeric differences).
@@ -47,8 +37,7 @@ struct PenaltySolverOptions {
 Result<HitSolution> MinCostNonlinear(
     const std::function<double(const Vec&)>& constraint,
     const std::function<Vec(const Vec&)>& constraint_grad,
-    const CostFunction& cost, const AdjustBox& box,
-    const PenaltySolverOptions& options = {});
+    const CostFunction& cost, const AdjustBox& box);
 
 }  // namespace iq
 

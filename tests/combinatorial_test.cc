@@ -3,6 +3,7 @@
 #include "core/combinatorial.h"
 #include "core/evaluator.h"
 #include "tests/test_world.h"
+#include "util/random.h"
 
 namespace iq {
 namespace {
@@ -35,17 +36,59 @@ int UnionHits(const TestWorld& w, const std::vector<int>& targets,
 TEST(CombinatorialTest, MinCostReachesUnionGoal) {
   TestWorld w = TestWorld::Linear(80, 60, 3, 41);
   std::vector<int> targets = {1, 5, 9};
-  auto r = CombinatorialMinCostIq(*w.index, targets, 20, {IqOptions{}});
+  // The three targets already hit 34 queries together; tau = 45 makes the
+  // search work for its goal.
+  const int tau = 45;
+  auto r = CombinatorialMinCostIq(*w.index, targets, tau, {IqOptions{}});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->targets, targets);
   ASSERT_EQ(r->strategies.size(), 3u);
-  if (r->reached_goal) {
-    EXPECT_GE(r->hits_after, 20);
-  }
+  EXPECT_LT(r->hits_before, tau);
+  EXPECT_GT(r->iterations, 0);
+  EXPECT_EQ(UnionHits(w, targets, std::vector<Vec>(3, Zeros(3))),
+            r->hits_before);
   EXPECT_EQ(UnionHits(w, targets, r->strategies), r->hits_after);
+  EXPECT_TRUE(r->reached_goal);
+  EXPECT_GE(r->hits_after, tau);
   double sum = 0;
   for (double c : r->costs) sum += c;
   EXPECT_NEAR(sum, r->total_cost, 1e-9);
+}
+
+TEST(CombinatorialTest, UnionRecountSweep) {
+  // Seeded worlds, two or three targets, with and without a grid: the
+  // reported union counts must equal a brute-force recount, and Max-Hit
+  // must stay within the shared budget.
+  Rng rng(515151);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(30, 70));
+    const int m = static_cast<int>(rng.UniformInt(16, 48));
+    const int dim = static_cast<int>(rng.UniformInt(2, 3));
+    TestWorld w = TestWorld::Linear(n, m, dim, rng.NextUint64(1'000'000));
+    std::vector<int> targets;
+    const int num_targets = static_cast<int>(rng.UniformInt(2, 3));
+    for (int t = 0; t < num_targets; ++t) {
+      targets.push_back(static_cast<int>(rng.UniformInt(0, n - 1)));
+    }
+    const int tau = static_cast<int>(rng.UniformInt(m / 3, m - 1));
+    const double beta = rng.UniformDouble(0.1, 0.6);
+    for (bool grid : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " grid " << grid);
+      IqOptions options;
+      if (grid) options.granularity = Vec(static_cast<size_t>(dim), 0.05);
+      const std::vector<Vec> unmoved(targets.size(), Zeros(dim));
+      auto mc = CombinatorialMinCostIq(*w.index, targets, tau, {options});
+      ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+      EXPECT_EQ(UnionHits(w, targets, unmoved), mc->hits_before);
+      EXPECT_EQ(UnionHits(w, targets, mc->strategies), mc->hits_after);
+      EXPECT_EQ(mc->reached_goal, mc->hits_after >= tau);
+      auto mh = CombinatorialMaxHitIq(*w.index, targets, beta, {options});
+      ASSERT_TRUE(mh.ok()) << mh.status().ToString();
+      EXPECT_EQ(UnionHits(w, targets, unmoved), mh->hits_before);
+      EXPECT_EQ(UnionHits(w, targets, mh->strategies), mh->hits_after);
+      EXPECT_LE(mh->total_cost, beta + 1e-9);
+    }
+  }
 }
 
 TEST(CombinatorialTest, QueriesHitByTwoTargetsCountOnce) {
@@ -92,16 +135,78 @@ TEST(CombinatorialTest, PerTargetOptions) {
   EXPECT_EQ(r->strategies[0][0], 0.0);
 }
 
+/// L1 cost, a box, a grid on two attributes and a candidate evaluation
+/// limit: every optional path of the greedy at once.
+IqOptions ConstrainedOptions(int dim) {
+  IqOptions options;
+  options.cost = CostFunction::L1();
+  AdjustBox box = AdjustBox::Unbounded(dim);
+  for (int j = 0; j < dim; ++j) box.SetRange(j, -0.35, 0.4);
+  options.box = box;
+  options.granularity = Zeros(dim);
+  options.granularity[0] = 0.05;
+  options.granularity[static_cast<size_t>(dim - 1)] = 0.02;
+  options.candidate_eval_limit = 4;
+  return options;
+}
+
+/// Everything observable about a one-target search, bit for bit.
+void ExpectSameSearch(const MultiIqResult& multi, const IqResult& single) {
+  ASSERT_EQ(multi.strategies.size(), 1u);
+  ASSERT_EQ(multi.strategies[0].size(), single.strategy.size());
+  for (size_t j = 0; j < single.strategy.size(); ++j) {
+    EXPECT_EQ(multi.strategies[0][j], single.strategy[j]) << "component " << j;
+  }
+  EXPECT_EQ(multi.costs[0], single.cost);
+  EXPECT_EQ(multi.total_cost, single.cost);
+  EXPECT_EQ(multi.hits_before, single.hits_before);
+  EXPECT_EQ(multi.hits_after, single.hits_after);
+  EXPECT_EQ(multi.reached_goal, single.reached_goal);
+  EXPECT_EQ(multi.iterations, single.iterations);
+}
+
 TEST(CombinatorialTest, SingleTargetMatchesPlainMinCost) {
-  TestWorld w = TestWorld::Linear(70, 50, 3, 44);
-  const int target = 3;
-  auto multi = CombinatorialMinCostIq(*w.index, {target}, 12, {IqOptions{}});
-  auto ctx = IqContext::FromIndex(w.index.get(), target);
-  EseEvaluator ese(w.index.get(), target);
-  auto single = MinCostIq(*ctx, &ese, 12);
-  ASSERT_TRUE(multi.ok() && single.ok());
-  EXPECT_EQ(multi->hits_after, single->hits_after);
-  EXPECT_NEAR(multi->total_cost, single->cost, 1e-9);
+  // A one-target §5.1 search is Algorithm 3/4: the scheme fingerprint
+  // test's three worlds and solve grid, compared with MinCost/MaxHit.
+  struct World {
+    const char* name;
+    TestWorld w;
+    IqOptions options;
+  };
+  World worlds[] = {
+      {"l2", TestWorld::Linear(48, 24, 3, 11), IqOptions{}},
+      {"l1_box_grid_limit", TestWorld::Linear(48, 24, 3, 12),
+       ConstrainedOptions(3)},
+      {"linearized", TestWorld::Polynomial(40, 16, 2, 3, 13), IqOptions{}}};
+  int compared = 0;
+  for (World& world : worlds) {
+    const TestWorld& w = world.w;
+    const int m = w.queries->size();
+    for (int target : {0, 7, 19, 33}) {
+      auto ctx = IqContext::FromIndex(w.index.get(), target);
+      ASSERT_TRUE(ctx.ok());
+      for (int i = 0; i < 6; ++i) {
+        const int tau = 1 + (5 * i) % (m / 2);
+        const double beta = 0.05 + 0.1 * i;
+        SCOPED_TRACE(testing::Message() << world.name << " target " << target
+                                        << " tau " << tau << " beta " << beta);
+        EseEvaluator ese(w.index.get(), target);
+        auto single = MinCostIq(*ctx, &ese, tau, world.options);
+        auto multi =
+            CombinatorialMinCostIq(*w.index, {target}, tau, {world.options});
+        ASSERT_TRUE(single.ok() && multi.ok());
+        ExpectSameSearch(*multi, *single);
+        EseEvaluator ese2(w.index.get(), target);
+        auto single_mh = MaxHitIq(*ctx, &ese2, beta, world.options);
+        auto multi_mh =
+            CombinatorialMaxHitIq(*w.index, {target}, beta, {world.options});
+        ASSERT_TRUE(single_mh.ok() && multi_mh.ok());
+        ExpectSameSearch(*multi_mh, *single_mh);
+        compared += 2;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 144);
 }
 
 TEST(CombinatorialTest, ErrorPaths) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "data/queries.h"
@@ -111,6 +113,80 @@ TEST(EngineTest, MultiTargetThroughEngine) {
   auto mh = engine->MultiMaxHit({0, 1}, 0.3, {IqOptions{}});
   ASSERT_TRUE(mh.ok());
   EXPECT_LE(mh->total_cost, 0.3 + 1e-9);
+}
+
+TEST(EngineTest, MalformedOptionsReturnInvalidArgument) {
+  // Every scheme and both §5.1 calls check the options before any work: a
+  // malformed field is an InvalidArgument, never an abort or a wrong answer.
+  auto engine = MakeEngine(60, 40, 3, 78);
+  ASSERT_TRUE(engine.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    IqOptions options;
+  };
+  std::vector<Case> cases;
+  auto add = [&cases](const char* what, auto edit) {
+    IqOptions options;
+    edit(&options);
+    cases.push_back({what, std::move(options)});
+  };
+  add("granularity of length 2",
+      [](IqOptions* o) { o->granularity = {0.1, 0.1}; });
+  add("NaN granularity", [=](IqOptions* o) { o->granularity = {0.1, nan, 0}; });
+  add("infinite granularity",
+      [=](IqOptions* o) { o->granularity = {inf, 0.1, 0}; });
+  add("negative granularity",
+      [](IqOptions* o) { o->granularity = {0.1, -0.1, 0}; });
+  add("2-dim box", [](IqOptions* o) { o->box = AdjustBox::Unbounded(2); });
+  add("WeightedL2 with 2 unit costs",
+      [](IqOptions* o) { o->cost = CostFunction::WeightedL2({1, 1}); });
+  add("WeightedL2 with a zero unit cost",
+      [](IqOptions* o) { o->cost = CostFunction::WeightedL2({1, 0, 1}); });
+  add("Quadratic with a NaN unit cost",
+      [=](IqOptions* o) { o->cost = CostFunction::Quadratic({1, nan, 1}); });
+  add("Quadratic with a negative unit cost",
+      [](IqOptions* o) { o->cost = CostFunction::Quadratic({1, -2, 1}); });
+  add("WeightedL1 with 2 unit costs",
+      [](IqOptions* o) { o->cost = CostFunction::WeightedL1({1, 1}); });
+  add("WeightedL1 with an infinite unit cost",
+      [=](IqOptions* o) { o->cost = CostFunction::WeightedL1({1, inf, 1}); });
+  const IqScheme schemes[] = {IqScheme::kEfficient, IqScheme::kRta,
+                              IqScheme::kGreedy, IqScheme::kRandom,
+                              IqScheme::kExhaustive};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    for (IqScheme scheme : schemes) {
+      SCOPED_TRACE(IqSchemeName(scheme));
+      EXPECT_EQ(engine->MinCost(1, 5, c.options, scheme).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(engine->MaxHit(1, 0.3, c.options, scheme).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(engine->MultiMinCost({1, 4}, 10, {c.options}).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine->MultiMaxHit({1, 4}, 0.3, {c.options}).status().code(),
+              StatusCode::kInvalidArgument);
+    // A malformed entry for the second target only.
+    EXPECT_EQ(engine->MultiMinCost({1, 4}, 10, {IqOptions{}, c.options})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A weighted L1 cost may leave an attribute free.
+  IqOptions free_axis;
+  free_axis.cost = CostFunction::WeightedL1({1, 0, 1});
+  EXPECT_TRUE(engine->MinCost(1, 5, free_axis).ok());
+  // The exhaustive searches return continuous optima: no grid.
+  auto tiny = MakeEngine(10, 6, 2, 73);
+  ASSERT_TRUE(tiny.ok());
+  IqOptions grid;
+  grid.granularity = {0.1, 0.1};
+  EXPECT_EQ(tiny->MinCost(0, 2, grid, IqScheme::kExhaustive).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tiny->MaxHit(0, 0.3, grid, IqScheme::kExhaustive).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, UnwritableDumpPathWarnsAndKeepsStatus) {

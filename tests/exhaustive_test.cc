@@ -22,42 +22,52 @@ class ExhaustiveSweep : public testing::TestWithParam<ExCase> {};
 
 // Optimality oracle: the exhaustive optimum must not be beaten by any
 // sampled feasible strategy, and the greedy heuristic can never beat it.
+// Checked for every built-in cost, the weighted ones with unequal unit costs
+// (where neither a Euclidean projection nor a penalty solve is the optimum).
 TEST_P(ExhaustiveSweep, OptimalityAndHeuristicGap) {
   const auto& p = GetParam();
   TestWorld w = TestWorld::Linear(p.n, p.m, p.dim, p.seed);
   const int target = 0;
   auto ctx = IqContext::FromIndex(w.index.get(), target);
   ASSERT_TRUE(ctx.ok());
-
-  auto opt = ExhaustiveMinCost(*ctx, p.tau);
-  if (!opt.ok()) {
-    // Infeasible for every subset is acceptable; then greedy must also fail.
+  Vec units(static_cast<size_t>(p.dim), 1.0);
+  units[1] = 25.0;
+  const CostFunction costs[] = {
+      CostFunction::L2(), CostFunction::L1(), CostFunction::WeightedL2(units),
+      CostFunction::WeightedL1(units), CostFunction::Quadratic(units)};
+  for (const CostFunction& cost : costs) {
+    SCOPED_TRACE(cost.name());
+    ExhaustiveOptions exhaustive;
+    exhaustive.iq.cost = cost;
+    auto opt = ExhaustiveMinCost(*ctx, p.tau, exhaustive);
     EseEvaluator ese(w.index.get(), target);
-    auto heuristic = MinCostIq(*ctx, &ese, p.tau);
+    auto heuristic = MinCostIq(*ctx, &ese, p.tau, exhaustive.iq);
     ASSERT_TRUE(heuristic.ok());
-    EXPECT_FALSE(heuristic->reached_goal);
-    return;
-  }
-  EXPECT_TRUE(opt->reached_goal);
-  EXPECT_GE(opt->hits_after, p.tau);
+    if (!opt.ok()) {
+      // Infeasible for every subset is acceptable; then greedy must also
+      // fail.
+      EXPECT_FALSE(heuristic->reached_goal);
+      continue;
+    }
+    EXPECT_TRUE(opt->reached_goal);
+    EXPECT_GE(opt->hits_after, p.tau);
 
-  // Greedy never beats the optimum.
-  EseEvaluator ese(w.index.get(), target);
-  auto heuristic = MinCostIq(*ctx, &ese, p.tau);
-  ASSERT_TRUE(heuristic.ok());
-  if (heuristic->reached_goal) {
-    EXPECT_GE(heuristic->cost, opt->cost - 1e-6);
-  }
+    // Greedy never beats the optimum.
+    if (heuristic->reached_goal) {
+      EXPECT_GE(heuristic->cost, opt->cost - 1e-6);
+    }
 
-  // Sampled feasible strategies never beat the optimum either.
-  Rng rng(p.seed + 5);
-  BruteForceEvaluator brute(w.view.get(), w.queries.get(), target);
-  for (int s = 0; s < 300; ++s) {
-    Vec cand(static_cast<size_t>(p.dim));
-    for (auto& v : cand) v = rng.UniformDouble(-1.0, 1.0);
-    Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), cand));
-    if (brute.HitsForCoeffs(c) >= p.tau) {
-      EXPECT_GE(NormL2(cand), opt->cost - 1e-6);
+    // Sampled feasible strategies, priced with the same cost, never beat
+    // the optimum either.
+    Rng rng(p.seed + 5);
+    BruteForceEvaluator brute(w.view.get(), w.queries.get(), target);
+    for (int s = 0; s < 300; ++s) {
+      Vec cand(static_cast<size_t>(p.dim));
+      for (auto& v : cand) v = rng.UniformDouble(-1.0, 1.0);
+      Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), cand));
+      if (brute.HitsForCoeffs(c) >= p.tau) {
+        EXPECT_GE(cost.Cost(cand), opt->cost - 1e-6);
+      }
     }
   }
 }

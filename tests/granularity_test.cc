@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/combinatorial.h"
 #include "core/evaluator.h"
 #include "core/iq_algorithms.h"
 #include "tests/test_world.h"
@@ -90,6 +91,23 @@ TEST(GranularityTest, GreedyAndRandomAlsoSnap) {
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(OnGrid(r->strategy, options.granularity));
     EXPECT_LE(r->cost, 0.3 + 1e-9);
+  }
+  // The §5.1 searches snap every target onto its grid; Max-Hit's snaps
+  // share the budget.
+  {
+    auto r = CombinatorialMinCostIq(*w.index, {1, 4}, 12, {options});
+    ASSERT_TRUE(r.ok());
+    for (const Vec& s : r->strategies) {
+      EXPECT_TRUE(OnGrid(s, options.granularity));
+    }
+  }
+  {
+    auto r = CombinatorialMaxHitIq(*w.index, {1, 4}, 0.3, {options});
+    ASSERT_TRUE(r.ok());
+    for (const Vec& s : r->strategies) {
+      EXPECT_TRUE(OnGrid(s, options.granularity));
+    }
+    EXPECT_LE(r->total_cost, 0.3 + 1e-9);
   }
 }
 

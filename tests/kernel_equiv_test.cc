@@ -9,8 +9,8 @@
 // after every §4.3 maintenance hook, the block-patched kernels diffed
 // byte for byte against a from-scratch pack and the subdomain structure
 // against a from-scratch Build; plus the same searches across pools of
-// 0/1/2/8 threads. CI runs the suite with IQ_SIMD both ON and OFF (and
-// under ASan/TSan) — the assertions are exact equality either way.
+// 0/1/2/8 threads. CI runs the suite in Release and under ASan/UBSan and
+// TSan — the assertions are exact equality in every build.
 //
 // The FP-order contract tests at the bottom pin down *why* exactness is
 // required: with catastrophic-cancellation rows a reassociated sum gives a

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/combinatorial.h"
 #include "core/engine.h"
 #include "core/epoch.h"
 #include "core/evaluator.h"
@@ -26,6 +27,7 @@
 #include "core/iq_algorithms.h"
 #include "data/queries.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tests/test_world.h"
 #include "topk/topk.h"
@@ -215,6 +217,22 @@ void ExpectIdenticalResults(const IqResult& a, const IqResult& b,
   EXPECT_EQ(a.breakdown.queries_reused, b.breakdown.queries_reused) << what;
 }
 
+/// Everything observable about a MultiIqResult except the wall-clock time.
+void ExpectIdenticalMultiResults(const MultiIqResult& a,
+                                 const MultiIqResult& b, const char* what) {
+  EXPECT_EQ(a.targets, b.targets) << what;
+  ASSERT_EQ(a.strategies.size(), b.strategies.size()) << what;
+  for (size_t t = 0; t < a.strategies.size(); ++t) {
+    EXPECT_EQ(a.strategies[t], b.strategies[t]) << what << " target #" << t;
+  }
+  EXPECT_EQ(a.costs, b.costs) << what;
+  EXPECT_EQ(a.total_cost, b.total_cost) << what;
+  EXPECT_EQ(a.hits_before, b.hits_before) << what;
+  EXPECT_EQ(a.hits_after, b.hits_after) << what;
+  EXPECT_EQ(a.reached_goal, b.reached_goal) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+}
+
 TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
   // Randomized sweep: world shapes drawn from a seeded Rng, results compared
   // across num_threads in {0 (serial fallback), 1, 2, 8}.
@@ -233,7 +251,10 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
     auto ctx = IqContext::FromIndex(w.index.get(), target);
     ASSERT_TRUE(ctx.ok());
 
+    // A second target for the two-target §5.1 searches.
+    const std::vector<int> targets = {target, (target + n / 2) % n};
     std::vector<IqResult> min_cost, max_hit;
+    std::vector<MultiIqResult> multi_min_cost, multi_max_hit;
     for (ThreadPool* pool : pools) {
       // Work-stealing claims over any pool must reproduce the serial
       // results byte for byte.
@@ -247,6 +268,13 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
       auto mh = MaxHitIq(*ctx, &ese2, beta, options);
       ASSERT_TRUE(mh.ok()) << mh.status().ToString();
       max_hit.push_back(*std::move(mh));
+      auto multi_mc =
+          CombinatorialMinCostIq(*w.index, targets, tau + 2, {options});
+      ASSERT_TRUE(multi_mc.ok()) << multi_mc.status().ToString();
+      multi_min_cost.push_back(*std::move(multi_mc));
+      auto multi_mh = CombinatorialMaxHitIq(*w.index, targets, beta, {options});
+      ASSERT_TRUE(multi_mh.ok()) << multi_mh.status().ToString();
+      multi_max_hit.push_back(*std::move(multi_mh));
     }
     for (size_t i = 1; i < min_cost.size(); ++i) {
       SCOPED_TRACE(testing::Message()
@@ -254,6 +282,10 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
                    << " m=" << m << " d=" << dim << ")");
       ExpectIdenticalResults(min_cost[0], min_cost[i], "MinCost");
       ExpectIdenticalResults(max_hit[0], max_hit[i], "MaxHit");
+      ExpectIdenticalMultiResults(multi_min_cost[0], multi_min_cost[i],
+                                  "MultiMinCost");
+      ExpectIdenticalMultiResults(multi_max_hit[0], multi_max_hit[i],
+                                  "MultiMaxHit");
     }
     // Independent recount: the reported hit count must match brute force.
     EXPECT_EQ(VerifyHits(w, target, min_cost[0].strategy),
@@ -261,7 +293,23 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
     EXPECT_EQ(VerifyHits(w, target, max_hit[0].strategy),
               max_hit[0].hits_after);
     EXPECT_LE(max_hit[0].cost, beta + 1e-9);
+    EXPECT_LE(multi_max_hit[0].total_cost, beta + 1e-9);
   }
+  // An engine with a pool runs its §5.1 calls on it, as it does MinCost.
+  Counter* solve_batches =
+      MetricsRegistry::Global().GetCounter("iq.search.parallel_solve_batches");
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  auto engine = IqEngine::Create(MakeIndependent(60, 3, 97),
+                                 LinearForm::Identity(3),
+                                 MakeQueries(40, 3, 98), engine_options);
+  ASSERT_TRUE(engine.ok());
+  uint64_t before = solve_batches->value();
+  ASSERT_TRUE(engine->MultiMinCost({1, 2}, 35, {IqOptions{}}).ok());
+  EXPECT_GT(solve_batches->value(), before);
+  before = solve_batches->value();
+  ASSERT_TRUE(engine->MultiMaxHit({1, 2}, 0.3, {IqOptions{}}).ok());
+  EXPECT_GT(solve_batches->value(), before);
 }
 
 TEST(ParallelDiffTest, GreedyNeverBeatsExhaustiveOnTinyWorlds) {
