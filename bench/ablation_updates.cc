@@ -1,8 +1,8 @@
 // Ablation: incremental index maintenance (§4.3) vs full rebuild.
 // Measures the per-operation cost of the four update paths — add/remove
-// query (kNN candidate subdomains), add/remove object (signature patching
-// with the Bloom-filter boundary check) — against rebuilding the subdomain
-// index from scratch after every change.
+// query (kNN candidate subdomains), add/remove object (signature patching;
+// a removal scans only when the object sits in some signature) — against
+// rebuilding the subdomain index from scratch after every change.
 
 #include <cstdio>
 

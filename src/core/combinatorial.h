@@ -20,7 +20,10 @@ struct MultiIqResult {
   int hits_after = 0;
   bool reached_goal = false;
   int iterations = 0;
+  /// Summed over the targets' evaluators, as IqResult reports one.
+  size_t evaluator_calls = 0;
   double seconds = 0.0;
+  EvalBreakdown breakdown;
 };
 
 /// Combinatorial Min-Cost Improvement Strategy (Definition 5): the greedy

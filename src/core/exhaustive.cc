@@ -289,7 +289,8 @@ Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
 
 Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
                                   const ExhaustiveOptions& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  // NaN fails this test too; +inf is an unbounded budget.
+  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
   IQ_RETURN_IF_ERROR(CheckExhaustiveOptions(ctx, options));
   WallTimer timer;
   IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx));

@@ -202,11 +202,13 @@ namespace {
 /// threshold never hits). CountHits is bit-identical to HitBy (DESIGN.md
 /// §13.2), so this is a scalar union recount. MaskUnion rewrites the mask
 /// between evaluation rounds only, so a round may evaluate concurrently.
+/// Like EseEvaluator's scan, a call rescores every row of the kernel.
 struct UnionEvaluator final : StrategyEvaluator {
   explicit UnionEvaluator(const ScoreKernel* k)
       : kernel(k), masked(static_cast<size_t>(k->num_rows())) {}
   int HitsForCoeffs(const Vec& c) override {
     ++calls_;
+    queries_rescored_ += masked.size();
     return others + kernel->CountHits(c, masked);
   }
   int base_hits() const override { return union_hits; }
@@ -433,7 +435,8 @@ struct Goal {
     return Goal{true, tau, kInf};
   }
   static Result<Goal> MaxHit(double beta) {
-    if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+    // NaN fails this test too; +inf is an unbounded budget.
+    if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
     return Goal{false, 0, beta};
   }
 
@@ -598,51 +601,70 @@ int GreedySearch(std::span<Track> tracks, const Goal& goal, PickRule rule,
   return iter;
 }
 
-/// The per-call accounting of every single-target scheme. Construction
-/// snapshots the evaluator's counters and starts the clock; Finish stamps
-/// the IqResult with its EvalBreakdown and folds the iteration count into
-/// the global registry.
+/// The per-call accounting of every search: the greedy loop with one track
+/// or several, and the Random baselines. Construction snapshots the
+/// evaluators' counters and starts the clock; Finish stamps the result with
+/// its EvalBreakdown and folds the iteration count into the global
+/// registry, once per call.
 class SearchCall {
  public:
-  explicit SearchCall(StrategyEvaluator* evaluator)
-      : evaluator_(evaluator),
-        calls_before_(evaluator->calls()),
-        rescored_before_(evaluator->queries_rescored()),
-        reused_before_(evaluator->queries_reused()),
-        hits_before_(evaluator->base_hits()) {}
+  explicit SearchCall(std::vector<StrategyEvaluator*> evaluators)
+      : evaluators_(std::move(evaluators)), before_(Counted()) {}
 
-  int hits_before() const { return hits_before_; }
   EvalBreakdown* breakdown() { return &bd_; }
 
   IqResult Finish(const Goal& goal, const CostFunction& cost, Vec strategy,
-                  int hits, int iterations) {
+                  int hits_before, int hits, int iterations) {
     IqResult r;
     r.strategy = std::move(strategy);
     r.cost = cost.Cost(r.strategy);
-    r.hits_before = hits_before_;
+    r.hits_before = hits_before;
     r.hits_after = hits;
     r.reached_goal = goal.Met(hits);
     r.iterations = iterations;
-    bd_.iterations = iterations;
-    bd_.evaluator_calls = evaluator_->calls() - calls_before_;
-    bd_.queries_rescored = evaluator_->queries_rescored() - rescored_before_;
-    bd_.queries_reused = evaluator_->queries_reused() - reused_before_;
-    bd_.total_seconds = timer_.ElapsedSeconds();
-    r.evaluator_calls = bd_.evaluator_calls;
-    r.seconds = bd_.total_seconds;
-    r.breakdown = bd_;
-    SearchMetrics::Get().iterations->Increment(
-        static_cast<uint64_t>(iterations));
+    r.breakdown = Stamp(iterations);
+    r.evaluator_calls = r.breakdown.evaluator_calls;
+    r.seconds = r.breakdown.total_seconds;
     return r;
   }
 
+  /// The §5.1 form: `r` already holds the targets, strategies and costs.
+  void Finish(const Goal& goal, int hits, int iterations, MultiIqResult* r) {
+    r->hits_after = hits;
+    r->reached_goal = goal.Met(hits);
+    r->iterations = iterations;
+    r->breakdown = Stamp(iterations);
+    r->evaluator_calls = r->breakdown.evaluator_calls;
+    r->seconds = r->breakdown.total_seconds;
+  }
+
  private:
-  StrategyEvaluator* evaluator_;
+  /// The evaluators' counters so far, summed.
+  EvalBreakdown Counted() const {
+    EvalBreakdown c;
+    for (const StrategyEvaluator* e : evaluators_) {
+      c.evaluator_calls += e->calls();
+      c.queries_rescored += e->queries_rescored();
+      c.queries_reused += e->queries_reused();
+    }
+    return c;
+  }
+
+  const EvalBreakdown& Stamp(int iterations) {
+    const EvalBreakdown now = Counted();
+    bd_.iterations = iterations;
+    bd_.evaluator_calls = now.evaluator_calls - before_.evaluator_calls;
+    bd_.queries_rescored = now.queries_rescored - before_.queries_rescored;
+    bd_.queries_reused = now.queries_reused - before_.queries_reused;
+    bd_.total_seconds = timer_.ElapsedSeconds();
+    SearchMetrics::Get().iterations->Increment(
+        static_cast<uint64_t>(iterations));
+    return bd_;
+  }
+
+  const std::vector<StrategyEvaluator*> evaluators_;
   WallTimer timer_;
-  const size_t calls_before_;
-  const size_t rescored_before_;
-  const size_t reused_before_;
-  const int hits_before_;
+  const EvalBreakdown before_;
   EvalBreakdown bd_;
 };
 
@@ -651,13 +673,14 @@ Result<IqResult> SingleGreedy(const IqContext& ctx,
                               StrategyEvaluator* evaluator, const Goal& goal,
                               PickRule rule, const IqOptions& options) {
   IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
-  SearchCall call(evaluator);
+  SearchCall call({evaluator});
   Track track(ctx, evaluator, options);
-  int hits = call.hits_before();
+  const int hits_before = evaluator->base_hits();
+  int hits = hits_before;
   const int iterations = GreedySearch(std::span<Track>(&track, 1), goal,
                                       rule, options, &hits, call.breakdown());
-  return call.Finish(goal, options.cost, std::move(track.s_total), hits,
-                     iterations);
+  return call.Finish(goal, options.cost, std::move(track.s_total),
+                     hits_before, hits, iterations);
 }
 
 /// The §5.1 searches: one track per target, hits counted over the union.
@@ -680,34 +703,33 @@ Result<MultiIqResult> MultiGreedy(const SubdomainIndex& index,
     IQ_RETURN_IF_ERROR(
         CheckIqOptions(options_of(t), index.view().dataset().dim()));
   }
-  WallTimer timer;
+  std::deque<UnionEvaluator> evaluators;
+  std::vector<StrategyEvaluator*> counted;
+  for (size_t t = 0; t < n; ++t) {
+    counted.push_back(&evaluators.emplace_back(&index.query_kernel()));
+  }
+  SearchCall call(std::move(counted));
   std::vector<IqContext> contexts;
   contexts.reserve(n);  // the tracks point into it
-  std::deque<UnionEvaluator> evaluators;
   std::vector<Track> tracks;
   for (size_t t = 0; t < n; ++t) {
     IQ_ASSIGN_OR_RETURN(IqContext ctx, IqContext::FromIndex(&index, targets[t]));
     contexts.push_back(std::move(ctx));
-    UnionEvaluator* unions = &evaluators.emplace_back(&index.query_kernel());
-    tracks.emplace_back(contexts.back(), unions, options_of(t)).unions = unions;
+    tracks.emplace_back(contexts.back(), &evaluators[t], options_of(t))
+        .unions = &evaluators[t];
   }
   MultiIqResult r;
   r.targets = targets;
   r.hits_before = MaskUnion(tracks);
   int hits = r.hits_before;
-  EvalBreakdown bd;
-  r.iterations = GreedySearch(tracks, goal, PickRule::kBestRatio, options[0],
-                              &hits, &bd);
-  SearchMetrics::Get().iterations->Increment(
-      static_cast<uint64_t>(r.iterations));
+  const int iterations = GreedySearch(tracks, goal, PickRule::kBestRatio,
+                                      options[0], &hits, call.breakdown());
   for (const Track& track : tracks) {
     r.strategies.push_back(track.s_total);
     r.costs.push_back(track.spent);
     r.total_cost += track.spent;
   }
-  r.hits_after = hits;
-  r.reached_goal = goal.Met(hits);
-  r.seconds = timer.ElapsedSeconds();
+  call.Finish(goal, hits, iterations, &r);
   return r;
 }
 
@@ -740,8 +762,18 @@ Vec RandomDirection(Rng* rng, int dim) {
 }  // namespace
 
 Status CheckIqOptions(const IqOptions& options, int dim) {
-  if (options.box.has_value() && options.box->dim() != dim) {
-    return Status::InvalidArgument("box dimension does not match the data");
+  if (options.box.has_value()) {
+    const AdjustBox& box = *options.box;
+    if (box.dim() != dim) {
+      return Status::InvalidArgument("box dimension does not match the data");
+    }
+    for (size_t j = 0; j < static_cast<size_t>(dim); ++j) {
+      // Fails on a NaN bound too. A box that excludes 0 stays legal.
+      if (!(box.lower()[j] <= box.upper()[j])) {
+        return Status::InvalidArgument(
+            "box bounds must be numbers with lower <= upper");
+      }
+    }
   }
   if (!options.granularity.empty()) {
     if (static_cast<int>(options.granularity.size()) != dim) {
@@ -826,14 +858,15 @@ Result<IqResult> RandomMinCost(const IqContext& ctx,
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MinCost(tau));
   const int dim = ctx.view().dataset().dim();
   IQ_RETURN_IF_ERROR(CheckIqOptions(options, dim));
-  SearchCall call(evaluator);
+  SearchCall call({evaluator});
   const Vec& p = ctx.view().dataset().attrs(ctx.target());
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
   double radius = 0.05 * DataSpan(ctx.view().dataset());
 
   Vec best_s = Zeros(dim);
-  int best_hits = call.hits_before();
+  const int hits_before = evaluator->base_hits();
+  int best_hits = hits_before;
   int samples = 0;
   while (!goal.Reached(best_hits) && samples < options.random_samples) {
     ++samples;
@@ -848,8 +881,8 @@ Result<IqResult> RandomMinCost(const IqContext& ctx,
     if (samples % 16 == 0) radius *= 1.5;  // widen the search
   }
   ApplyGranularity(ctx, evaluator, options, goal.beta, &best_s, &best_hits);
-  return call.Finish(goal, options.cost, std::move(best_s), best_hits,
-                     samples);
+  return call.Finish(goal, options.cost, std::move(best_s), hits_before,
+                     best_hits, samples);
 }
 
 Result<IqResult> RandomMaxHit(const IqContext& ctx,
@@ -858,13 +891,14 @@ Result<IqResult> RandomMaxHit(const IqContext& ctx,
   IQ_ASSIGN_OR_RETURN(const Goal goal, Goal::MaxHit(beta));
   const int dim = ctx.view().dataset().dim();
   IQ_RETURN_IF_ERROR(CheckIqOptions(options, dim));
-  SearchCall call(evaluator);
+  SearchCall call({evaluator});
   const Vec& p = ctx.view().dataset().attrs(ctx.target());
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
 
   Vec best_s = Zeros(dim);
-  int best_hits = call.hits_before();
+  const int hits_before = evaluator->base_hits();
+  int best_hits = hits_before;
   for (int sample = 0; sample < options.random_samples; ++sample) {
     Vec dir = RandomDirection(&rng, dim);
     // Scale the sample so its cost stays within the budget (bisection —
@@ -891,8 +925,8 @@ Result<IqResult> RandomMaxHit(const IqContext& ctx,
     }
   }
   ApplyGranularity(ctx, evaluator, options, goal.beta, &best_s, &best_hits);
-  return call.Finish(goal, options.cost, std::move(best_s), best_hits,
-                     options.random_samples);
+  return call.Finish(goal, options.cost, std::move(best_s), hits_before,
+                     best_hits, options.random_samples);
 }
 
 }  // namespace iq

@@ -22,7 +22,6 @@ struct IndexMetrics {
   Counter* full_reranks;          // queries ranked in full (RankSignatures)
   Counter* signature_cache_hits;  // OnQueryAdded resolved by kNN shortcut
   Counter* cells_visited;         // subdomains scanned in OnObjectRemoved
-  Counter* cells_skipped;         // subdomains pruned by the Bloom filter
   Counter* parallel_rank_batches; // ranking rounds fanned out over a pool
   Counter* cow_cells_cloned;      // cells copied-on-write for a new epoch
   Gauge* num_subdomains;
@@ -36,7 +35,6 @@ struct IndexMetrics {
       im.signature_cache_hits =
           reg.GetCounter("iq.index.signature_cache_hits");
       im.cells_visited = reg.GetCounter("iq.index.cells_visited");
-      im.cells_skipped = reg.GetCounter("iq.index.cells_skipped");
       im.parallel_rank_batches =
           reg.GetCounter("iq.index.parallel_rank_batches");
       im.cow_cells_cloned = reg.GetCounter("iq.index.cow_cells_cloned");
@@ -140,9 +138,6 @@ std::vector<int> SubdomainIndex::GroupQueries() {
   num_occupied_ = 0;
   signature_to_sd_ = std::make_shared<std::unordered_map<std::string, int>>();
   sig_member_count_.assign(static_cast<size_t>(view_->dataset().size()), 0);
-  boundary_bloom_ = std::make_unique<BloomFilter>(
-      static_cast<size_t>(std::max(64, m)) * static_cast<size_t>(kappa_),
-      0.01);
   std::vector<std::vector<int>> sigs = RankSignatures(active);
   // Serial, in ascending query id: subdomain ids are assigned in
   // first-encounter order whatever the pool.
@@ -205,9 +200,6 @@ SubdomainIndex SubdomainIndex::CloneCow(const FunctionView* view,
   copy.free_subdomains_ = free_subdomains_;
   copy.num_occupied_ = num_occupied_;
   copy.sig_member_count_ = sig_member_count_;
-  // The Bloom filter is append-only and small; an eager copy keeps the
-  // frozen parent's filter untouched when the clone adds boundary pairs.
-  copy.boundary_bloom_ = std::make_unique<BloomFilter>(*boundary_bloom_);
   copy.build_seconds_ = build_seconds_;
   copy.knn_shortcut_hits_ = knn_shortcut_hits_;
   copy.maintenance_rerank_events_ = maintenance_rerank_events_;
@@ -314,10 +306,7 @@ int SubdomainIndex::FindOrCreateSubdomain(std::vector<int> signature) {
   s.occupied = true;
   ++num_occupied_;
   MutableSignatureMap().emplace(std::move(key), sd);
-  for (int obj : s.signature) {
-    ++sig_member_count_[static_cast<size_t>(obj)];
-    boundary_bloom_->Add(BloomFilter::KeyFromPair(obj, sd));
-  }
+  for (int obj : s.signature) ++sig_member_count_[static_cast<size_t>(obj)];
   return sd;
 }
 
@@ -539,28 +528,29 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   // The re-ranks below score against the object kernel, so it must drop the
   // (now inactive) object's row first.
   RepackObject(id);
-  // Collect queries whose signature contains the object. The Bloom filter
-  // over (object, subdomain) membership prunes subdomains that certainly do
-  // not use the object as a boundary (paper §4.3).
+  // Collect the queries of every cell whose signature holds the object, in
+  // ascending cell id. sig_member_count_ counts those cells exactly (where
+  // paper §4.3 keeps a Bloom filter over subdomain boundaries), so an
+  // object no signature holds scans no cell, and the scan stops at the
+  // last cell that holds it.
   std::vector<int> affected;
-  uint64_t visited = 0, skipped = 0, affected_cells = 0;
-  for (int sd = 0; sd < static_cast<int>(subdomains_.size()); ++sd) {
+  const int holders = sig_member_count_[static_cast<size_t>(id)];
+  uint64_t visited = 0;
+  int affected_cells = 0;
+  for (int sd = 0; affected_cells < holders &&
+                   sd < static_cast<int>(subdomains_.size());
+       ++sd) {
     const Subdomain& s = Cell(sd);
     if (!s.occupied) continue;
-    if (!boundary_bloom_->MayContain(BloomFilter::KeyFromPair(id, sd))) {
-      ++skipped;
-      continue;
-    }
     ++visited;
     if (std::find(s.signature.begin(), s.signature.end(), id) ==
         s.signature.end()) {
-      continue;  // bloom false positive
+      continue;
     }
     ++affected_cells;
     affected.insert(affected.end(), s.query_ids.begin(), s.query_ids.end());
   }
   IndexMetrics::Get().cells_visited->Increment(visited);
-  IndexMetrics::Get().cells_skipped->Increment(skipped);
   for (int q : affected) {
     DetachQueryFromSubdomain(q);
   }
@@ -572,7 +562,7 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
                            FindOrCreateSubdomain(std::move(sigs[i])));
   }
   maintenance_rerank_events_ += affected.size();
-  maintenance_affected_subdomains_ += affected_cells;
+  maintenance_affected_subdomains_ += static_cast<size_t>(affected_cells);
   IndexMetrics::Get().num_subdomains->Set(num_occupied_);
   return Status::Ok();
 }
@@ -752,7 +742,6 @@ size_t SubdomainIndex::MemoryBytes() const {
   }
   bytes += sig_member_count_.size() * sizeof(int);
   if (rtree_ != nullptr) bytes += rtree_->MemoryBytes();
-  if (boundary_bloom_ != nullptr) bytes += boundary_bloom_->MemoryBytes();
   bytes += object_kernel_.MemoryBytes() + query_kernel_.MemoryBytes();
   return bytes;
 }

@@ -10,7 +10,6 @@
 #include "core/function_view.h"
 #include "core/query.h"
 #include "core/score_kernel.h"
-#include "index/bloom_filter.h"
 #include "index/rtree.h"
 #include "util/annotations.h"
 #include "util/cow_chunks.h"
@@ -53,8 +52,9 @@ struct SubdomainIndexOptions {
 ///  * geometric retrieval: the R-tree supports the affected-subspace (wedge)
 ///    searches of Algorithm 2;
 ///  * maintenance (§4.3): add/remove query (kNN candidate subdomains),
-///    add/remove object (signature patching; a Bloom filter over
-///    (object, subdomain) boundary membership prunes the removal scan).
+///    add/remove object (signature patching; the exact per-object count of
+///    signatures holding the object decides whether a removal scans the
+///    cells at all).
 ///
 /// Concurrency: externally synchronized, frozen-after-publish (DESIGN.md
 /// §12). The index owns no lock. In the engine's epoch architecture every
@@ -85,13 +85,13 @@ class SubdomainIndex {
   /// Copy-on-write clone for the next epoch (DESIGN.md §12): the subdomain
   /// cells, the R-tree, the signature map, the augmented-weight chunks and
   /// both kernels' blocks are *shared* with this index (pointer copies);
-  /// the small per-query and per-object tables and the Bloom filter are
-  /// copied, and `view`/`queries` rebind the clone to the next epoch's own
-  /// owners. The clone's maintenance hooks then clone any cell they touch
-  /// before mutating it (the §4.3 affected-subspace computation decides
-  /// which), counted by iq.index.cow_cells_cloned — untouched cells stay
-  /// shared across arbitrarily many epochs. `this` must be treated as
-  /// frozen while any clone of it is alive.
+  /// the small per-query and per-object tables are copied, and
+  /// `view`/`queries` rebind the clone to the next epoch's own owners. The
+  /// clone's maintenance hooks then clone any cell they touch before
+  /// mutating it (the §4.3 affected-subspace computation decides which),
+  /// counted by iq.index.cow_cells_cloned — untouched cells stay shared
+  /// across arbitrarily many epochs. `this` must be treated as frozen
+  /// while any clone of it is alive.
   SubdomainIndex CloneCow(const FunctionView* view, const QuerySet* queries,
                           uint64_t epoch) const;
 
@@ -160,9 +160,11 @@ class SubdomainIndex {
   Status OnQueryRemoved(int q);
   /// Object `id` was appended (FunctionView row already appended).
   Status OnObjectAdded(int id);
-  /// Object `id` was tombstoned (dataset row inactive). An in-place
-  /// attribute change is this hook, then the row's new values and its
-  /// reactivation, then OnObjectAdded (IqEngine::ApplyStrategy's order).
+  /// Object `id` was tombstoned (dataset row inactive). Re-ranks the
+  /// queries of every cell whose signature holds `id`; an object no
+  /// signature holds scans no cell. An in-place attribute change is this
+  /// hook, then the row's new values and its reactivation, then
+  /// OnObjectAdded (IqEngine::ApplyStrategy's order).
   Status OnObjectRemoved(int id);
 
   // ---- correctness tooling ----
@@ -268,11 +270,10 @@ class SubdomainIndex {
   int num_occupied_ IQ_GUARDED_BY_CALLER(IqEngine::mu_) = 0;
   std::shared_ptr<std::unordered_map<std::string, int>> signature_to_sd_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);
-  // sig_member_count_[obj] = number of subdomains whose signature holds obj.
+  // sig_member_count_[obj] = number of occupied subdomains whose signature
+  // holds obj: exact, so OnObjectRemoved knows how many cells to find.
   std::vector<int> sig_member_count_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::shared_ptr<RTree> rtree_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
-  std::unique_ptr<BloomFilter> boundary_bloom_
-      IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   // SoA scoring kernels (see accessors above); their immutable blocks are
   // shared with the epochs this index was cloned from.
   ScoreKernel object_kernel_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);

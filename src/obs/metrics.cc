@@ -117,28 +117,12 @@ std::string MetricsSnapshot::ToText() const {
   return out;
 }
 
-namespace {
-
-/// Minimal JSON string escaping (metric names are plain identifiers, but be
-/// defensive about quotes and backslashes anyway).
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [n, v] : counters) {
-    out += StrFormat("%s\n    %s: %llu", first ? "" : ",",
-                     JsonQuote(n).c_str(),
+    out += StrFormat("%s\n    \"%s\": %llu", first ? "" : ",",
+                     JsonEscape(n).c_str(),
                      static_cast<unsigned long long>(v));
     first = false;
   }
@@ -146,8 +130,8 @@ std::string MetricsSnapshot::ToJson() const {
   out += "  \"gauges\": {";
   first = true;
   for (const auto& [n, v] : gauges) {
-    out += StrFormat("%s\n    %s: %lld", first ? "" : ",",
-                     JsonQuote(n).c_str(), static_cast<long long>(v));
+    out += StrFormat("%s\n    \"%s\": %lld", first ? "" : ",",
+                     JsonEscape(n).c_str(), static_cast<long long>(v));
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
@@ -155,9 +139,9 @@ std::string MetricsSnapshot::ToJson() const {
   first = true;
   for (const HistogramSnapshot& h : histograms) {
     out += StrFormat(
-        "%s\n    %s: {\"count\": %llu, \"sum\": %llu, \"mean\": %.3f, "
+        "%s\n    \"%s\": {\"count\": %llu, \"sum\": %llu, \"mean\": %.3f, "
         "\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, \"buckets\": [",
-        first ? "" : ",", JsonQuote(h.name).c_str(),
+        first ? "" : ",", JsonEscape(h.name).c_str(),
         static_cast<unsigned long long>(h.count),
         static_cast<unsigned long long>(h.sum), h.Mean(), h.Percentile(50),
         h.Percentile(95), h.Percentile(99));

@@ -152,6 +152,14 @@ TEST(EngineTest, MalformedOptionsReturnInvalidArgument) {
       [](IqOptions* o) { o->cost = CostFunction::WeightedL1({1, 1}); });
   add("WeightedL1 with an infinite unit cost",
       [=](IqOptions* o) { o->cost = CostFunction::WeightedL1({1, inf, 1}); });
+  // Value ranges turn into bounds unchecked, so these reach the search.
+  const Vec p = engine->dataset().attrs(1);
+  add("box with a lower bound above its upper bound", [&p](IqOptions* o) {
+    o->box = AdjustBox::FromValueRange(p, {0, 0.6, 0}, {1, 0.4, 1});
+  });
+  add("box with a NaN bound", [&p, nan](IqOptions* o) {
+    o->box = AdjustBox::FromValueRange(p, {0, 0, 0}, {1, nan, 1});
+  });
   const IqScheme schemes[] = {IqScheme::kEfficient, IqScheme::kRta,
                               IqScheme::kGreedy, IqScheme::kRandom,
                               IqScheme::kExhaustive};
@@ -174,6 +182,20 @@ TEST(EngineTest, MalformedOptionsReturnInvalidArgument) {
                   .code(),
               StatusCode::kInvalidArgument);
   }
+  // A NaN budget is malformed too; +inf is an unbounded one.
+  for (IqScheme scheme : schemes) {
+    SCOPED_TRACE(IqSchemeName(scheme));
+    EXPECT_EQ(engine->MaxHit(1, nan, {}, scheme).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine->MultiMaxHit({1, 4}, nan, {IqOptions{}}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(engine->MaxHit(1, inf).ok());
+  // A box that excludes the zero strategy is legal.
+  IqOptions shifted;
+  shifted.box = AdjustBox::FromValueRange(p, {0, 0, 0}, {1, 1, 1});
+  shifted.box->SetRange(0, 0.05, 0.5);
+  EXPECT_TRUE(engine->MinCost(1, 5, shifted).ok());
   // A weighted L1 cost may leave an attribute free.
   IqOptions free_axis;
   free_axis.cost = CostFunction::WeightedL1({1, 0, 1});

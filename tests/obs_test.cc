@@ -125,6 +125,14 @@ TEST(MetricsRegistryTest, StablePointersAndSnapshot) {
   EXPECT_NE(json.find("\"test.registry.counter\": 5"), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, JsonEscapesNames) {
+  MetricsSnapshot snap;
+  snap.counters.emplace_back("quote\"back\\slash\nline", 3);
+  EXPECT_NE(snap.ToJson().find("\"quote\\\"back\\\\slash\\nline\": 3"),
+            std::string::npos)
+      << snap.ToJson();
+}
+
 TEST(MetricsRegistryTest, ResetZeroesButKeepsNames) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   Counter* c = reg.GetCounter("test.reset.counter");

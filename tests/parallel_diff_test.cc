@@ -191,6 +191,19 @@ int VerifyHits(const TestWorld& w, int target, const Vec& s) {
       w.view->CoefficientsFor(Add(w.data->attrs(target), s)));
 }
 
+/// A search's work counters, all but the seconds.
+void ExpectIdenticalWork(size_t calls_a, const EvalBreakdown& a,
+                         size_t calls_b, const EvalBreakdown& b,
+                         const char* what) {
+  EXPECT_EQ(calls_a, calls_b) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+  EXPECT_EQ(a.candidates_generated, b.candidates_generated) << what;
+  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated) << what;
+  EXPECT_EQ(a.evaluator_calls, b.evaluator_calls) << what;
+  EXPECT_EQ(a.queries_rescored, b.queries_rescored) << what;
+  EXPECT_EQ(a.queries_reused, b.queries_reused) << what;
+}
+
 /// Everything observable about an IqResult except wall-clock timings.
 void ExpectIdenticalResults(const IqResult& a, const IqResult& b,
                             const char* what) {
@@ -205,19 +218,11 @@ void ExpectIdenticalResults(const IqResult& a, const IqResult& b,
   EXPECT_EQ(a.hits_after, b.hits_after) << what;
   EXPECT_EQ(a.reached_goal, b.reached_goal) << what;
   EXPECT_EQ(a.iterations, b.iterations) << what;
-  EXPECT_EQ(a.evaluator_calls, b.evaluator_calls) << what;
-  EXPECT_EQ(a.breakdown.iterations, b.breakdown.iterations) << what;
-  EXPECT_EQ(a.breakdown.candidates_generated, b.breakdown.candidates_generated)
-      << what;
-  EXPECT_EQ(a.breakdown.candidates_evaluated, b.breakdown.candidates_evaluated)
-      << what;
-  EXPECT_EQ(a.breakdown.evaluator_calls, b.breakdown.evaluator_calls) << what;
-  EXPECT_EQ(a.breakdown.queries_rescored, b.breakdown.queries_rescored)
-      << what;
-  EXPECT_EQ(a.breakdown.queries_reused, b.breakdown.queries_reused) << what;
+  ExpectIdenticalWork(a.evaluator_calls, a.breakdown, b.evaluator_calls,
+                      b.breakdown, what);
 }
 
-/// Everything observable about a MultiIqResult except the wall-clock time.
+/// Everything observable about a MultiIqResult except wall-clock timings.
 void ExpectIdenticalMultiResults(const MultiIqResult& a,
                                  const MultiIqResult& b, const char* what) {
   EXPECT_EQ(a.targets, b.targets) << what;
@@ -231,6 +236,8 @@ void ExpectIdenticalMultiResults(const MultiIqResult& a,
   EXPECT_EQ(a.hits_after, b.hits_after) << what;
   EXPECT_EQ(a.reached_goal, b.reached_goal) << what;
   EXPECT_EQ(a.iterations, b.iterations) << what;
+  ExpectIdenticalWork(a.evaluator_calls, a.breakdown, b.evaluator_calls,
+                      b.breakdown, what);
 }
 
 TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
