@@ -1,7 +1,7 @@
 // Scaling micro-benchmark for the parallel execution layer (DESIGN.md §8).
 //
 // Measures the three pooled hot paths — subdomain-index build, greedy
-// Max-Hit search (parallel candidate generation + ESE evaluation) and
+// Max-Hit search (parallel candidate generation, serial ESE evaluation) and
 // IqEngine::SolveBatch — at num_threads in {0 (serial fallback), 1, 2, 4, 8}
 // and reports wall time plus speedup relative to the serial path. Plain
 // main (not google-benchmark): the unit of interest is one whole build /

@@ -28,9 +28,10 @@ namespace iq {
 /// their own lock. SupportsConcurrentEval() widens
 /// that contract per subclass: when it returns true, HitsForCoeffs only
 /// reads construction-time state and keeps its bookkeeping in the atomic
-/// counters below, so the parallel candidate-evaluation path may share one
-/// instance across pool workers. Subclass members that are mutated per
-/// evaluation and therefore pin SupportsConcurrentEval() to false carry
+/// counters below, so one instance may be shared across threads. The
+/// greedy evaluates its candidates serially (DESIGN.md §8), so no library
+/// path relies on it. Subclass members that are mutated per evaluation and
+/// therefore pin SupportsConcurrentEval() to false carry
 /// IQ_GUARDED_BY_CALLER markers (documentation, not compiler-enforced).
 class StrategyEvaluator {
  public:
@@ -46,8 +47,7 @@ class StrategyEvaluator {
 
   /// True when HitsForCoeffs may be called from several threads at once
   /// (the implementation only reads shared state and keeps its accounting
-  /// in the atomic counters below). The parallel candidate-evaluation path
-  /// checks this and falls back to a serial loop otherwise.
+  /// in the atomic counters below).
   virtual bool SupportsConcurrentEval() const { return false; }
 
   /// Number of HitsForCoeffs calls so far (experiment bookkeeping).

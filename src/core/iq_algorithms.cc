@@ -4,6 +4,8 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <span>
 
 #include "core/combinatorial.h"
@@ -43,8 +45,8 @@ struct SearchMetrics {
   Counter* iterations;            // greedy iterations across all IQ calls
   Counter* candidates_generated;  // cost-solver solutions produced
   Counter* candidates_evaluated;  // candidates whose H was computed
+  Counter* rows_scanned;          // query rows scored by the round passes
   Counter* parallel_solve_batches;  // candidate-solver rounds run on a pool
-  Counter* parallel_eval_batches;   // H-evaluation rounds run on a pool
   Histogram* solver_nanos;        // per-iteration candidate-solver time
   Histogram* eval_nanos;          // per-iteration H-evaluation time
 
@@ -57,10 +59,9 @@ struct SearchMetrics {
           reg.GetCounter("iq.search.candidates_generated");
       sm.candidates_evaluated =
           reg.GetCounter("iq.search.candidates_evaluated");
+      sm.rows_scanned = reg.GetCounter("iq.search.rows_scanned");
       sm.parallel_solve_batches =
           reg.GetCounter("iq.search.parallel_solve_batches");
-      sm.parallel_eval_batches =
-          reg.GetCounter("iq.search.parallel_eval_batches");
       sm.solver_nanos = reg.GetHistogram("iq.search.solver_nanos");
       sm.eval_nanos = reg.GetHistogram("iq.search.eval_nanos");
       return sm;
@@ -93,6 +94,7 @@ Result<IqContext> IqContext::FromIndex(const SubdomainIndex* index,
       ctx.aug_w_[static_cast<size_t>(q)] = index->aug_weights(q);
     }
   }
+  ctx.query_kernel_ = index->query_kernel();
   return ctx;
 }
 
@@ -120,6 +122,9 @@ Result<IqContext> IqContext::FromView(const FunctionView* view,
                      queries->query(q).k, target);
     ctx.aug_w_[static_cast<size_t>(q)] = std::move(w);
   }
+  // Inactive slots hold an empty weight vector, which Build skips.
+  ctx.query_kernel_ =
+      ScoreKernel::Build(ctx.aug_w_, nullptr, view->num_slots());
   return ctx;
 }
 
@@ -196,13 +201,19 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
 
 namespace {
 
+/// Relative slack of the hit bound (HitBound). It compares a query's
+/// distance d_j with a step's norm; both come from rounded scores and costs
+/// whose errors are a few ulps of the magnitudes involved (DESIGN.md §2).
+/// The slack only ever counts more queries as reachable.
+constexpr double kBoundSlack = 1e-9;
+
 /// Track t's evaluator in a §5.1 search, where a query counts once however
 /// many targets hit it: the queries another track hits, plus one CountHits
 /// pass over t's dense thresholds with those queries masked to NaN (a NaN
 /// threshold never hits). CountHits is bit-identical to HitBy (DESIGN.md
-/// §13.2), so this is a scalar union recount. MaskUnion rewrites the mask
-/// between evaluation rounds only, so a round may evaluate concurrently.
-/// Like EseEvaluator's scan, a call rescores every row of the kernel.
+/// §13.2), so this is a scalar union recount. Round::Scan rewrites the mask
+/// once per round, before any evaluation. Like EseEvaluator's scan, a call
+/// rescores every row of the kernel.
 struct UnionEvaluator final : StrategyEvaluator {
   explicit UnionEvaluator(const ScoreKernel* k)
       : kernel(k), masked(static_cast<size_t>(k->num_rows())) {}
@@ -213,13 +224,44 @@ struct UnionEvaluator final : StrategyEvaluator {
   }
   int base_hits() const override { return union_hits; }
   const char* name() const override { return "Union"; }
-  bool SupportsConcurrentEval() const override { return true; }
 
   const ScoreKernel* kernel;
   std::vector<double> masked;  // in kernel (dense) order
   int others = 0;              // queries another track hits
-  int union_hits = 0;          // at the last MaskUnion
+  int union_hits = 0;          // at the last Round::Scan
 };
+
+/// ‖w‖_*, the dual of the cost's norm, so |w·s| <= ‖w‖_*·‖s‖ (Hölder).
+/// Quadratic is the WeightedL2 norm squared. A WeightedL1 axis with unit
+/// cost 0 is free: ∞ unless w ignores that axis.
+double DualNorm(const CostFunction& cost, const Vec& w) {
+  IQ_DCHECK(cost.kind() != CostFunction::Kind::kCustom);
+  const Vec& units = cost.unit_costs();
+  double acc = 0.0;
+  switch (cost.kind()) {
+    case CostFunction::Kind::kL1:
+      for (double x : w) acc = std::max(acc, std::fabs(x));
+      return acc;
+    case CostFunction::Kind::kWeightedL1:
+      for (size_t i = 0; i < w.size(); ++i) {
+        if (w[i] == 0.0) continue;
+        if (units[i] == 0.0) return kInf;
+        acc = std::max(acc, std::fabs(w[i]) / units[i]);
+      }
+      return acc;
+    case CostFunction::Kind::kL2:
+      return NormL2(w);
+    default:  // WeightedL2 and Quadratic
+      for (size_t i = 0; i < w.size(); ++i) acc += w[i] * w[i] / units[i];
+      return std::sqrt(acc);
+  }
+}
+
+/// ‖s‖ for a step that costs `cost` under a built-in cost.
+double NormOfCost(const CostFunction& cost, double value) {
+  return cost.kind() == CostFunction::Kind::kQuadratic ? std::sqrt(value)
+                                                       : value;
+}
 
 /// One target of a greedy search: its context, evaluator and per-target
 /// options (cost, box, granularity), and where the search has moved it.
@@ -234,7 +276,21 @@ struct Track {
         s_total(Zeros(context.view().dataset().dim())),
         p_cur(context.view().dataset().attrs(context.target())),
         c_cur(context.view().coeffs(context.target())),
-        spent(opts.cost.Cost(s_total)) {}
+        spent(opts.cost.Cost(s_total)) {
+    // HitBound needs a built-in cost, which is a norm (Quadratic: a squared
+    // norm), and the identity form, where a step s moves query j's score
+    // by exactly w_j·s.
+    const bool bounded = opts.cost.kind() != CostFunction::Kind::kCustom &&
+                         context.view().IsIdentityForm();
+    for (const auto& block : context.query_kernel().blocks()) {
+      for (int q : block->ids) {
+        thresholds.push_back(context.thresholds()[static_cast<size_t>(q)]);
+        if (bounded) {
+          dual_norms.push_back(DualNorm(opts.cost, context.aug_w(q)));
+        }
+      }
+    }
+  }
 
   const IqContext* ctx;
   StrategyEvaluator* evaluator;
@@ -244,6 +300,8 @@ struct Track {
   Vec c_cur;
   double spent;                      // options->cost.Cost(s_total)
   UnionEvaluator* unions = nullptr;  // == evaluator in a §5.1 search
+  std::vector<double> thresholds;    // t_j per dense row of the query kernel
+  std::vector<double> dual_norms;    // ‖w_j‖_* per dense row; empty: no bound
 };
 
 double TotalSpent(std::span<const Track> tracks) {
@@ -252,37 +310,63 @@ double TotalSpent(std::span<const Track> tracks) {
   return total;
 }
 
-/// Masks every track's UnionEvaluator against the other tracks' current
-/// coefficients. Returns the union hit count.
-int MaskUnion(std::span<const Track> tracks) {
-  for (const Track& t : tracks) t.unions->others = 0;
-  int union_hits = 0;
-  size_t d = 0;
-  for (const auto& block : tracks[0].unions->kernel->blocks()) {
-    for (int q : block->ids) {
+/// One round's hit state. One ScoreKernel::ScoreAll pass per track scores
+/// every active query under the track's c_cur, bit-identical to HitBy
+/// (DESIGN.md §13.2). From it come the pending queries (active, hit by no
+/// track) and, in a §5.1 search, every union evaluator's mask. The round
+/// stays fresh until a track moves.
+struct Round {
+  explicit Round(std::span<const Track> tracks)
+      : ids(tracks[0].ctx->query_kernel().ids()), scores(tracks.size()) {}
+
+  /// Runs the passes, timed as candidate solving, and counts active rows x
+  /// tracks in iq.search.rows_scanned.
+  void Scan(std::span<const Track> tracks, EvalBreakdown* bd) {
+    WallTimer timer;
+    const ScoreKernel& kernel = tracks[0].ctx->query_kernel();
+    for (size_t t = 0; t < tracks.size(); ++t) {
+      kernel.ScoreAll(tracks[t].c_cur, &scores[t]);
+    }
+    const bool multi = tracks[0].unions != nullptr;
+    if (multi) {
+      for (const Track& t : tracks) t.unions->others = 0;
+    }
+    pending.clear();
+    for (size_t d = 0; d < ids.size(); ++d) {
       int hitters = 0;
       size_t hitter = 0;
       for (size_t t = 0; t < tracks.size(); ++t) {
-        if (tracks[t].ctx->HitBy(q, tracks[t].c_cur)) {
+        if (HitByThreshold(scores[t][d], tracks[t].thresholds[d])) {
           ++hitters;
           hitter = t;
         }
       }
-      union_hits += hitters > 0 ? 1 : 0;
+      if (hitters == 0) pending.push_back(d);
+      if (!multi) continue;
       for (size_t t = 0; t < tracks.size(); ++t) {
-        // Another track hits q unless t is its only hitter.
+        // Another track hits the query unless t is its only hitter.
         const bool other = hitters > 1 || (hitters == 1 && hitter != t);
         tracks[t].unions->masked[d] =
             other ? std::numeric_limits<double>::quiet_NaN()
-                  : tracks[t].ctx->thresholds()[static_cast<size_t>(q)];
+                  : tracks[t].thresholds[d];
         tracks[t].unions->others += other ? 1 : 0;
       }
-      ++d;
     }
+    hits = static_cast<int>(ids.size() - pending.size());
+    if (multi) {
+      for (const Track& t : tracks) t.unions->union_hits = hits;
+    }
+    fresh = true;
+    SearchMetrics::Get().rows_scanned->Increment(ids.size() * tracks.size());
+    bd->solver_seconds += timer.ElapsedSeconds();
   }
-  for (const Track& t : tracks) t.unions->union_hits = union_hits;
-  return union_hits;
-}
+
+  std::vector<int> ids;                     // query id per dense row
+  std::vector<std::vector<double>> scores;  // per track, per dense row
+  std::vector<size_t> pending;              // dense rows, ascending id
+  int hits = 0;                             // rows hit by some track
+  bool fresh = false;
+};
 
 /// One candidate: the step that makes a track hit query q, plus its
 /// evaluation.
@@ -292,6 +376,7 @@ struct Candidate {
   Vec step;
   double step_cost = 0.0;
   int hits = 0;  // H(p_cur + step) under the track's evaluator
+  bool evaluated = false;
 };
 
 /// H for the improved coefficients `c`, timed as evaluation.
@@ -302,47 +387,36 @@ int TimedHits(StrategyEvaluator* evaluator, const Vec& c, EvalBreakdown* bd) {
   return hits;
 }
 
-/// Generates the candidates of one iteration, one per (pending query,
-/// track) pair in (query, track) order, and evaluates H(p'+s) for each of
-/// them when `evaluate_hits` is set. A query is pending while it is active
-/// and no track hits it.
+/// Solves the candidates of one iteration, one per (pending query, track)
+/// pair of `round`, in (query, track) order. When the pick rule
+/// `evaluates` candidates, options.candidate_eval_limit then keeps a
+/// subset.
 ///
 /// Parallel execution (DESIGN.md §8): when options.pool is set, the
-/// candidate solves — and, for thread-safe evaluators, the per-candidate
-/// H evaluations — fan out over the pool. Each unit writes into its own
+/// candidate solves fan out over the pool. Each unit writes into its own
 /// pre-assigned slot and the slots are compacted in (query, track) order
 /// afterwards, so the returned vector is bit-identical to the serial path
 /// for every thread count (the deterministic reduction the differential
 /// tests pin down).
 std::vector<Candidate> BuildCandidates(std::span<const Track> tracks,
+                                       const Round& round,
                                        const IqOptions& options,
-                                       bool evaluate_hits,
-                                       EvalBreakdown* bd) {
+                                       bool evaluates, EvalBreakdown* bd) {
   IQ_TRACE_SCOPE_ARG("BuildCandidates", tracks[0].ctx->target());
   std::vector<Candidate> out;
-  const QuerySet& queries = tracks[0].ctx->queries();
   WallTimer solver_timer;
-  // Queries still worth hitting, in ascending id order (the slot order the
-  // deterministic compaction below preserves).
-  std::vector<int> pending;
-  for (int q = 0; q < queries.size(); ++q) {
-    if (!queries.is_active(q)) continue;
-    const bool hit = std::any_of(
-        tracks.begin(), tracks.end(),
-        [q](const Track& t) { return t.ctx->HitBy(q, t.c_cur); });
-    if (!hit) pending.push_back(q);
-  }
+  const std::vector<size_t>& pending = round.pending;
   std::vector<Candidate> slots(pending.size() * tracks.size());
   if (options.pool != nullptr && pending.size() > 1) {
     SearchMetrics::Get().parallel_solve_batches->Increment();
   }
-  // Candidate solve and eval bodies are heavy-tailed, so both loops claim
-  // work-stealing style (DESIGN.md §13.1).
+  // Candidate solves are heavy-tailed, so the loop claims work-stealing
+  // style (DESIGN.md §13.1).
   ParallelForOrSerial(
       options.pool, static_cast<int64_t>(pending.size()),
       [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
-          const int q = pending[static_cast<size_t>(i)];
+          const int q = round.ids[pending[static_cast<size_t>(i)]];
           for (size_t t = 0; t < tracks.size(); ++t) {
             const Track& track = tracks[t];
             auto sol = track.ctx->SolveCandidate(q, track.p_cur,
@@ -370,7 +444,7 @@ std::vector<Candidate> BuildCandidates(std::span<const Track> tracks,
   // subset. Half the budget goes to the cheapest steps (the likely best
   // cost-per-hit ratios), half is strided across the remaining cost range so
   // bold far-reaching candidates stay in play for Max-Hit searches.
-  if (evaluate_hits && options.candidate_eval_limit > 0 &&
+  if (evaluates && options.candidate_eval_limit > 0 &&
       static_cast<int>(out.size()) > options.candidate_eval_limit) {
     const int limit = options.candidate_eval_limit;
     std::sort(out.begin(), out.end(),
@@ -391,37 +465,13 @@ std::vector<Candidate> BuildCandidates(std::span<const Track> tracks,
     }
     out = std::move(kept);
   }
-  if (evaluate_hits) {
-    WallTimer eval_timer;
-    // The tracks of one search share one evaluator kind.
-    ThreadPool* eval_pool =
-        tracks[0].evaluator->SupportsConcurrentEval() ? options.pool : nullptr;
-    if (eval_pool != nullptr && out.size() > 1) {
-      SearchMetrics::Get().parallel_eval_batches->Increment();
-    }
-    ParallelForOrSerial(
-        eval_pool, static_cast<int64_t>(out.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            Candidate& cand = out[static_cast<size_t>(i)];
-            const Track& track = tracks[static_cast<size_t>(cand.track)];
-            Vec c_cand =
-                track.ctx->view().CoefficientsFor(Add(track.p_cur, cand.step));
-            cand.hits = track.evaluator->HitsForCoeffs(c_cand);
-          }
-        },
-        "greedy.candidate_eval", ChunkPolicy::kDynamic);
-    bd->eval_seconds += eval_timer.ElapsedSeconds();
-    bd->candidates_evaluated += out.size();
-    SearchMetrics::Get().eval_nanos->Record(eval_timer.ElapsedNanos());
-    SearchMetrics::Get().candidates_evaluated->Increment(out.size());
-  }
   return out;
 }
 
-double Ratio(const Candidate& c) {
-  return c.step_cost / static_cast<double>(std::max(1, c.hits));
+double Ratio(double cost, int hits) {
+  return cost / static_cast<double>(std::max(1, hits));
 }
+double Ratio(const Candidate& c) { return Ratio(c.step_cost, c.hits); }
 
 /// What a search is for. The goal sets the stop rule, the default iteration
 /// cap, the budget filter and the cost cap of the granularity snap.
@@ -452,7 +502,7 @@ struct Goal {
 
 /// How a greedy iteration picks its step.
 enum class PickRule {
-  /// Algorithms 3 and 4: evaluate every candidate, take the best
+  /// Algorithms 3 and 4: evaluate the candidates, take the best
   /// cost-per-hit ratio.
   kBestRatio,
   /// The Greedy baseline (§6.1): take the cheapest step, ignoring the
@@ -460,11 +510,156 @@ enum class PickRule {
   kCheapest,
 };
 
+/// Max-Hit's budget test: the targets' total cost stays within beta after
+/// the step, total - cost_t(s_t) + cost_t(s_t + step) <= beta, which for
+/// one track is exactly cost(s + step) <= beta (c - c is 0).
+bool Affordable(const Candidate& c, const Goal& goal,
+                std::span<const Track> tracks, double total) {
+  const Track& t = tracks[static_cast<size_t>(c.track)];
+  const double after = t.options->cost.Cost(Add(t.s_total, c.step));
+  return total - t.spent + after <= goal.beta;
+}
+
+/// An upper bound U on a candidate's hits, before it is evaluated. A step
+/// s moves pending query j's score by w_j·s, and |w_j·s| <= ‖w_j‖_*·‖s‖,
+/// so the step can hit j only if ‖s‖ >= d_j = (score_j - t_j)/‖w_j‖_*.
+/// Queries the step makes the target lose only lower its count, so
+/// U = H_cur + #{pending j : d_j <= ‖s‖}, with kBoundSlack widening the
+/// comparison past every rounding error. In a §5.1 search H_cur and the
+/// pending set are the union's and d_j is the candidate's track's. A track
+/// without the bound (no dual norms) gets U = every active query.
+class HitBound {
+ public:
+  HitBound(std::span<const Track> tracks, const Round& round)
+      : hits_(round.hits),
+        active_(static_cast<int>(round.ids.size())),
+        tracks_(tracks.size()) {
+    for (size_t t = 0; t < tracks.size(); ++t) {
+      const Track& track = tracks[t];
+      PerTrack& pt = tracks_[t];
+      pt.cost = &track.options->cost;
+      const double p_norm = NormOfCost(*pt.cost, pt.cost->Cost(track.p_cur));
+      pt.bounded = !track.dual_norms.empty() && std::isfinite(p_norm);
+      if (!pt.bounded) continue;
+      pt.slack = kBoundSlack * p_norm;
+      pt.reach.reserve(round.pending.size());
+      for (size_t d : round.pending) {
+        const double t_j = track.thresholds[d];
+        const double dist =
+            (round.scores[t][d] - t_j - kBoundSlack * std::fabs(t_j)) /
+            track.dual_norms[d];
+        pt.reach.push_back(std::isnan(dist) ? -kInf : dist);
+      }
+      std::sort(pt.reach.begin(), pt.reach.end());
+    }
+  }
+
+  int operator()(const Candidate& c) const {
+    const PerTrack& pt = tracks_[static_cast<size_t>(c.track)];
+    if (!pt.bounded) return active_;
+    const double norm = NormOfCost(*pt.cost, c.step_cost);
+    const double limit = norm + kBoundSlack * norm + pt.slack;
+    return hits_ + static_cast<int>(std::upper_bound(pt.reach.begin(),
+                                                     pt.reach.end(), limit) -
+                                    pt.reach.begin());
+  }
+
+ private:
+  struct PerTrack {
+    const CostFunction* cost = nullptr;
+    bool bounded = false;
+    double slack = 0.0;          // kBoundSlack * ‖p_cur‖
+    std::vector<double> reach;   // d_j of the pending queries, ascending
+  };
+  int hits_;
+  int active_;
+  std::vector<PerTrack> tracks_;
+};
+
+/// Evaluates H(p'+s) for the candidates PickStep could take, one at a time
+/// on the calling thread, and marks them `evaluated`; PickStep skips the
+/// rest (DESIGN.md §2). Under a built-in cost every step cost is >= 0, and
+/// the candidates are visited in ascending (step_cost, position) order.
+/// R* is the best ratio among the evaluated candidates PickStep could take.
+/// Candidate i, with hit bound U, is skipped when cost_i/U > R*, so its
+/// ratio loses to R*, and, for Min-Cost, it cannot reach tau (U < tau) or
+/// a tau-reacher has already been evaluated (one visited earlier wins
+/// Algorithm 3's cheapest-reacher pick). Max-Hit also skips what Algorithm
+/// 4 never takes: U <= cur_hits, or a step over the budget. A Min-Cost
+/// iteration stops once the best evaluated candidate, in PickStep's order
+/// (ratio, then position), reaches tau and no later candidate below tau
+/// can tie or beat it; Algorithm 3 then takes the first tau-reacher
+/// evaluated. A custom cost may be negative, so it is evaluated in full.
+void EvaluateCandidates(std::vector<Candidate>* candidates,
+                        std::span<const Track> tracks, const Round& round,
+                        const Goal& goal, int cur_hits, EvalBreakdown* bd) {
+  WallTimer eval_timer;
+  std::vector<Candidate>& cands = *candidates;
+  const bool prune =
+      std::none_of(tracks.begin(), tracks.end(),
+                   [](const Track& t) {
+                     return t.options->cost.kind() ==
+                            CostFunction::Kind::kCustom;
+                   }) &&
+      std::all_of(cands.begin(), cands.end(),
+                  [](const Candidate& c) { return c.step_cost >= 0; });
+  std::vector<size_t> order(cands.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::optional<HitBound> bound;
+  if (prune) {
+    std::stable_sort(order.begin(), order.end(), [&cands](size_t a, size_t b) {
+      return cands[a].step_cost < cands[b].step_cost;
+    });
+    bound.emplace(tracks, round);
+  }
+  const double total = TotalSpent(tracks);
+  double best_ratio = kInf;    // R*
+  size_t best = cands.size();  // its candidate, first position on ties
+  bool reacher = false;        // a tau-reacher has been evaluated
+  size_t evaluated = 0;
+  for (size_t i : order) {
+    Candidate& c = cands[i];
+    const Track& track = tracks[static_cast<size_t>(c.track)];
+    if (prune) {
+      const int u = (*bound)(c);
+      const bool beaten = Ratio(c.step_cost, u) > best_ratio;
+      if (goal.min_cost ? beaten && (u < goal.tau || reacher)
+                        : beaten || u <= cur_hits ||
+                              !Affordable(c, goal, tracks, total)) {
+        continue;
+      }
+    }
+    c.hits = track.evaluator->HitsForCoeffs(
+        track.ctx->view().CoefficientsFor(Add(track.p_cur, c.step)));
+    c.evaluated = true;
+    ++evaluated;
+    // Algorithm 4 takes only steps that raise the hit count.
+    if (!prune || (!goal.min_cost && c.hits <= cur_hits)) continue;
+    const double ratio = Ratio(c);
+    if (ratio < best_ratio || (ratio == best_ratio && i < best)) {
+      best_ratio = ratio;
+      best = i;
+    }
+    reacher = reacher || goal.Reached(c.hits);
+    // Min-Cost stop. Every later candidate costs >= c.step_cost, so one
+    // below tau has a ratio >= step_cost/(tau-1) (rounding is monotone).
+    // At tau = 1 it has 0 hits and ratio cost >= R*; a tie means the best
+    // costs as much and was visited first, so it has the lower position.
+    if (goal.Reached(cands[best].hits) &&
+        (goal.tau == 1 ||
+         c.step_cost / static_cast<double>(goal.tau - 1) > best_ratio)) {
+      break;
+    }
+  }
+  bd->eval_seconds += eval_timer.ElapsedSeconds();
+  bd->candidates_evaluated += evaluated;
+  SearchMetrics::Get().eval_nanos->Record(eval_timer.ElapsedNanos());
+  SearchMetrics::Get().candidates_evaluated->Increment(evaluated);
+}
+
 /// The candidate this iteration takes, or null when none is admissible.
-/// Ties go to the first candidate in (query, track) order. Max-Hit admits a
-/// step only while the targets' total cost stays within beta:
-/// total - cost_t(s_t) + cost_t(s_t + step) <= beta, which for one track
-/// is exactly cost(s + step) <= beta (c - c is 0).
+/// Ties go to the first candidate in vector order. The ratio pick considers
+/// only evaluated candidates. Max-Hit admits only affordable steps.
 const Candidate* PickStep(const std::vector<Candidate>& candidates,
                           const Goal& goal, PickRule rule, int cur_hits,
                           std::span<const Track> tracks) {
@@ -472,13 +667,10 @@ const Candidate* PickStep(const std::vector<Candidate>& candidates,
   const double total = TotalSpent(tracks);
   const Candidate* best = nullptr;
   for (const Candidate& c : candidates) {
+    if (by_ratio && !c.evaluated) continue;
     // Algorithm 4 takes only steps that raise the hit count.
     if (by_ratio && !goal.min_cost && c.hits <= cur_hits) continue;
-    if (!goal.min_cost) {
-      const Track& t = tracks[static_cast<size_t>(c.track)];
-      const double after = t.options->cost.Cost(Add(t.s_total, c.step));
-      if (!(total - t.spent + after <= goal.beta)) continue;
-    }
+    if (!goal.min_cost && !Affordable(c, goal, tracks, total)) continue;
     if (best == nullptr || (by_ratio ? Ratio(c) < Ratio(*best)
                                      : c.step_cost < best->step_cost)) {
       best = &c;
@@ -489,7 +681,7 @@ const Candidate* PickStep(const std::vector<Candidate>& candidates,
     // the cheapest candidate that reaches it (avoid over-achieving).
     best = nullptr;
     for (const Candidate& c : candidates) {
-      if (goal.Reached(c.hits) &&
+      if (c.evaluated && goal.Reached(c.hits) &&
           (best == nullptr || c.step_cost < best->step_cost)) {
         best = &c;
       }
@@ -551,54 +743,72 @@ void ApplyGranularity(const IqContext& ctx, StrategyEvaluator* evaluator,
   *s_total = std::move(snapped);
 }
 
+/// The counts a greedy search ends with.
+struct SearchOutcome {
+  int hits_before = 0;
+  int hits = 0;
+  int iterations = 0;
+};
+
 /// Algorithms 3 and 4 and the Greedy baseline, for one target or for the
-/// several of §5.1: the one greedy iteration loop. Each iteration solves a
-/// single-constraint step per (pending query, track) pair (Eq. 13-14) and
-/// takes the one the pick rule chooses, until the goal is reached, no step
-/// is admissible, or the iteration cap. Then each track is snapped onto its
-/// grid in target order, Max-Hit capping it at beta less the other targets'
-/// costs. `options` gives the loop-level settings: max_iterations,
-/// candidate_eval_limit and pool. Takes *hits from the starting count to
-/// the final one; returns the iterations run.
-int GreedySearch(std::span<Track> tracks, const Goal& goal, PickRule rule,
-                 const IqOptions& options, int* hits, EvalBreakdown* bd) {
+/// several of §5.1: the one greedy iteration loop. Each iteration scores the
+/// round (Round::Scan), solves a single-constraint step per (pending query,
+/// track) pair (Eq. 13-14) and takes the one the pick rule chooses, until
+/// the goal is reached, no step is admissible, or the iteration cap. Then
+/// each track is snapped onto its grid in target order, Max-Hit capping it
+/// at beta less the other targets' costs. `options` gives the loop-level
+/// settings: max_iterations, candidate_eval_limit and pool. A single-target
+/// search starts from its evaluator's base hits; a §5.1 search from the
+/// union count of its first pass, which also serves its first round.
+SearchOutcome GreedySearch(std::span<Track> tracks, const Goal& goal,
+                           PickRule rule, const IqOptions& options,
+                           EvalBreakdown* bd) {
   const int max_iters =
       options.max_iterations > 0
           ? options.max_iterations
           : goal.DefaultIterations(tracks[0].ctx->queries().size());
   const bool by_ratio = rule == PickRule::kBestRatio;
   const bool multi = tracks[0].unions != nullptr;
-  int iter = 0;
-  while (!goal.Reached(*hits) && iter < max_iters) {
-    ++iter;
-    if (multi) MaskUnion(tracks);
+  Round round(tracks);
+  if (multi) round.Scan(tracks, bd);
+  SearchOutcome out;
+  out.hits = multi ? round.hits : tracks[0].evaluator->base_hits();
+  out.hits_before = out.hits;
+  while (!goal.Reached(out.hits) && out.iterations < max_iters) {
+    ++out.iterations;
+    if (!round.fresh) round.Scan(tracks, bd);
     std::vector<Candidate> candidates =
-        BuildCandidates(tracks, options, /*evaluate_hits=*/by_ratio, bd);
-    const Candidate* best = PickStep(candidates, goal, rule, *hits, tracks);
+        BuildCandidates(tracks, round, options, /*evaluates=*/by_ratio, bd);
+    if (by_ratio) {
+      EvaluateCandidates(&candidates, tracks, round, goal, out.hits, bd);
+    }
+    const Candidate* best = PickStep(candidates, goal, rule, out.hits, tracks);
     if (best == nullptr) break;
     Track& track = tracks[static_cast<size_t>(best->track)];
     AddInPlace(&track.s_total, best->step);
     track.p_cur = Add(track.p_cur, best->step);
     track.c_cur = track.ctx->view().CoefficientsFor(track.p_cur);
     track.spent = track.options->cost.Cost(track.s_total);
+    round.fresh = false;
     // The ratio pick already evaluated the step it took.
     const int new_hits =
         by_ratio ? best->hits : TimedHits(track.evaluator, track.c_cur, bd);
-    if (new_hits <= *hits && NormL2(best->step) < 1e-15) break;  // stuck
-    *hits = new_hits;
+    if (new_hits <= out.hits && NormL2(best->step) < 1e-15) break;  // stuck
+    out.hits = new_hits;
   }
   for (Track& track : tracks) {
     if (track.options->granularity.empty()) continue;
-    if (multi) MaskUnion(tracks);
+    if (multi && !round.fresh) round.Scan(tracks, bd);
     ApplyGranularity(*track.ctx, track.evaluator, *track.options,
                      goal.beta - (TotalSpent(tracks) - track.spent),
-                     &track.s_total, hits);
+                     &track.s_total, &out.hits);
     track.spent = track.options->cost.Cost(track.s_total);
     track.c_cur = track.ctx->view().CoefficientsFor(
         Add(track.ctx->view().dataset().attrs(track.ctx->target()),
             track.s_total));
+    round.fresh = false;
   }
-  return iter;
+  return out;
 }
 
 /// The per-call accounting of every search: the greedy loop with one track
@@ -675,12 +885,10 @@ Result<IqResult> SingleGreedy(const IqContext& ctx,
   IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
   SearchCall call({evaluator});
   Track track(ctx, evaluator, options);
-  const int hits_before = evaluator->base_hits();
-  int hits = hits_before;
-  const int iterations = GreedySearch(std::span<Track>(&track, 1), goal,
-                                      rule, options, &hits, call.breakdown());
+  const SearchOutcome o = GreedySearch(std::span<Track>(&track, 1), goal,
+                                       rule, options, call.breakdown());
   return call.Finish(goal, options.cost, std::move(track.s_total),
-                     hits_before, hits, iterations);
+                     o.hits_before, o.hits, o.iterations);
 }
 
 /// The §5.1 searches: one track per target, hits counted over the union.
@@ -718,18 +926,17 @@ Result<MultiIqResult> MultiGreedy(const SubdomainIndex& index,
     tracks.emplace_back(contexts.back(), &evaluators[t], options_of(t))
         .unions = &evaluators[t];
   }
+  const SearchOutcome o = GreedySearch(tracks, goal, PickRule::kBestRatio,
+                                       options[0], call.breakdown());
   MultiIqResult r;
   r.targets = targets;
-  r.hits_before = MaskUnion(tracks);
-  int hits = r.hits_before;
-  const int iterations = GreedySearch(tracks, goal, PickRule::kBestRatio,
-                                      options[0], &hits, call.breakdown());
+  r.hits_before = o.hits_before;
   for (const Track& track : tracks) {
     r.strategies.push_back(track.s_total);
     r.costs.push_back(track.spent);
     r.total_cost += track.spent;
   }
-  call.Finish(goal, hits, iterations, &r);
+  call.Finish(goal, o.hits, o.iterations, &r);
   return r;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/score_kernel.h"
 #include "core/subdomain_index.h"
 #include "opt/bounds.h"
 #include "opt/cost.h"
@@ -30,12 +31,13 @@ struct IqOptions {
   std::optional<AdjustBox> box;
   /// 0 = automatic (4*tau + 16 for Min-Cost; unbounded-ish for Max-Hit).
   int max_iterations = 0;
-  /// Per iteration, evaluate H(p'+s_j) only for the `candidate_eval_limit`
-  /// cheapest candidate steps (0 = all, the paper's literal Algorithm 3/4).
-  /// The best cost-per-hit candidate is almost always among the cheapest
-  /// steps, so a modest limit preserves quality while bounding the work of
-  /// expensive evaluators (used by the benches to keep RTA-IQ tractable;
-  /// applied identically to every scheme for fairness).
+  /// Per iteration, consider only `candidate_eval_limit` candidate steps
+  /// (0 = all, the paper's literal Algorithm 3/4): the cheapest half of the
+  /// limit plus a stride across the remaining cost range. The kept subset
+  /// is chosen before any evaluation; within it the greedy evaluates only
+  /// the candidates that can change its pick (DESIGN.md §2). Used by the
+  /// benches to keep RTA-IQ tractable, applied identically to every scheme
+  /// for fairness.
   int candidate_eval_limit = 0;
   /// Sample budget of the Random baseline.
   int random_samples = 256;
@@ -47,10 +49,11 @@ struct IqOptions {
   Vec granularity;
   uint64_t seed = 1;
   /// Non-owning worker pool for the parallel execution layer (DESIGN.md §8).
-  /// When set, candidate generation and (for evaluators with
-  /// SupportsConcurrentEval()) candidate H-evaluation fan out over the pool
-  /// with a deterministic per-candidate-slot reduction, so results are
-  /// bit-identical to the null-pool serial path regardless of thread count.
+  /// When set, the per-iteration candidate solves fan out over the pool
+  /// with a deterministic per-candidate-slot reduction. Candidate
+  /// H-evaluation stays serial on the calling thread, so which candidates
+  /// are evaluated cannot depend on the thread count either: results and
+  /// work counters are bit-identical to the null-pool path.
   /// IqEngine wires its own pool in here (EngineOptions::num_threads);
   /// callers driving MinCostIq/MaxHitIq directly may pass any pool whose
   /// lifetime covers the call.
@@ -64,8 +67,10 @@ struct EvalBreakdown {
   int iterations = 0;
   /// Candidate steps produced by the per-query cost solver (Eq. 13-14).
   size_t candidates_generated = 0;
-  /// Candidates whose H(p'+s) was actually evaluated (after the optional
-  /// candidate_eval_limit pruning).
+  /// Candidates whose H(p'+s) was evaluated. The greedy skips a candidate
+  /// that provably cannot change its pick, and a Min-Cost iteration stops
+  /// once Algorithm 3's pick is decided (DESIGN.md §2), so this is at most
+  /// the candidates kept by candidate_eval_limit.
   size_t candidates_evaluated = 0;
   size_t evaluator_calls = 0;
   /// Per-query work inside the evaluator: rescored = hit state recomputed,
@@ -110,6 +115,10 @@ class IqContext {
   int target() const { return target_; }
   const std::vector<double>& thresholds() const { return thresholds_; }
   const Vec& aug_w(int q) const { return aug_w_[static_cast<size_t>(q)]; }
+  /// The active queries' augmented weights as a ScoreKernel (DESIGN.md
+  /// §13): the index's own kernel (blocks shared), or one packed from
+  /// aug_w for an index-free context.
+  const ScoreKernel& query_kernel() const { return query_kernel_; }
 
   /// True when query q is hit by the improved coefficient vector c.
   bool HitBy(int q, const Vec& c) const;
@@ -132,6 +141,7 @@ class IqContext {
   int target_ = -1;
   std::vector<double> thresholds_;
   std::vector<Vec> aug_w_;
+  ScoreKernel query_kernel_;
 };
 
 /// InvalidArgument unless `options` fits data of `dim` attributes: the box

@@ -21,8 +21,8 @@ inline constexpr char kParallelForSpanName[] = "ParallelFor";
 ///   kStatic  — fixed-size chunks (n and the worker count alone determine
 ///              the boundaries). Lowest claim overhead; heavy-tailed bodies
 ///              can strand one participant with the expensive chunk while
-///              the rest idle (the ~140× chunk imbalance PR 7 measured on
-///              greedy.candidate_eval).
+///              the rest idle (the ~140× chunk imbalance once measured on
+///              the greedy's pooled candidate evaluation).
 ///   kDynamic — work-stealing via per-item claiming on a shared atomic
 ///              counter: every participant pulls one index at a time, so a
 ///              participant stuck on an expensive item simply stops
@@ -37,7 +37,7 @@ enum class ChunkPolicy { kStatic, kDynamic };
 /// Fixed-size worker pool backing the parallel execution layer (DESIGN.md
 /// §8). Dependency-free: std::thread workers around a single locked task
 /// queue. The pool is deliberately simple — the engine's parallel units
-/// (candidate evaluation, signature ranking, batch IQ solving) are coarse
+/// (candidate solving, signature ranking, batch IQ solving) are coarse
 /// enough that queue contention is negligible next to the work itself.
 ///
 /// Determinism contract: ParallelFor partitions [0, n) into chunks (or,

@@ -2,6 +2,7 @@
 
 #include "core/combinatorial.h"
 #include "core/evaluator.h"
+#include "obs/metrics.h"
 #include "tests/test_world.h"
 #include "util/random.h"
 
@@ -207,6 +208,40 @@ TEST(CombinatorialTest, SingleTargetMatchesPlainMinCost) {
     }
   }
   EXPECT_EQ(compared, 144);
+}
+
+TEST(CombinatorialTest, RowsScannedCountsOnePassPerRound) {
+  // Each greedy round scores every active query once per track, and a
+  // §5.1 search's first pass, which counts hits_before, also serves its
+  // first round. Grid-free, so no snap adds a pass.
+  TestWorld w = TestWorld::Linear(80, 60, 3, 41);
+  Counter* rows =
+      MetricsRegistry::Global().GetCounter("iq.search.rows_scanned");
+  const uint64_t active = static_cast<uint64_t>(w.queries->num_active());
+  const std::vector<int> targets = {1, 5, 9};
+  for (bool min_cost : {true, false}) {
+    SCOPED_TRACE(min_cost ? "MinCost" : "MaxHit");
+    uint64_t before = rows->value();
+    auto multi =
+        min_cost ? CombinatorialMinCostIq(*w.index, targets, 45, {IqOptions{}})
+                 : CombinatorialMaxHitIq(*w.index, targets, 0.3, {IqOptions{}});
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    ASSERT_GT(multi->iterations, 1);
+    EXPECT_EQ(rows->value() - before,
+              static_cast<uint64_t>(multi->iterations) * targets.size() *
+                  active);
+
+    auto ctx = IqContext::FromIndex(w.index.get(), 1);
+    ASSERT_TRUE(ctx.ok());
+    EseEvaluator ese(w.index.get(), 1);
+    before = rows->value();
+    auto single =
+        min_cost ? MinCostIq(*ctx, &ese, 30) : MaxHitIq(*ctx, &ese, 0.3);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_GT(single->iterations, 0);
+    EXPECT_EQ(rows->value() - before,
+              static_cast<uint64_t>(single->iterations) * active);
+  }
 }
 
 TEST(CombinatorialTest, ErrorPaths) {

@@ -185,51 +185,58 @@ int TauFor(int i, int m) { return 1 + (5 * i) % (m / 2); }
 double BetaFor(int i) { return 0.05 + 0.1 * i; }
 
 const Table& GreedySchemeTable() {
+  // The Efficient-IQ and RTA-IQ work hashes were re-recorded when the greedy
+  // began to evaluate only the candidates that can change its pick
+  // (DESIGN.md §2): fewer evaluator calls and rescored queries, the same
+  // answers. l2 and l1_box_grid_limit prune by the hit bound, the Min-Cost
+  // stop and Max-Hit's hit and budget filters; linearized, where the bound
+  // does not apply, by the stop and the filters alone. Greedy and Random
+  // evaluate no candidates, so their hashes did not move.
   static const Table table = {
       {"l1_box_grid_limit/Efficient-IQ/max_hit",
-       {0x61d5732f9f1c34efULL, 0xc7d2f74c646ba203ULL}},
+       {0x61d5732f9f1c34efULL, 0x2e1f1c907ce83ab4ULL}},
       {"l1_box_grid_limit/Efficient-IQ/min_cost",
-       {0x188b5cede8e3a997ULL, 0x03c5b96bb4e37906ULL}},
+       {0x188b5cede8e3a997ULL, 0xabcea17b004ba62cULL}},
       {"l1_box_grid_limit/Greedy/max_hit",
        {0xd03a5b8687156e12ULL, 0xd248f00b6c7bc073ULL}},
       {"l1_box_grid_limit/Greedy/min_cost",
        {0xaedff017bd513333ULL, 0xe1ecead7c6a4e8ceULL}},
       {"l1_box_grid_limit/RTA-IQ/max_hit",
-       {0x61d5732f9f1c34efULL, 0xc7d2f74c646ba203ULL}},
+       {0x61d5732f9f1c34efULL, 0x2e1f1c907ce83ab4ULL}},
       {"l1_box_grid_limit/RTA-IQ/min_cost",
-       {0x188b5cede8e3a997ULL, 0x03c5b96bb4e37906ULL}},
+       {0x188b5cede8e3a997ULL, 0xabcea17b004ba62cULL}},
       {"l1_box_grid_limit/Random/max_hit",
        {0x1331391fe626840dULL, 0xcef1de818eb9725dULL}},
       {"l1_box_grid_limit/Random/min_cost",
        {0x7170d71d5365a264ULL, 0xc69f52b112086553ULL}},
       {"l2/Efficient-IQ/max_hit",
-       {0xfea18d82137837d3ULL, 0x5ae0c24748f5b4e4ULL}},
+       {0xfea18d82137837d3ULL, 0x7ce8e214296eff3dULL}},
       {"l2/Efficient-IQ/min_cost",
-       {0x8a738b8e84800c79ULL, 0xaab9cbbdc81d1a51ULL}},
+       {0x8a738b8e84800c79ULL, 0x98260e348e8cdabbULL}},
       {"l2/Greedy/max_hit",
        {0xfea18d82137837d3ULL, 0x2dfd3f9412feca71ULL}},
       {"l2/Greedy/min_cost",
        {0x82e890b0faf627b2ULL, 0x7f1f25b0d35763acULL}},
       {"l2/RTA-IQ/max_hit",
-       {0xfea18d82137837d3ULL, 0x5ae0c24748f5b4e4ULL}},
+       {0xfea18d82137837d3ULL, 0x7ce8e214296eff3dULL}},
       {"l2/RTA-IQ/min_cost",
-       {0x8a738b8e84800c79ULL, 0xaab9cbbdc81d1a51ULL}},
+       {0x8a738b8e84800c79ULL, 0x98260e348e8cdabbULL}},
       {"l2/Random/max_hit",
        {0xc641cadb6a76a3e1ULL, 0x13be22ac6d720b65ULL}},
       {"l2/Random/min_cost",
        {0x1b758a27d8c856f2ULL, 0x8cfc14a5bf83d91bULL}},
       {"linearized/Efficient-IQ/max_hit",
-       {0x207ae4ccd8024d76ULL, 0x37cef9e295a16f26ULL}},
+       {0x207ae4ccd8024d76ULL, 0x40ae516742b6f09aULL}},
       {"linearized/Efficient-IQ/min_cost",
-       {0x267bded11f655e54ULL, 0x0e42c30c026b9f0dULL}},
+       {0x267bded11f655e54ULL, 0x013206ea992d44e9ULL}},
       {"linearized/Greedy/max_hit",
        {0x207ae4ccd8024d76ULL, 0x88a4f0f81a9484dbULL}},
       {"linearized/Greedy/min_cost",
        {0x497e8f26d4eb5c46ULL, 0xc42227fcfcf00aa4ULL}},
       {"linearized/RTA-IQ/max_hit",
-       {0x207ae4ccd8024d76ULL, 0x37cef9e295a16f26ULL}},
+       {0x207ae4ccd8024d76ULL, 0x40ae516742b6f09aULL}},
       {"linearized/RTA-IQ/min_cost",
-       {0x267bded11f655e54ULL, 0x0e42c30c026b9f0dULL}},
+       {0x267bded11f655e54ULL, 0x013206ea992d44e9ULL}},
       {"linearized/Random/max_hit",
        {0x4fa27ecd89465195ULL, 0x1c685300fbc7e565ULL}},
       {"linearized/Random/min_cost",
@@ -263,21 +270,26 @@ const Table& CombinatorialTable() {
       // Re-recorded when the §5.1 searches moved onto the one greedy loop,
       // which honours the grid and the candidate evaluation limit (the old
       // loop ignored both; with both off the old values 0xff2e50e52db9ad6a
-      // and 0xc81c90d5f1f48a7d come back).
+      // and 0xc81c90d5f1f48a7d come back). Every work hash but
+      // l2/Combinatorial/min_cost's was re-recorded again when the greedy
+      // began to skip the candidates that cannot change its pick (DESIGN.md
+      // §2); that search skipped none.
       {"l1_box_grid_limit/Combinatorial/max_hit",
-       {0x0d6cb4f15e1615e2ULL, 0xcbe391109acf531fULL}},
+       {0x0d6cb4f15e1615e2ULL, 0x7cba4d81b060c110ULL}},
       {"l1_box_grid_limit/Combinatorial/min_cost",
-       {0xdd49d6f071d23dfaULL, 0x2d768848ea0703ccULL}},
+       {0xdd49d6f071d23dfaULL, 0x222c58e99294df2fULL}},
       {"l2/Combinatorial/max_hit",
-       {0x3958c064fe2d4311ULL, 0xf07b634fca243a1cULL}},
+       {0x3958c064fe2d4311ULL, 0xbab5596675aefd6eULL}},
       {"l2/Combinatorial/min_cost",
        {0x0657f7d993b553d2ULL, 0x8ac123d6f7dce585ULL}},
       // Both linearized searches run one iteration over the same 32
-      // candidates (16 queries x 2 targets), hence one work hash.
+      // candidates (16 queries x 2 targets). They shared one work hash
+      // until Min-Cost's stop rule and Max-Hit's filters cut their
+      // evaluations apart.
       {"linearized/Combinatorial/max_hit",
-       {0x029ca7ceba580473ULL, 0x3729533354ae78faULL}},
+       {0x029ca7ceba580473ULL, 0x15489289fe08c0e4ULL}},
       {"linearized/Combinatorial/min_cost",
-       {0x434a10141c2c4040ULL, 0x3729533354ae78faULL}},
+       {0x434a10141c2c4040ULL, 0x74f78ec58884c66cULL}},
   };
   return table;
 }

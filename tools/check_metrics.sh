@@ -336,7 +336,6 @@ iq.ese.queries_reranked
 iq.index.full_reranks
 iq.pool.tasks
 iq.search.parallel_solve_batches
-iq.search.parallel_eval_batches
 iq.index.parallel_rank_batches
 iq.engine.batch_items
 '
