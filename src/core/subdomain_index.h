@@ -118,6 +118,9 @@ class SubdomainIndex {
   const Vec& aug_weights(int q) const {
     return aug_w_[static_cast<size_t>(q)];
   }
+  /// Every query's augmented weights, by id; copying the table shares its
+  /// chunks. Rows of inactive queries are stale or empty.
+  const CowChunks<Vec>& aug_weight_rows() const { return aug_w_; }
 
   /// SoA batch-scoring kernels (DESIGN.md §13), never stale.
   /// `object_kernel()` mirrors the active FunctionView rows (signature

@@ -19,20 +19,33 @@ constexpr double kPenaltyInitialMu = 10.0;
 constexpr double kPenaltyFeasibilityTol = 1e-8;
 constexpr double kPenaltyStepTol = 1e-12;
 
+/// Unit cost of coordinate j: 1 when the cost carries none (L1, L2).
+double UnitCost(const Vec& unit_costs, size_t j) {
+  return unit_costs.empty() ? 1.0 : unit_costs[j];
+}
+
 /// Active-set solve of: min Σ c_j s_j^2  s.t.  a.s <= r, s in box.
 /// (Also optimal for sqrt(Σ c_j s_j^2) — monotone transform.)
+/// Each round recomputes every free coordinate, so between rounds a free
+/// coordinate holds NaN and s itself records which ones the box has fixed.
 Result<Vec> SolveQuadratic(const Vec& a, double r, const Vec& unit_costs,
                            const AdjustBox& box) {
   const size_t d = a.size();
   Vec s(d, 0.0);
   if (r >= 0) return s;
 
-  std::vector<bool> fixed(d, false);
+  constexpr double kFree = std::numeric_limits<double>::quiet_NaN();
+  // Coordinates with a_j = 0 stay at 0 and are never fixed.
+  auto is_free = [&](size_t j) { return a[j] != 0.0 && std::isnan(s[j]); };
+  auto is_fixed = [&](size_t j) { return a[j] != 0.0 && !std::isnan(s[j]); };
+  for (size_t j = 0; j < d; ++j) {
+    if (a[j] != 0.0) s[j] = kFree;
+  }
   double need = r;  // remaining RHS for the free coordinates
   for (size_t round = 0; round <= d; ++round) {
     double denom = 0.0;
     for (size_t j = 0; j < d; ++j) {
-      if (!fixed[j] && a[j] != 0.0) denom += a[j] * a[j] / unit_costs[j];
+      if (is_free(j)) denom += a[j] * a[j] / UnitCost(unit_costs, j);
     }
     if (denom <= 0.0) {
       return Status::FailedPrecondition(
@@ -41,29 +54,32 @@ Result<Vec> SolveQuadratic(const Vec& a, double r, const Vec& unit_costs,
     // Lagrangian optimum on the free coordinates (equality a.s = need).
     bool clamped_any = false;
     for (size_t j = 0; j < d; ++j) {
-      if (fixed[j] || a[j] == 0.0) continue;
-      s[j] = (a[j] / unit_costs[j]) * need / denom;
-    }
-    for (size_t j = 0; j < d; ++j) {
-      if (fixed[j] || a[j] == 0.0) continue;
-      double lo = box.lower()[j];
-      double hi = box.upper()[j];
-      if (s[j] < lo || s[j] > hi) {
-        s[j] = std::clamp(s[j], lo, hi);
-        fixed[j] = true;
+      if (!is_free(j)) continue;
+      const double v = (a[j] / UnitCost(unit_costs, j)) * need / denom;
+      const double lo = box.lower()[j];
+      const double hi = box.upper()[j];
+      if (v < lo || v > hi) {
+        s[j] = std::clamp(v, lo, hi);
         clamped_any = true;
       }
     }
-    if (!clamped_any) return s;
+    if (!clamped_any) {
+      for (size_t j = 0; j < d; ++j) {
+        if (is_free(j)) {
+          s[j] = (a[j] / UnitCost(unit_costs, j)) * need / denom;
+        }
+      }
+      return s;
+    }
     // Recompute the requirement left for the still-free coordinates.
     need = r;
     for (size_t j = 0; j < d; ++j) {
-      if (fixed[j]) need -= a[j] * s[j];
+      if (is_fixed(j)) need -= a[j] * s[j];
     }
     if (need >= 0) {
       // Fixed coordinates alone already satisfy the constraint.
       for (size_t j = 0; j < d; ++j) {
-        if (!fixed[j]) s[j] = 0.0;
+        if (is_free(j)) s[j] = 0.0;
       }
       return s;
     }
@@ -92,7 +108,7 @@ Result<Vec> SolveL1(const Vec& a, double r, const Vec& unit_costs,
     double dir = a[j] > 0 ? -1.0 : 1.0;  // decrease a.s
     double cap = dir < 0 ? -box.lower()[j] : box.upper()[j];
     if (cap <= 0) continue;
-    double c = unit_costs[j];
+    double c = UnitCost(unit_costs, j);
     double eff = c > 0 ? std::fabs(a[j]) / c : kInf;
     moves.push_back({j, eff, cap, dir});
   }
@@ -115,11 +131,6 @@ Result<Vec> SolveL1(const Vec& a, double r, const Vec& unit_costs,
   return s;
 }
 
-Vec OnesIfEmpty(const Vec& unit_costs, size_t d) {
-  if (!unit_costs.empty()) return unit_costs;
-  return Vec(d, 1.0);
-}
-
 }  // namespace
 
 Result<HitSolution> MinCostForHalfspace(const Vec& a, double r,
@@ -132,11 +143,11 @@ Result<HitSolution> MinCostForHalfspace(const Vec& a, double r,
     case Kind::kL2:
     case Kind::kWeightedL2:
     case Kind::kQuadratic:
-      s = SolveQuadratic(a, r, OnesIfEmpty(cost.unit_costs(), a.size()), box);
+      s = SolveQuadratic(a, r, cost.unit_costs(), box);
       break;
     case Kind::kL1:
     case Kind::kWeightedL1:
-      s = SolveL1(a, r, OnesIfEmpty(cost.unit_costs(), a.size()), box);
+      s = SolveL1(a, r, cost.unit_costs(), box);
       break;
     case Kind::kCustom:
       return MinCostNonlinear(
@@ -144,7 +155,8 @@ Result<HitSolution> MinCostForHalfspace(const Vec& a, double r,
           [&a](const Vec&) { return a; }, cost, box);
   }
   if (!s.ok()) return s.status();
-  return HitSolution{*s, cost.Cost(*s)};
+  const double c = cost.Cost(*s);
+  return HitSolution{std::move(s).value(), c};
 }
 
 Result<HitSolution> MinCostNonlinear(
