@@ -35,8 +35,8 @@ struct MultiIqResult {
 ///
 /// `options` holds one entry per target, or a single entry shared by all.
 /// Cost, box and granularity are per target; each target is snapped onto
-/// its own grid after the loop. The loop-level settings — max_iterations,
-/// candidate_eval_limit and pool — come from options[0].
+/// its own grid after the loop. The loop-level settings — max_iterations
+/// and candidate_eval_limit — come from options[0].
 Result<MultiIqResult> CombinatorialMinCostIq(
     const SubdomainIndex& index, const std::vector<int>& targets, int tau,
     const std::vector<IqOptions>& options);

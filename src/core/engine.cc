@@ -66,11 +66,7 @@ Result<std::vector<IqResult>> SolveItems(const EpochHandle& snap,
       pool, static_cast<int64_t>(items.size()),
       [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
-          BatchItem item = items[static_cast<size_t>(i)];
-          // Items are the parallel unit; their inner candidate loops run
-          // serially (a nested ParallelFor would run inline anyway, this
-          // just makes the contract explicit and thread-count-independent).
-          item.options.pool = nullptr;
+          const BatchItem& item = items[static_cast<size_t>(i)];
           // Per-item root span, opened on whichever worker claimed the
           // item. The batch root's context arrived with the chunk, so this
           // joins the batch's trace as a child span rather than starting a
@@ -362,9 +358,8 @@ auto IqEngine::RootCall(const char* op, int64_t arg0, int64_t arg1,
 Result<IqResult> IqEngine::MinCost(int target, int tau,
                                    const IqOptions& options,
                                    IqScheme scheme) const {
-  // The root span allocates the trace id every span below — including
-  // chunk bodies on pool workers — inherits, and decides keep/discard
-  // against the slow-trace threshold at scope exit.
+  // The root span allocates the trace id every span below inherits, and
+  // decides keep/discard against the slow-trace threshold at scope exit.
   return RootCall("IqEngine::MinCost", target, tau, [&] {
     ScopedTimer latency(EngineMetrics::Get().min_cost_nanos);
     EpochHandle snap = Snapshot();
@@ -373,10 +368,6 @@ Result<IqResult> IqEngine::MinCost(int target, int tau,
     item.target = target;
     item.tau = tau;
     item.options = options;
-    // Single-target calls parallelize *inside* the search (candidate
-    // generation + ESE evaluation); see SolveBatch for across-target
-    // fan-out.
-    item.options.pool = pool_.get();
     return SolveOne(snap.index_ptr(), item, scheme);
   });
 }
@@ -392,7 +383,6 @@ Result<IqResult> IqEngine::MaxHit(int target, double beta,
     item.target = target;
     item.beta = beta;
     item.options = options;
-    item.options.pool = pool_.get();
     return SolveOne(snap.index_ptr(), item, scheme);
   });
 }
@@ -422,12 +412,8 @@ Result<MultiIqResult> IqEngine::MultiMinCost(
   return RootCall("IqEngine::MultiMinCost",
                   static_cast<int64_t>(targets.size()), tau, [&] {
                     EpochHandle snap = Snapshot();
-                    // Like MinCost/MaxHit: the search runs on the engine
-                    // pool (options[0] carries the loop-level settings).
-                    std::vector<IqOptions> opts = options;
-                    if (!opts.empty()) opts[0].pool = pool_.get();
                     return CombinatorialMinCostIq(snap.index(), targets, tau,
-                                                  opts);
+                                                  options);
                   });
 }
 
@@ -437,12 +423,8 @@ Result<MultiIqResult> IqEngine::MultiMaxHit(
   return RootCall("IqEngine::MultiMaxHit",
                   static_cast<int64_t>(targets.size()), kNoArg, [&] {
                     EpochHandle snap = Snapshot();
-                    // Like MinCost/MaxHit: the search runs on the engine
-                    // pool (options[0] carries the loop-level settings).
-                    std::vector<IqOptions> opts = options;
-                    if (!opts.empty()) opts[0].pool = pool_.get();
                     return CombinatorialMaxHitIq(snap.index(), targets, beta,
-                                                 opts);
+                                                 options);
                   });
 }
 

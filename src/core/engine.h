@@ -36,12 +36,12 @@ const char* IqSchemeName(IqScheme scheme);
 struct EngineOptions {
   SubdomainIndexOptions index;
   /// Worker threads for the parallel execution layer (DESIGN.md §8): the
-  /// subdomain-index build/maintenance ranking, greedy candidate
-  /// generation + ESE evaluation, and SolveBatch all fan out over an
-  /// engine-owned pool of this many threads. 0 (the default) creates no
-  /// pool and preserves the fully serial code path; any value >= 1 routes
-  /// through the pool with results bit-identical to serial (deterministic
-  /// reduction — see tests/parallel_diff_test.cc).
+  /// subdomain-index build/maintenance ranking and SolveBatch fan out over
+  /// an engine-owned pool of this many threads; a single search runs on
+  /// its caller. 0 (the default) creates no pool and preserves the fully
+  /// serial code path; any value >= 1 routes through the pool with results
+  /// bit-identical to serial (deterministic reduction — see
+  /// tests/parallel_diff_test.cc).
   int num_threads = 0;
   /// Live observability endpoint (DESIGN.md §9). -1 (the default) serves
   /// nothing; 0 starts the /metrics exporter on a kernel-chosen loopback
@@ -78,9 +78,8 @@ struct BatchItem {
   int tau = 1;
   /// Max-Hit budget (ignored by kMinCost).
   double beta = 0.0;
-  /// Per-item options. BatchItem solves always run their *inner* candidate
-  /// loops serially (items are the parallel unit); any pool set here is
-  /// ignored.
+  /// Per-item options. Items are the parallel unit: each search runs on
+  /// the worker that claimed it.
   IqOptions options;
 };
 

@@ -77,7 +77,7 @@ class ThreadPool {
   /// and rethrown on the caller (remaining chunks are drained, not run).
   /// Called from a pool worker, runs body(0, n) inline (see class comment).
   /// `site` names the chunk spans (see SpanRecorder) — a static
-  /// string like "greedy.candidate_solve"; pass nullptr for unattributed
+  /// string like "engine.solve_batch"; pass nullptr for unattributed
   /// call sites (tests). `policy` selects static chunking or per-item
   /// work-stealing claims (see ChunkPolicy); results are bit-identical
   /// either way.

@@ -335,7 +335,6 @@ if [ "$check_pool" -eq 1 ]; then
 iq.ese.queries_reranked
 iq.index.full_reranks
 iq.pool.tasks
-iq.search.parallel_solve_batches
 iq.index.parallel_rank_batches
 iq.engine.batch_items
 '
