@@ -177,7 +177,7 @@ Result<IqResult> SolveOne(const SubdomainIndex* index, const BatchItem& item,
   const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
   switch (scheme) {
     case IqScheme::kEfficient: {
-      EseEvaluator ese(index, item.target);
+      EseEvaluator ese(index, item.target, ctx.thresholds());
       return min_cost ? MinCostIq(ctx, &ese, item.tau, item.options)
                       : MaxHitIq(ctx, &ese, item.beta, item.options);
     }
@@ -187,12 +187,12 @@ Result<IqResult> SolveOne(const SubdomainIndex* index, const BatchItem& item,
                       : MaxHitIq(ctx, &rta, item.beta, item.options);
     }
     case IqScheme::kGreedy: {
-      EseEvaluator ese(index, item.target);
+      EseEvaluator ese(index, item.target, ctx.thresholds());
       return min_cost ? GreedyMinCost(ctx, &ese, item.tau, item.options)
                       : GreedyMaxHit(ctx, &ese, item.beta, item.options);
     }
     case IqScheme::kRandom: {
-      EseEvaluator ese(index, item.target);
+      EseEvaluator ese(index, item.target, ctx.thresholds());
       return min_cost ? RandomMinCost(ctx, &ese, item.tau, item.options)
                       : RandomMaxHit(ctx, &ese, item.beta, item.options);
     }

@@ -72,7 +72,7 @@ struct EvalBreakdown {
   size_t candidates_evaluated = 0;
   size_t evaluator_calls = 0;
   /// Per-query work inside the evaluator: rescored = hit state recomputed,
-  /// reused = cached hit state kept (nonzero only on the ESE wedge path).
+  /// reused = cached hit state kept (the ESE's; the baselines reuse none).
   size_t queries_rescored = 0;
   size_t queries_reused = 0;
   /// Time inside the candidate cost solver vs. inside H evaluation.

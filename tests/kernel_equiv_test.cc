@@ -256,21 +256,6 @@ void ExpectKernelsMatchRebuild(const TestWorld& w) {
   EXPECT_EQ(w.index->MemoryBytes(), oracle.MemoryBytes());
 }
 
-/// The scalar reference for EseEvaluator::HitsForCoeffs: one Dot per active
-/// query against its threshold, with the shared strict-< hit rule.
-int ScalarHits(const SubdomainIndex& index,
-               const std::vector<double>& thresholds, const Vec& c) {
-  int hits = 0;
-  for (int q = 0; q < index.queries().size(); ++q) {
-    if (!index.queries().is_active(q)) continue;
-    if (HitByThreshold(Dot(c, index.aug_weights(q)),
-                       thresholds[static_cast<size_t>(q)])) {
-      ++hits;
-    }
-  }
-  return hits;
-}
-
 int PickActiveObject(const Dataset& data, Rng& rng) {
   for (;;) {
     const int id = static_cast<int>(rng.UniformInt(0, data.size() - 1));
@@ -370,16 +355,20 @@ TEST(KernelEquivTest, EseKernelAndScalarPathsIdenticalOn200Worlds) {
                                w.queries->query(q).k, target))
             << "query " << q;
       }
+      // Each call re-tests the queries within reach of the step (the prefix
+      // rule) and reuses the rest: rescored + reused is every active query.
+      size_t prefixes = 0;
       for (int probe = 0; probe < 4; ++probe) {
         const Vec s = rng.UniformVector(dim, -0.2, 0.2);
         const Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), s));
         EXPECT_EQ(ese.HitsForCoeffs(c), ScalarHits(*w.index, ese.thresholds(), c))
             << "probe " << probe;
+        prefixes += EseReachPrefix(*w.index, ese.thresholds(), target, c);
       }
       EXPECT_EQ(ese.calls(), 4u);
-      EXPECT_EQ(ese.queries_rescored(),
+      EXPECT_EQ(ese.queries_rescored() + ese.queries_reused(),
                 4u * static_cast<size_t>(w.queries->num_active()));
-      EXPECT_EQ(ese.queries_reused(), 0u);
+      EXPECT_EQ(ese.queries_rescored(), prefixes);
 
       // The geometric wedge path (always scalar) agrees with the scan.
       const Vec s = rng.UniformVector(dim, -0.1, 0.1);

@@ -306,18 +306,29 @@ TEST(TraceTest, FlatExportCarriesThreadMetadataAndCausalArgs) {
 
 // ---- Engine-level counters on a known workload ----
 
-TEST(ObsEngineTest, EseScanCountsEveryActiveQueryAsReranked) {
+// The scan re-tests the queries within reach of the step (the prefix rule,
+// DESIGN.md §2) and reuses every other cached hit state: each call counts
+// every active query once, as reranked or as reused.
+TEST(ObsEngineTest, EseScanCountsEveryActiveQueryAsRerankedOrReused) {
   TestWorld w = TestWorld::Linear(200, 40, 3, /*seed=*/11);
   MetricsRegistry::Global().Reset();
   EseEvaluator ese(w.index.get(), 0);
   const uint64_t m = static_cast<uint64_t>(w.queries->num_active());
+  const uint64_t at_target =
+      EseReachPrefix(*w.index, ese.thresholds(), 0, w.view->coeffs(0));
+  const uint64_t at_other =
+      EseReachPrefix(*w.index, ese.thresholds(), 0, w.view->coeffs(1));
   (void)ese.HitsForCoeffs(w.view->coeffs(0));
   (void)ese.HitsForCoeffs(w.view->coeffs(1));
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snap.CounterValue("iq.ese.queries_reranked"), 2 * m);
-  EXPECT_EQ(snap.CounterValue("iq.ese.queries_reused"), 0u);
+  const uint64_t reranked = snap.CounterValue("iq.ese.queries_reranked");
+  const uint64_t reused = snap.CounterValue("iq.ese.queries_reused");
+  EXPECT_EQ(reranked + reused, 2 * m);
+  EXPECT_EQ(reranked, at_target + at_other);
+  EXPECT_LT(at_target, m) << "the zero step must reuse cached hit states";
   EXPECT_EQ(snap.CounterValue("iq.ese.scan_evaluations"), 2u);
-  EXPECT_EQ(ese.queries_rescored(), 2 * m);
+  EXPECT_EQ(ese.queries_rescored(), reranked);
+  EXPECT_EQ(ese.queries_reused(), reused);
 }
 
 TEST(ObsEngineTest, EseWedgePathSplitsRerankedAndReused) {
@@ -329,13 +340,17 @@ TEST(ObsEngineTest, EseWedgePathSplitsRerankedAndReused) {
   Vec s = {0.01, -0.01, 0.005};
   Vec c = w.view->CoefficientsFor(Add(w.data->attrs(0), s));
   int hits_wedge = ese.HitsViaWedges(c);
+  const uint64_t wedge_rescored = ese.queries_rescored();
   int hits_scan = ese.HitsForCoeffs(c);
   EXPECT_EQ(hits_wedge, hits_scan);  // both paths agree
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   uint64_t reranked = snap.CounterValue("iq.ese.queries_reranked");
   uint64_t reused = snap.CounterValue("iq.ese.queries_reused");
-  // Wedge pass: reranked_w + reused_w == m. Scan pass adds m more reranks.
+  // Each pass counts every active query once: the wedge pass reranks the
+  // affected subspaces, the scan pass the queries within reach.
   EXPECT_EQ(reranked + reused, 2 * m);
+  EXPECT_EQ(reranked, wedge_rescored + EseReachPrefix(*w.index,
+                                                      ese.thresholds(), 0, c));
   EXPECT_GT(reused, 0u) << "a small step must reuse most cached hit states";
   EXPECT_EQ(snap.CounterValue("iq.ese.wedge_evaluations"), 1u);
   EXPECT_GT(snap.CounterValue("iq.ese.affected_subspaces"), 0u);

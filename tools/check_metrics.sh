@@ -4,12 +4,18 @@
 # the paper-critical counters must exist and be non-zero, otherwise the
 # instrumentation has silently rotted.
 #
-#   tools/check_metrics.sh [--pool|--exporter|--profile|--epoch] path/to/metrics.json
+#   tools/check_metrics.sh [--pool|--scan|--exporter|--profile|--epoch] path/to/metrics.json
 #
 # --pool additionally requires the parallel-execution counters
 # (iq.pool.tasks etc.) to have moved — pass it for snapshots produced by a
 # pooled run (micro_parallel --json=...); serial runs legitimately leave
 # them at zero.
+#
+# --scan checks a snapshot from a run of the ESE scan path alone
+# (micro_ese --benchmark_filter='BM_EseScan|BM_MinCostIq'): the scan must
+# have credited reuse (iq.ese.queries_reused > 0) with no wedge evaluation
+# to account for it, so a reach bound that silently falls back to full
+# scans fails (DESIGN.md §2, §7).
 #
 # --exporter validates a scraped /metrics payload (Prometheus text
 # exposition, as written by --scrape-metrics= or `curl /metrics`) instead of
@@ -42,12 +48,16 @@
 set -u
 
 check_pool=0
+check_scan=0
 check_exporter=0
 check_profile=0
 check_epoch=0
 check_trace=0
 if [ "${1:-}" = "--pool" ]; then
   check_pool=1
+  shift
+elif [ "${1:-}" = "--scan" ]; then
+  check_scan=1
   shift
 elif [ "${1:-}" = "--exporter" ]; then
   check_exporter=1
@@ -67,7 +77,7 @@ if [ "$check_trace" -eq 1 ] && [ $# -eq 2 ]; then
   want_args=2
 fi
 if [ $# -ne "$want_args" ] || [ ! -f "$1" ]; then
-  echo "usage: $0 [--pool|--exporter|--profile|--epoch] metrics.json" >&2
+  echo "usage: $0 [--pool|--scan|--exporter|--profile|--epoch] metrics.json" >&2
   echo "       $0 --trace trace-report.json [metrics_scrape.txt]" >&2
   exit 2
 fi
@@ -338,6 +348,22 @@ iq.pool.tasks
 iq.index.parallel_rank_batches
 iq.engine.batch_items
 '
+fi
+if [ "$check_scan" -eq 1 ]; then
+  # The scan path alone: no wedge search runs, so the R-tree counter stays
+  # at zero, and the reuse must come from the reach bound.
+  required_counters='
+iq.ese.queries_reranked
+iq.ese.queries_reused
+iq.ese.scan_evaluations
+'
+  wedge="$(grep -oE '"iq.ese.wedge_evaluations": [0-9]+' "$json" \
+           | grep -oE '[0-9]+$' || true)"
+  if [ -n "$wedge" ] && [ "$wedge" -gt 0 ]; then
+    echo "check_metrics: --scan snapshot ran $wedge wedge evaluations;" \
+         "its reuse would not be the scan's" >&2
+    failures=$((failures + 1))
+  fi
 fi
 
 for name in $required_counters; do
