@@ -80,10 +80,11 @@ Result<StrategyReport> ExplainStrategy(const SubdomainIndex& index,
   Vec c_after = view.CoefficientsFor(Add(data.attrs(target), strategy));
 
   const QuerySet& queries = index.queries();
+  const std::vector<double> thresholds = index.HitThresholds(target);
   for (int q = 0; q < queries.size(); ++q) {
     if (!queries.is_active(q)) continue;
     const Vec& w = index.aug_weights(q);
-    double t = index.KthScoreExcluding(q, target);
+    const double t = thresholds[static_cast<size_t>(q)];
     QueryEffect e;
     e.query = q;
     e.threshold = t;

@@ -12,10 +12,12 @@ namespace iq {
 Status CrossCheckEse(const SubdomainIndex& index, int target) {
   const FunctionView& view = index.view();
   const QuerySet& queries = index.queries();
+  const std::vector<double> thresholds = index.HitThresholds(target);
+  const std::vector<int> hit_set = index.HitSet(target);
   for (int q = 0; q < queries.size(); ++q) {
     if (!queries.is_active(q)) continue;
     const Vec& w = index.aug_weights(q);
-    double cached_t = index.KthScoreExcluding(q, target);
+    double cached_t = thresholds[static_cast<size_t>(q)];
     double naive_t = KthBestScore(view.rows(), &view.dataset().active_mask(),
                                   w, queries.query(q).k, target);
     // Both thresholds pick the k-th smallest of the same dot products, so
@@ -28,7 +30,7 @@ Status CrossCheckEse(const SubdomainIndex& index, int target) {
           std::to_string(naive_t));
     }
     double score = view.Score(target, w);  // iq-lint: allow(raw-scoring-loop)
-    bool cached_hit = index.Hits(target, q);
+    bool cached_hit = std::binary_search(hit_set.begin(), hit_set.end(), q);
     bool naive_hit = HitByThreshold(score, naive_t);
     if (cached_hit != naive_hit) {
       return Status::Internal(

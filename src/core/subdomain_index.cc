@@ -1,6 +1,7 @@
 #include "core/subdomain_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -133,6 +134,9 @@ std::vector<int> SubdomainIndex::GroupQueries() {
   // Fresh cells: a clone drops its references to the shared ones, which the
   // published epochs keep.
   sd_of_.assign(static_cast<size_t>(m), -1);
+  kth_score_ = CowChunks<double>(std::vector<double>(
+      static_cast<size_t>(m), std::numeric_limits<double>::infinity()));
+  kth_id_ = CowChunks<int>(std::vector<int>(static_cast<size_t>(m), -1));
   subdomains_.clear();
   free_subdomains_.clear();
   num_occupied_ = 0;
@@ -187,11 +191,13 @@ SubdomainIndex SubdomainIndex::CloneCow(const FunctionView* view,
   copy.pool_ = pool_;
   copy.epoch_ = epoch;
   copy.sd_of_ = sd_of_;
-  // Cells, the R-tree, the signature map and the aug_w_ chunks are shared,
-  // not copied: the Mutable* accessors clone them lazily when (and only
-  // when) a maintenance hook touches them. Kernel blocks are immutable;
-  // the hooks replace the one block they re-pack.
+  // Cells, the R-tree, the signature map and the aug_w_/kth_* chunks are
+  // shared, not copied: the Mutable* accessors clone them lazily when (and
+  // only when) a maintenance hook touches them. Kernel blocks are
+  // immutable; the hooks replace the one block they re-pack.
   copy.aug_w_ = aug_w_;
+  copy.kth_score_ = kth_score_;
+  copy.kth_id_ = kth_id_;
   copy.subdomains_ = subdomains_;
   copy.rtree_ = rtree_;
   copy.signature_to_sd_ = signature_to_sd_;
@@ -313,6 +319,18 @@ int SubdomainIndex::FindOrCreateSubdomain(std::vector<int> signature) {
 void SubdomainIndex::AttachQueryToSubdomain(int q, int sd) {
   sd_of_[static_cast<size_t>(q)] = sd;
   MutableCell(sd).query_ids.push_back(q);
+  const ScoredObject kth = SignatureEntry(
+      q, static_cast<size_t>(queries_->query(q).k) - 1);
+  kth_score_.Mutable(static_cast<size_t>(q)) = kth.score;
+  kth_id_.Mutable(static_cast<size_t>(q)) = kth.id;
+}
+
+ScoredObject SubdomainIndex::SignatureEntry(int q, size_t rank) const {
+  const std::vector<int>& sig = Cell(sd_of_[static_cast<size_t>(q)]).signature;
+  if (rank >= sig.size()) {
+    return {-1, std::numeric_limits<double>::infinity()};
+  }
+  return {sig[rank], view_->Score(sig[rank], aug_w_[static_cast<size_t>(q)])};
 }
 
 void SubdomainIndex::DetachQueryFromSubdomain(int q) {
@@ -345,49 +363,60 @@ std::vector<int> SubdomainIndex::SignatureMembers() const {
   return members;
 }
 
-double SubdomainIndex::KthScoreExcluding(int q, int target) const {
-  const int sd = sd_of_[static_cast<size_t>(q)];
-  IQ_DCHECK(sd >= 0);
-  const std::vector<int>& sig = Cell(sd).signature;
-  const int k = queries_->query(q).k;
-  const Vec& w = aug_w_[static_cast<size_t>(q)];
-  int seen = 0;
-  for (int obj : sig) {
-    if (obj == target) continue;
-    ++seen;
-    // iq-lint: allow(raw-scoring-loop): O(kappa) prefix read
-    if (seen == k) return view_->Score(obj, w);
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-std::vector<double> SubdomainIndex::HitThresholds(int target) const {
+std::vector<double> SubdomainIndex::ThresholdsAndScores(
+    int target, std::vector<double>* scores) const {
   std::vector<double> t(static_cast<size_t>(queries_->size()),
                         std::numeric_limits<double>::quiet_NaN());
-  for (int q = 0; q < queries_->size(); ++q) {
-    if (!queries_->is_active(q)) continue;
-    t[static_cast<size_t>(q)] = KthScoreExcluding(q, target);
+  const Dataset& data = view_->dataset();
+  const bool in_range = target >= 0 && target < data.size();
+  const bool active = in_range && data.is_active(target);
+  scores->clear();
+  if (in_range) query_kernel_.ScoreAll(view_->coeffs(target), scores);
+  // The kernel's scores equal view_->Score bit for bit, the scores every
+  // signature was ranked by, so the (score, id) test below is exact: an
+  // active target ranks in q's top k iff it sorts at or before q's k-th
+  // entry. Only then does excluding it move t_q to the (k+1)-th entry.
+  size_t d = 0;
+  for (const auto& block : query_kernel_.blocks()) {
+    for (const int q : block->ids) {
+      const size_t slot = static_cast<size_t>(q);
+      const double kth = kth_score_[slot];
+      double t_q = kth;
+      if (active) {
+        const double s = (*scores)[d];
+        if (s < kth || (s == kth && target <= kth_id_[slot])) {
+          t_q = SignatureEntry(q, static_cast<size_t>(queries_->query(q).k))
+                    .score;
+        }
+      }
+      t[slot] = t_q;
+      ++d;
+    }
   }
   return t;
 }
 
-bool SubdomainIndex::Hits(int target, int q) const {
-  double score = view_->Score(target, aug_w_[static_cast<size_t>(q)]);
-  return HitByThreshold(score, KthScoreExcluding(q, target));
+std::vector<double> SubdomainIndex::HitThresholds(int target) const {
+  std::vector<double> scores;
+  return ThresholdsAndScores(target, &scores);
 }
 
 int SubdomainIndex::HitCount(int target) const {
-  int hits = 0;
-  for (int q = 0; q < queries_->size(); ++q) {
-    if (queries_->is_active(q) && Hits(target, q)) ++hits;
-  }
-  return hits;
+  return static_cast<int>(HitSet(target).size());
 }
 
 std::vector<int> SubdomainIndex::HitSet(int target) const {
+  std::vector<double> scores;
+  const std::vector<double> t = ThresholdsAndScores(target, &scores);
   std::vector<int> out;
-  for (int q = 0; q < queries_->size(); ++q) {
-    if (queries_->is_active(q) && Hits(target, q)) out.push_back(q);
+  if (scores.empty()) return out;
+  size_t d = 0;
+  for (const auto& block : query_kernel_.blocks()) {
+    for (const int q : block->ids) {
+      if (HitByThreshold(scores[d++], t[static_cast<size_t>(q)])) {
+        out.push_back(q);
+      }
+    }
   }
   return out;
 }
@@ -404,6 +433,8 @@ Status SubdomainIndex::OnQueryAdded(int q) {
   }
   while (aug_w_.size() < static_cast<size_t>(queries_->size())) {
     aug_w_.push_back(Vec());
+    kth_score_.push_back(std::numeric_limits<double>::infinity());
+    kth_id_.push_back(-1);
   }
   sd_of_.resize(static_cast<size_t>(queries_->size()), -1);
   aug_w_.Mutable(static_cast<size_t>(q)) =
@@ -584,7 +615,9 @@ std::string IntListString(const std::vector<int>& v) {
 Status SubdomainIndex::CheckInvariants() const {
   const int m = queries_->size();
   if (static_cast<int>(sd_of_.size()) != m ||
-      static_cast<int>(aug_w_.size()) != m) {
+      static_cast<int>(aug_w_.size()) != m ||
+      static_cast<int>(kth_score_.size()) != m ||
+      static_cast<int>(kth_id_.size()) != m) {
     return Status::Internal("per-query tables are not sized to the QuerySet");
   }
 
@@ -707,7 +740,28 @@ Status SubdomainIndex::CheckInvariants() const {
     }
   }
 
-  // 4. The R-tree mirrors the active queries exactly.
+  // 4. Each active query's stored k-th entry is its signature's k-th entry,
+  // score bit for bit (HitThresholds reads it; after check 3, so a
+  // corrupted signature is blamed on the ranking, not on its entries).
+  for (int q = 0; q < m; ++q) {
+    if (!queries_->is_active(q)) continue;
+    const size_t slot = static_cast<size_t>(q);
+    const ScoredObject kth = SignatureEntry(
+        q, static_cast<size_t>(queries_->query(q).k) - 1);
+    if (kth_id_[slot] != kth.id ||
+        std::bit_cast<uint64_t>(kth_score_[slot]) !=
+            std::bit_cast<uint64_t>(kth.score)) {
+      return Status::Internal(
+          "query " + std::to_string(q) + ": stored k-th entry (object " +
+          std::to_string(kth_id_[slot]) + ", score " +
+          std::to_string(kth_score_[slot]) +
+          ") disagrees with its signature's (object " +
+          std::to_string(kth.id) + ", score " + std::to_string(kth.score) +
+          ")");
+    }
+  }
+
+  // 5. The R-tree mirrors the active queries exactly.
   if (rtree_ == nullptr) return Status::Internal("R-tree is missing");
   IQ_RETURN_IF_ERROR(rtree_->CheckInvariants());
   if (static_cast<int>(rtree_->size()) != queries_->num_active()) {
@@ -734,6 +788,7 @@ size_t SubdomainIndex::MemoryBytes() const {
   for (size_t q = 0; q < aug_w_.size(); ++q) {
     bytes += aug_w_[q].size() * sizeof(double);
   }
+  bytes += kth_score_.size() * sizeof(double) + kth_id_.size() * sizeof(int);
   bytes += sd_of_.size() * sizeof(int);
   for (const auto& s : subdomains_) {
     bytes += sizeof(Subdomain) + sizeof(std::shared_ptr<Subdomain>);

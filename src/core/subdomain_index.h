@@ -11,6 +11,7 @@
 #include "core/query.h"
 #include "core/score_kernel.h"
 #include "index/rtree.h"
+#include "topk/topk.h"
 #include "util/annotations.h"
 #include "util/cow_chunks.h"
 #include "util/status.h"
@@ -46,9 +47,11 @@ struct SubdomainIndexOptions {
 ///
 /// Responsibilities:
 ///  * build-time: find each query's subdomain (signature), cache the shared
-///    ranking prefix — this is the expensive ranking work that ESE reuses;
-///  * query-time: per-(query,target) hit thresholds t_q in O(κ) — the score
-///    of the k-th best competitor, cached ranking makes this sort-free;
+///    ranking prefix — this is the expensive ranking work that ESE reuses —
+///    and store each query's k-th signature entry;
+///  * query-time: a target's hit thresholds t_q (the score of each query's
+///    k-th best competitor) in one kernel pass over the queries, read off
+///    the stored k-th entries, sort-free;
 ///  * geometric retrieval: the R-tree supports the affected-subspace (wedge)
 ///    searches of Algorithm 2;
 ///  * maintenance (§4.3): add/remove query (kNN candidate subdomains),
@@ -60,7 +63,7 @@ struct SubdomainIndexOptions {
 /// §12). The index owns no lock. In the engine's epoch architecture every
 /// published index is immutable: readers pin the owning EpochSnapshot (via
 /// IqEngine::Snapshot()) and call the const query-time surface
-/// (KthScoreExcluding, HitThresholds, Hits, the R-tree searches) from any
+/// (HitThresholds, HitCount, HitSet, the R-tree searches) from any
 /// number of threads with no lock at all. The On*() maintenance hooks run
 /// only on an *unpublished* clone — CloneCow() shares the subdomain cells
 /// and the R-tree with the parent epoch and the hooks copy-on-write the
@@ -83,15 +86,15 @@ class SubdomainIndex {
   SubdomainIndex& operator=(SubdomainIndex&&) = default;
 
   /// Copy-on-write clone for the next epoch (DESIGN.md §12): the subdomain
-  /// cells, the R-tree, the signature map, the augmented-weight chunks and
-  /// both kernels' blocks are *shared* with this index (pointer copies);
-  /// the small per-query and per-object tables are copied, and
-  /// `view`/`queries` rebind the clone to the next epoch's own owners. The
-  /// clone's maintenance hooks then clone any cell they touch before
-  /// mutating it (the §4.3 affected-subspace computation decides which),
-  /// counted by iq.index.cow_cells_cloned — untouched cells stay shared
-  /// across arbitrarily many epochs. `this` must be treated as frozen
-  /// while any clone of it is alive.
+  /// cells, the R-tree, the signature map, the augmented-weight and k-th
+  /// entry chunks and both kernels' blocks are *shared* with this index
+  /// (pointer copies); the small per-query and per-object tables are
+  /// copied, and `view`/`queries` rebind the clone to the next epoch's own
+  /// owners. The clone's maintenance hooks then clone any cell they touch
+  /// before mutating it (the §4.3 affected-subspace computation decides
+  /// which), counted by iq.index.cow_cells_cloned — untouched cells stay
+  /// shared across arbitrarily many epochs. `this` must be treated as
+  /// frozen while any clone of it is alive.
   SubdomainIndex CloneCow(const FunctionView* view, const QuerySet* queries,
                           uint64_t epoch) const;
 
@@ -140,15 +143,18 @@ class SubdomainIndex {
   /// over these instead of all n objects.
   std::vector<int> SignatureMembers() const;
 
-  /// t_q: the score of the k-th best object under query q excluding
-  /// `target`. +infinity when fewer than k competitors exist. O(κ).
-  double KthScoreExcluding(int q, int target) const;
-
-  /// t_q for every active query (inactive slots = NaN). O(m·κ).
+  /// t_q for every active query, by query id (inactive slots = NaN): the
+  /// score of the k-th best object under q excluding `target`, +infinity
+  /// when fewer than k competitors exist. One query-kernel pass scores the
+  /// target under every active query; t_q is then q's stored k-th entry,
+  /// or, when the target is active and ranks in q's top k, its (k+1)-th
+  /// signature entry (DESIGN.md §2). Bit-identical to a full KthBestScore
+  /// scan.
   std::vector<double> HitThresholds(int target) const;
 
-  /// Hit test/count/set for an object in its original position.
-  bool Hits(int target, int q) const;
+  /// The active queries an object hits in its original position
+  /// (HitByThreshold of its score against HitThresholds), ascending, and
+  /// their count. An id outside the dataset hits nothing.
   int HitCount(int target) const;
   std::vector<int> HitSet(int target) const;
 
@@ -179,7 +185,9 @@ class SubdomainIndex {
   /// cell's cached total order agrees with a fresh f_p(q) re-ranking at the
   /// cell's representative query (and signature-matches every other member
   /// query), and the R-tree passes its own CheckInvariants. Returns the
-  /// first defect found, precisely located; Ok when sound. O(S·n·κ).
+  /// first defect found, precisely located; Ok when sound. After the
+  /// re-ranking check it re-derives every active query's stored k-th entry
+  /// from its cell's signature. O(S·n·κ).
   Status CheckInvariants() const;
 
   /// Test-only: corrupts subdomain `sd`'s cached signature by swapping its
@@ -230,8 +238,19 @@ class SubdomainIndex {
   bool SignatureMatches(const Vec& aug_w, const std::vector<int>& sig) const;
   int FindOrCreateSubdomain(std::vector<int> signature);
   void DetachQueryFromSubdomain(int q);
+  /// Assigns q to cell `sd` and refreshes q's k-th entry from the cell's
+  /// signature: the one place Build, κ growth and every §4.3 hook (re)set
+  /// a query's cell.
   void AttachQueryToSubdomain(int q, int sd);
   void ReleaseSubdomainIfEmpty(int sd);
+  /// The object at 0-based position `rank` of q's signature and its score
+  /// under q; {-1, +infinity} past the signature's end.
+  ScoredObject SignatureEntry(int q, size_t rank) const;
+  /// HitThresholds, plus the target's score under every active query in
+  /// the query kernel's dense order (`scores` is left empty for an id
+  /// outside the dataset).
+  std::vector<double> ThresholdsAndScores(int target,
+                                          std::vector<double>* scores) const;
 
   const Subdomain& Cell(int sd) const {
     return *subdomains_[static_cast<size_t>(sd)];
@@ -263,9 +282,15 @@ class SubdomainIndex {
   // Subdomain structure: written by Build and the On*() maintenance hooks,
   // read by everything. The writer's lock separates clone construction from
   // the publish; published epochs are frozen (see the class comment). Cells,
-  // the R-tree, the signature map and the aug_w_ chunks are shared across
-  // epochs and mutated only through the COW accessors above.
+  // the R-tree, the signature map and the aug_w_/kth_* chunks are shared
+  // across epochs and mutated only through the COW accessors above.
   CowChunks<Vec> aug_w_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
+  // Each query's k-th signature entry, by query id: the score and id of the
+  // k-th object of its cell's signature ({+inf, -1} when the signature is
+  // shorter than k). Written only by AttachQueryToSubdomain; rows of
+  // inactive queries are stale.
+  CowChunks<double> kth_score_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
+  CowChunks<int> kth_id_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::vector<int> sd_of_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::vector<std::shared_ptr<Subdomain>> subdomains_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);

@@ -155,10 +155,11 @@ Result<std::string> RenderAffectedSubspace(const SubdomainIndex& index,
 
   // Hit status flips per query (threshold rule).
   const QuerySet& queries = index.queries();
+  const std::vector<double> thresholds = index.HitThresholds(target);
   std::vector<int> affected;
   for (int q = 0; q < queries.size(); ++q) {
     if (!queries.is_active(q)) continue;
-    double t = index.KthScoreExcluding(q, target);
+    const double t = thresholds[static_cast<size_t>(q)];
     const Vec& w = index.aug_weights(q);
     if (HitByThreshold(Dot(c_before, w), t) !=
         HitByThreshold(Dot(c_after, w), t)) {
@@ -186,7 +187,7 @@ Result<std::string> RenderAffectedSubspace(const SubdomainIndex& index,
   }
   for (int q : affected) {
     const Vec& w = index.aug_weights(q);
-    double t = index.KthScoreExcluding(q, target);
+    const double t = thresholds[static_cast<size_t>(q)];
     bool gained = HitByThreshold(Dot(c_after, w), t);
     svg.AddCircle(v.X(w[0]), v.Y(w[1]), options.point_radius + 1.2,
                   gained ? "#2a9d2a" : "#d62728", "#333", 0.5);

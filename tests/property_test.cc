@@ -75,8 +75,7 @@ TEST(ThresholdProperty, MonotoneUnderCompetitorChurn) {
   ASSERT_TRUE(w.index->OnObjectRemoved(added).ok());
   std::vector<double> after = w.index->HitThresholds(target);
   for (int q = 0; q < 30; ++q) {
-    EXPECT_NEAR(after[static_cast<size_t>(q)],
-                before[static_cast<size_t>(q)], 1e-12);
+    EXPECT_EQ(after[static_cast<size_t>(q)], before[static_cast<size_t>(q)]);
   }
 }
 
