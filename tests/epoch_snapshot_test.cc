@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -148,10 +149,18 @@ void ExpectEpochMatchesShadow(const EpochHandle& pin, const Shadow& shadow,
   ASSERT_EQ(pin.queries().size(), static_cast<int>(shadow.queries.size()));
   ASSERT_EQ(pin.queries().num_active(), shadow.NumActiveQueries());
 
-  // Hit counts and hit sets: every active object, against the rebuild.
+  // Hit thresholds, bit for bit (NaN on inactive query slots), hit counts
+  // and hit sets: every object, tombstoned ones included, against the
+  // rebuild.
   for (size_t i = 0; i < shadow.rows.size(); ++i) {
-    if (!shadow.row_active[i]) continue;
     const int id = static_cast<int>(i);
+    const std::vector<double> pinned = pin.index().HitThresholds(id);
+    const std::vector<double> rebuilt = fresh.index->HitThresholds(id);
+    ASSERT_EQ(pinned.size(), rebuilt.size()) << "object " << id;
+    EXPECT_EQ(std::memcmp(pinned.data(), rebuilt.data(),
+                          pinned.size() * sizeof(double)),
+              0)
+        << "object " << id;
     EXPECT_EQ(pin.index().HitCount(id), fresh.index->HitCount(id))
         << "object " << id;
     EXPECT_EQ(pin.index().HitSet(id), fresh.index->HitSet(id))
@@ -222,15 +231,16 @@ Result<IqEngine> MakeEngine(const Shadow& shadow, int num_threads) {
                           std::move(queries), options);
 }
 
-Shadow MakeInitialShadow(uint64_t seed) {
+Shadow MakeInitialShadow(uint64_t seed, int objects = kInitialObjects,
+                         int queries = kInitialQueries) {
   Shadow shadow;
   shadow.dim = kDim;
-  Dataset data = MakeIndependent(kInitialObjects, kDim, seed);
+  Dataset data = MakeIndependent(objects, kDim, seed);
   for (int i = 0; i < data.size(); ++i) shadow.rows.push_back(data.attrs(i));
   shadow.row_active.assign(shadow.rows.size(), true);
   QueryGenOptions qopts;
   qopts.k_max = 5;
-  shadow.queries = MakeQueries(kInitialQueries, kDim, seed + 1, qopts);
+  shadow.queries = MakeQueries(queries, kDim, seed + 1, qopts);
   shadow.query_active.assign(shadow.queries.size(), true);
   return shadow;
 }
@@ -243,12 +253,75 @@ int PickActive(const std::vector<bool>& active, Rng& rng) {
   }
 }
 
-/// Applies one random valid op to both the engine and the shadow. Returns
-/// false when the op was a no-op (population floor reached).
+/// What a trial's op stream reached.
+struct TrialCoverage {
+  int duplicate_rows = 0;
+  int mixed_sign_queries = 0;
+  int rejected_writes = 0;
+  /// Fewer active objects than some active query's k, at some epoch.
+  bool objects_below_k = false;
+  /// No active query left, at some epoch.
+  bool no_queries = false;
+};
+
+/// One non-finite write: AddObject, ApplyStrategy or AddQuery with a NaN
+/// or infinite component. It must fail as InvalidArgument and publish
+/// nothing.
+void RejectNonFiniteWrite(IqEngine& engine, const Shadow& shadow, Rng& rng) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  Vec v = rng.UniformVector(shadow.dim, 0.0, 1.0);
+  v[static_cast<size_t>(rng.UniformInt(0, shadow.dim - 1))] =
+      bad[rng.UniformInt(0, 2)];
+  const uint64_t epoch = engine.Snapshot().epoch();
+  const int kind = static_cast<int>(rng.UniformInt(0, 2));
+  Status st;
+  if (kind == 0) {
+    st = engine.AddObject(v).status();
+  } else if (kind == 1) {
+    st = engine.ApplyStrategy(PickActive(shadow.row_active, rng), v);
+  } else {
+    st = engine.AddQuery({1, v}).status();
+  }
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+      << "write kind " << kind << ": " << st.ToString();
+  EXPECT_EQ(engine.Snapshot().epoch(), epoch) << "write kind " << kind;
+}
+
+/// Removes a random active object, down to a floor of one (ApplyStrategy
+/// needs a target). Returns false at the floor.
+bool RemoveRandomObject(IqEngine& engine, Shadow& shadow, Rng& rng) {
+  if (shadow.NumActiveObjects() <= 1) return false;
+  const int id = PickActive(shadow.row_active, rng);
+  IQ_CHECK(engine.RemoveObject(id).ok());
+  shadow.row_active[static_cast<size_t>(id)] = false;
+  return true;
+}
+
+/// Removes a random active query, down to none. Returns false when none is
+/// left.
+bool RemoveRandomQuery(IqEngine& engine, Shadow& shadow, Rng& rng) {
+  if (shadow.NumActiveQueries() == 0) return false;
+  const int q = PickActive(shadow.query_active, rng);
+  IQ_CHECK(engine.RemoveQuery(q).ok());
+  shadow.query_active[static_cast<size_t>(q)] = false;
+  return true;
+}
+
+/// Applies one random op to both the engine and the shadow: valid writes,
+/// including duplicated rows (exact ties) and mixed-sign query weights, and
+/// non-finite writes the engine must reject; with `shrink`, only removals.
+/// Returns false when the op changed nothing (a rejected write, or a
+/// population floor).
 bool ApplyRandomOp(IqEngine& engine, Shadow& shadow, int max_query_k,
-                   Rng& rng) {
+                   bool shrink, Rng& rng, TrialCoverage* coverage) {
   const int roll = static_cast<int>(rng.UniformInt(0, 99));
-  if (roll < 50) {
+  if (shrink) {
+    return roll < 50 ? RemoveRandomObject(engine, shadow, rng)
+                     : RemoveRandomQuery(engine, shadow, rng);
+  }
+  if (roll < 45) {
     // ApplyStrategy on a random active target: the §4.3 remove-modify-
     // reactivate protocol, the heaviest COW path.
     const int target = PickActive(shadow.row_active, rng);
@@ -258,8 +331,14 @@ bool ApplyRandomOp(IqEngine& engine, Shadow& shadow, int max_query_k,
         Add(shadow.rows[static_cast<size_t>(target)], strategy);
     return true;
   }
-  if (roll < 65) {
-    Vec attrs = rng.UniformVector(shadow.dim, 0.0, 1.0);
+  if (roll < 60) {
+    // A fresh row, or a copy of an active one.
+    const bool duplicate = roll >= 55;
+    Vec attrs = duplicate
+                    ? shadow.rows[static_cast<size_t>(
+                          PickActive(shadow.row_active, rng))]
+                    : rng.UniformVector(shadow.dim, 0.0, 1.0);
+    coverage->duplicate_rows += duplicate ? 1 : 0;
     auto id = engine.AddObject(attrs);
     IQ_CHECK(id.ok());
     IQ_CHECK(*id == static_cast<int>(shadow.rows.size()));
@@ -267,17 +346,14 @@ bool ApplyRandomOp(IqEngine& engine, Shadow& shadow, int max_query_k,
     shadow.row_active.push_back(true);
     return true;
   }
-  if (roll < 75) {
-    if (shadow.NumActiveObjects() <= 8) return false;
-    const int id = PickActive(shadow.row_active, rng);
-    IQ_CHECK(engine.RemoveObject(id).ok());
-    shadow.row_active[static_cast<size_t>(id)] = false;
-    return true;
-  }
-  if (roll < 90) {
+  if (roll < 72) return RemoveRandomObject(engine, shadow, rng);
+  if (roll < 86) {
     TopKQuery q;
     q.k = 1 + static_cast<int>(rng.UniformInt(0, max_query_k + 7));
-    q.weights = rng.UniformVector(shadow.dim, 0.0, 1.0);
+    // Every other added query mixes weight signs.
+    const bool mixed = roll >= 79;
+    q.weights = rng.UniformVector(shadow.dim, mixed ? -1.0 : 0.0, 1.0);
+    coverage->mixed_sign_queries += mixed ? 1 : 0;
     auto id = engine.AddQuery(q);
     IQ_CHECK(id.ok());
     IQ_CHECK(*id == static_cast<int>(shadow.queries.size()));
@@ -285,30 +361,51 @@ bool ApplyRandomOp(IqEngine& engine, Shadow& shadow, int max_query_k,
     shadow.query_active.push_back(true);
     return true;
   }
-  if (shadow.NumActiveQueries() <= 4) return false;
-  const int q = PickActive(shadow.query_active, rng);
-  IQ_CHECK(engine.RemoveQuery(q).ok());
-  shadow.query_active[static_cast<size_t>(q)] = false;
-  return true;
+  if (roll >= 95) {
+    RejectNonFiniteWrite(engine, shadow, rng);
+    ++coverage->rejected_writes;
+    return false;
+  }
+  return RemoveRandomQuery(engine, shadow, rng);
 }
+
+/// A trial's initial sizes and op count. Ops [shrink_begin, shrink_end)
+/// only remove objects and queries.
+struct TrialShape {
+  int objects = kInitialObjects;
+  int queries = kInitialQueries;
+  int ops = kOps;
+  int shrink_begin = 0;
+  int shrink_end = 0;
+};
 
 /// The harness: random ops, random pins, then the differential check for
 /// every pin — including the oldest epochs, whose cells are by then shared
 /// with many newer ones.
-void RunDifferentialTrial(int num_threads, uint64_t seed) {
+TrialCoverage RunDifferentialTrial(int num_threads, uint64_t seed,
+                                   const TrialShape& shape = {}) {
+  TrialCoverage coverage;
   Rng rng(seed);
-  Shadow shadow = MakeInitialShadow(seed);
+  Shadow shadow = MakeInitialShadow(seed, shape.objects, shape.queries);
   auto engine = MakeEngine(shadow, num_threads);
-  ASSERT_TRUE(engine.ok());
+  EXPECT_TRUE(engine.ok());
+  if (!engine.ok()) return coverage;
   // Added queries draw k up to 8 past the build's max_k, so some reach the
   // built κ and make OnQueryAdded grow it (DESIGN.md §2).
   const int max_query_k = engine->queries().max_k();
-  ASSERT_GE(max_query_k, 1);
+  EXPECT_GE(max_query_k, 1);
 
   std::vector<std::pair<EpochHandle, Shadow>> pins;
   pins.emplace_back(engine->Snapshot(), shadow);  // the build epoch
-  for (int op = 0; op < kOps; ++op) {
-    if (!ApplyRandomOp(*engine, shadow, max_query_k, rng)) continue;
+  for (int op = 0; op < shape.ops; ++op) {
+    const bool shrink = op >= shape.shrink_begin && op < shape.shrink_end;
+    if (!ApplyRandomOp(*engine, shadow, max_query_k, shrink, rng,
+                       &coverage)) {
+      continue;
+    }
+    coverage.objects_below_k |=
+        shadow.NumActiveObjects() < engine->queries().max_k();
+    coverage.no_queries |= shadow.NumActiveQueries() == 0;
     if (rng.UniformInt(0, 3) == 0) {
       pins.emplace_back(engine->Snapshot(), shadow);
     }
@@ -330,6 +427,7 @@ void RunDifferentialTrial(int num_threads, uint64_t seed) {
     last_epoch = pins[p].first.epoch();
     ExpectEpochMatchesShadow(pins[p].first, pins[p].second, rng);
   }
+  return coverage;
 }
 
 TEST(EpochSnapshotTest, DifferentialOracleSerial) {
@@ -346,6 +444,27 @@ TEST(EpochSnapshotTest, DifferentialOracleTwoWorkers) {
 
 TEST(EpochSnapshotTest, DifferentialOracleEightWorkers) {
   RunDifferentialTrial(/*num_threads=*/8, /*seed=*/20260810);
+}
+
+// A small world with a removal-only stretch down to the population floors:
+// active objects fall below the largest k (signatures shorter than k,
+// thresholds of +inf) and every query is removed, then the stream grows
+// again from there. Duplicated rows, mixed-sign queries and rejected
+// non-finite writes come from the random ops around it.
+TEST(EpochSnapshotTest, DifferentialOracleSmallWorld) {
+  TrialShape shape;
+  shape.objects = 8;
+  shape.queries = 4;
+  shape.ops = 60;
+  shape.shrink_begin = 20;
+  shape.shrink_end = 44;
+  const TrialCoverage coverage =
+      RunDifferentialTrial(/*num_threads=*/2, /*seed=*/20260811, shape);
+  EXPECT_GT(coverage.duplicate_rows, 0);
+  EXPECT_GT(coverage.mixed_sign_queries, 0);
+  EXPECT_GT(coverage.rejected_writes, 0);
+  EXPECT_TRUE(coverage.objects_below_k);
+  EXPECT_TRUE(coverage.no_queries);
 }
 
 // ---------------------------------------------------------------------------
