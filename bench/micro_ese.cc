@@ -103,6 +103,22 @@ void BM_MinCostIqEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_MinCostIqEndToEnd)->Args({10000, 1000});
 
+// One target's hit thresholds, the fixed cost every solve's context pays
+// (IqContext::FromIndex): IN data at the e2e solve_in sizes, the target
+// rotating through the dataset so each call reads other signature rows.
+void BM_HitThresholds(benchmark::State& state) {
+  Workload& w = SharedWorkload(static_cast<int>(state.range(0)),
+                               static_cast<int>(state.range(1)));
+  const int n = w.data->size();
+  int target = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.index->HitThresholds(target).data());
+    target = (target + 7919) % n;
+  }
+  state.SetItemsProcessed(state.iterations() * w.queries->num_active());
+}
+BENCHMARK(BM_HitThresholds)->Args({20000, 2000});
+
 }  // namespace
 }  // namespace bench
 }  // namespace iq
